@@ -34,6 +34,9 @@ from .zlinalg import (
     IntMatrix,
     cokernel,
     congruence_kernel,
+    hnf,
+    lattice_coordinates,
+    snf,
 )
 
 ModuleRing = Union[RingSummand, CrossedRing]
@@ -132,6 +135,25 @@ def _zero_part(pres: RingPresentation) -> ModulePart:
     return ModulePart((), tuple(IntMatrix.zero(0, 0) for _ in pres.gen_names))
 
 
+def _is_int(x) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _action_matrix(name: str, m) -> IntMatrix:
+    """Generator `name`'s action: an IntMatrix or a list of integer rows."""
+    if isinstance(m, IntMatrix):
+        return m
+    if not isinstance(m, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) and all(_is_int(x) for x in row) for row in m
+    ):
+        raise InputError(f"action matrix for {name} must be a list of integer rows")
+    try:
+        return IntMatrix.from_rows(m)
+    except ValueError as exc:
+        raise InputError(f"bad matrix for generator {name}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class AModObject:
     """A Z/2-graded module over one ring summand of the target category."""
@@ -157,16 +179,15 @@ class AModObject:
                 parts.append(_zero_part(pres))
                 continue
             orders, mats = spec
-            orders = tuple(int(x) for x in orders)
-            mats = tuple(
-                m if isinstance(m, IntMatrix) else IntMatrix.from_rows(m)
-                for m in mats
-            )
+            orders = tuple(orders)
+            if not all(_is_int(x) for x in orders):
+                raise InputError(f"cyclic orders must be integers, got {list(orders)!r}")
             if len(mats) != len(pres.gen_names):
                 raise InputError(
                     f"expected {len(pres.gen_names)} action matrices "
                     f"({', '.join(pres.gen_names) or 'none'}), got {len(mats)}"
                 )
+            mats = tuple(_action_matrix(name, m) for name, m in zip(pres.gen_names, mats))
             r = len(orders)
             for m in mats:
                 if m.rows != r or m.cols != r:
@@ -368,71 +389,64 @@ class HomResult:
     generators: tuple[HomMap, ...]
 
 
-def _unflatten(vec: Sequence[int], s: int, r: int,
-               row_orders: Sequence[int]) -> IntMatrix:
-    rows = []
+def _hom_lattice(width: int, src_mats: Sequence[IntMatrix], Q: ModulePart,
+                 src_orders: Sequence[int] = (), relations=()):
+    """The congruence kernel of s x width integer matrices X (flattened row
+    by row) with X g_src == g_Q X mod Q's orders for every generator, and,
+    when source orders o are given, o_j X[:, j] == 0 so that X is well
+    defined on the source group.  Returns its basis and, in that basis, the
+    coordinates of the trivial maps (Q's order times a unit matrix)
+    followed by the flattened `relations`."""
+    s = Q.rank
+    t = s * width
+    rows: list[list[int]] = []
+    moduli: list[int] = []
     for i in range(s):
-        q = row_orders[i]
-        rows.append([vec[i * r + j] % q if q else vec[i * r + j] for j in range(r)])
-    return IntMatrix.from_rows(rows)
+        for j, o in enumerate(src_orders):
+            row = [0] * t
+            row[i * width + j] = o
+            rows.append(row)
+            moduli.append(Q.orders[i])
+    for Gs, GQ in zip(src_mats, Q.mats):
+        for i in range(s):
+            for u in range(width):
+                row = [0] * t
+                for v in range(width):
+                    row[i * width + v] += Gs.entries[v][u]
+                for w in range(s):
+                    row[w * width + u] -= GQ.entries[i][w]
+                rows.append(row)
+                moduli.append(Q.orders[i])
+    vectors = [[Q.orders[i] if k == i * width + j else 0 for k in range(t)]
+               for i in range(s) for j in range(width)]
+    vectors += [[mat[i][l] for i in range(s) for l in range(width)] for mat in relations]
+    basis, coords = lattice_coordinates(rows, moduli, t, vectors)
+    if len(basis) != t:
+        raise RuntimeError("solution lattice must have full rank")
+    return basis, coords
 
 
-def _hom_block(pres: RingPresentation, P: ModulePart, Q: ModulePart):
+def _hom_block(P: ModulePart, Q: ModulePart):
     """Hom over the ring between two finite parts: (FinAbGroup, generators)."""
     r, s = P.rank, Q.rank
     t = r * s
     if t == 0:
         return FinAbGroup.trivial(), []
-    rows: list[list[int]] = []
-    moduli: list[int] = []
-    for i in range(s):
-        for j in range(r):
-            row = [0] * t
-            row[i * r + j] = P.orders[j]
-            rows.append(row)
-            moduli.append(Q.orders[i])
-    for Pg, Qg in zip(P.mats, Q.mats):
-        for i in range(s):
-            for u in range(r):
-                row = [0] * t
-                for v in range(r):
-                    row[i * r + v] += Pg.entries[v][u]
-                for w in range(s):
-                    row[w * r + u] -= Qg.entries[i][w]
-                rows.append(row)
-                moduli.append(Q.orders[i])
-    basis = congruence_kernel(rows, moduli)
-    assert len(basis) == t, "solution lattice must have full rank"
-    Bcols = [[basis[l][x] for l in range(t)] for x in range(t)]
-    solver = ExactSolver(Bcols)
-    rel_cols = []
-    for i in range(s):
-        for j in range(r):
-            target = [0] * t
-            target[i * r + j] = Q.orders[i]
-            y = solver.solve(target)
-            if y is None:
-                raise RuntimeError("diagonal lattice must lie in the solution lattice")
-            rel_cols.append(list(y))
-    group = cokernel(rel_cols, t)
-    assert group.free_rank == 0
-    # canonical generators aligned with the invariant factors
-    from .zlinalg import snf
-
-    X = [[rel_cols[c][i] for c in range(t)] for i in range(t)]
-    D, U, V = snf(X)
-    Usolver = ExactSolver(U.tolists())
-    gens = []
+    basis, rel_cols = _hom_lattice(r, P.mats, Q, P.orders)
+    # One Smith form U X V = D of the relations gives the group (the
+    # diagonal) and generators aligned with it (the columns of U^-1).
+    D, U, _ = snf([[col[i] for col in rel_cols] for i in range(t)])
     diag = D.diagonal()
-    for i in range(t):
-        d = diag[i] if i < len(diag) else 0
-        if d == 1:
-            continue
-        e = [1 if k == i else 0 for k in range(t)]
-        coords = Usolver.solve(e)  # column i of U^-1
-        vec = [sum(basis[l][x] * coords[l] for l in range(t)) for x in range(t)]
-        gens.append(_unflatten(vec, s, r, Q.orders))
-    return group, gens
+    if 0 in diag:
+        raise RuntimeError("Hom of finite modules must be finite")
+    _, Uinv = hnf(U)  # U is unimodular: its Hermite form is I = Uinv U
+    gens = []
+    for i, d in enumerate(diag):
+        if d > 1:
+            vec = [sum(basis[l][x] * Uinv[l, i] for l in range(t)) for x in range(t)]
+            gens.append(IntMatrix.from_rows(
+                [[vec[k * r + j] % q for j in range(r)] for k, q in enumerate(Q.orders)]))
+    return FinAbGroup(tuple(d for d in diag if d > 1)), gens
 
 
 def hom_group(M: AModObject, N: AModObject, degree: int = 0) -> HomResult:
@@ -440,14 +454,13 @@ def hom_group(M: AModObject, N: AModObject, degree: int = 0) -> HomResult:
     ring generators, with explicit generating homomorphisms."""
     _check_same_ring(M.ring, N.ring, "hom")
     _reject_free(M, N)
-    pres = presentation_of(M.ring)
     degree %= 2
     out_group = FinAbGroup.trivial()
     gens: list[HomMap] = []
     for d in (0, 1):
         P = M.parts[d]
         Q = N.parts[(d + degree) % 2]
-        g, block_gens = _hom_block(pres, P, Q)
+        g, block_gens = _hom_block(P, Q)
         out_group = out_group.direct_sum(g)
         for bm in block_gens:
             blocks = [None, None]
@@ -524,52 +537,15 @@ def _free_cover_kernel(pres: RingPresentation, orders: Sequence[int],
     return _CoverKernel(lam, B, tuple(actions), tuple(gvecs))
 
 
-def _lattice_hom_quotient(pres: RingPresentation, lam: int,
-                          K_actions: Sequence[IntMatrix],
+def _lattice_hom_quotient(lam: int, K_actions: Sequence[IntMatrix],
                           Q: ModulePart, extra_relations) -> FinAbGroup:
     """Hom_R(K, Q) / (relations), for K a free lattice of rank lam with the
     given generator actions.  extra_relations yields integer matrices (s x lam)
     to quotient out in addition to the trivial maps."""
-    s = Q.rank
-    t = s * lam
-    if t == 0:
-        return FinAbGroup.trivial()
-    rows: list[list[int]] = []
-    moduli: list[int] = []
-    for GK, GQ in zip(K_actions, Q.mats):
-        for i in range(s):
-            for u in range(lam):
-                row = [0] * t
-                for l in range(lam):
-                    row[i * lam + l] += GK.entries[l][u]
-                for w in range(s):
-                    row[w * lam + u] -= GQ.entries[i][w]
-                rows.append(row)
-                moduli.append(Q.orders[i])
-    if rows:
-        basis = congruence_kernel(rows, moduli)
-    else:
-        basis = [tuple(1 if x == k else 0 for x in range(t)) for k in range(t)]
-    assert len(basis) == t
-    Bcols = [[basis[l][x] for l in range(t)] for x in range(t)]
-    solver = ExactSolver(Bcols)
-    rel_cols = []
-    for i in range(s):
-        for l in range(lam):
-            target = [0] * t
-            target[i * lam + l] = Q.orders[i]
-            y = solver.solve(target)
-            if y is None:
-                raise RuntimeError("trivial maps must lie in the solution lattice")
-            rel_cols.append(list(y))
-    for mat in extra_relations:
-        target = [mat[i][l] for i in range(s) for l in range(lam)]
-        y = solver.solve(target)
-        if y is None:
-            raise RuntimeError("restriction image is not an R-module map")
-        rel_cols.append(list(y))
-    group = cokernel(rel_cols, t)
-    assert group.free_rank == 0, "Ext of finite modules must be finite"
+    _, rel_cols = _hom_lattice(lam, K_actions, Q, relations=extra_relations)
+    group = cokernel(rel_cols, Q.rank * lam)
+    if group.free_rank:
+        raise RuntimeError("Ext of finite modules must be finite")
     return group
 
 
@@ -599,7 +575,7 @@ def _ext_block(pres: RingPresentation, P: ModulePart, Q: ModulePart,
     if Q.rank == 0 or (P.rank == 0 and not extra_generators):
         return FinAbGroup.trivial()
     cover = _free_cover_kernel(pres, P.orders, P.mats, extra_generators)
-    return _lattice_hom_quotient(pres, cover.lam, cover.actions, Q,
+    return _lattice_hom_quotient(cover.lam, cover.actions, Q,
                                  _restriction_images(pres, cover, Q))
 
 
@@ -648,7 +624,7 @@ def ext_second_step(M: AModObject, N: AModObject, degree: int = 0) -> FinAbGroup
         if second.lam == 0:
             continue
         out = out.direct_sum(
-            _lattice_hom_quotient(pres, second.lam, second.actions, Q,
+            _lattice_hom_quotient(second.lam, second.actions, Q,
                                   _restriction_images(pres, second, Q))
         )
     return out
@@ -749,6 +725,8 @@ def uct_order(A: AModFamily, B: AModFamily) -> UCTOrderResult:
 
 def _part_from_json(ring: ModuleRing, data: dict) -> tuple[Sequence[int], Sequence]:
     pres = presentation_of(ring)
+    if not isinstance(data, dict):
+        raise InputError("each degree must be an object with 'orders' and action matrices")
     orders = data.get("orders", [])
     if not isinstance(orders, list):
         raise InputError("'orders' must be a list of integers")
@@ -769,10 +747,7 @@ def _part_from_json(ring: ModuleRing, data: dict) -> tuple[Sequence[int], Sequen
                     f"'w' must list one matrix per Weyl coset (need {idx + 1})"
                 )
             raw = wlist[idx]
-        try:
-            mats.append(IntMatrix.from_rows(raw))
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad matrix for generator {name}: {exc}") from exc
+        mats.append(_action_matrix(name, raw))
     if r == 0:
         mats = [IntMatrix.zero(0, 0) for _ in pres.gen_names]
     return orders, mats
@@ -789,13 +764,17 @@ def family_from_json(report: TargetCategoryReport, data) -> AModFamily:
         entries = [data]
     else:
         raise InputError("module file must be an object or list")
+    if not isinstance(entries, list):
+        raise InputError("'modules' must be a list of module entries")
     flat = report.flat_summands()
     assignments: dict[int, AModObject] = {}
     for e in entries:
         if not isinstance(e, dict) or "summand" not in e:
             raise InputError("each module entry needs a 'summand' index")
         idx = e["summand"]
-        if not isinstance(idx, int) or not 0 <= idx < len(flat):
+        if not _is_int(idx):
+            raise InputError(f"'summand' must be an integer index, got {idx!r}")
+        if not 0 <= idx < len(flat):
             raise FamilyMismatch(
                 f"summand index {idx!r} out of range (0..{len(flat) - 1})"
             )

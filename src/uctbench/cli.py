@@ -3,8 +3,8 @@ verification suites, and UCT order queries.
 
 Exit codes: 0 success, 1 verification failure, 2 input error.  Identical
 inputs produce byte-identical output (fixed orderings, recorded seed).
-WORKBENCH_THREADS caps the worker count used for independent verification
-items; results are assembled in item order regardless of completion order.
+Verification items run in order in one thread.  WORKBENCH_THREADS is still
+accepted: it must be an integer, and `verify --json` echoes it as "threads".
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
 
 from . import __version__
@@ -377,11 +376,7 @@ def cmd_verify(args) -> int:
         raise InputError("--max-n must be >= 1")
     items = suite(args.max_n, args.seed)
     threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda it: it[1](), items))
-    else:
-        results = [fn() for _, fn in items]
+    results = [fn() for _, fn in items]
     checks = sum(c for c, _ in results)
     failure = None
     for (key, _), (_, err) in zip(items, results):

@@ -294,6 +294,34 @@ def congruence_kernel(A, moduli: Sequence[int]) -> list[tuple[int, ...]]:
     return [tuple(row) for row in H.entries if any(row)]
 
 
+def lattice_coordinates(A, moduli: Sequence[int], cols: int,
+                        vectors: Iterable[Row],
+                        ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Basis of {x in Z^cols : (A x)_i == 0 mod moduli[i]}, the identity when
+    A has no rows, and the coordinates of each of `vectors` in that basis.
+    Raises RuntimeError for a vector outside the lattice."""
+    M = _as_lists(A)
+    basis = congruence_kernel(M, moduli) if M else list(IntMatrix.identity(cols).entries)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    coords = []
+    for v in vectors:
+        # Hermite rows are echelon with positive pivots: eliminate down the
+        # pivot columns.  A remainder stays in its column, which later rows
+        # do not touch.
+        rest = list(v)
+        y = []
+        for row, p in zip(basis, pivots):
+            q = rest[p] // row[p]
+            y.append(q)
+            if q:
+                for j in range(p, cols):
+                    rest[j] -= q * row[j]
+        if any(rest):
+            raise RuntimeError(f"vector {tuple(v)} lies outside the congruence lattice")
+        coords.append(tuple(y))
+    return basis, coords
+
+
 def lattice_kernel_localized(A, m: int, N: int = 1) -> IntMatrix:
     """Z-basis (rows) of {x in Z^cols : A x == 0 mod m}, m >= 1.
 
@@ -335,11 +363,6 @@ class ExactSolver:
         if any(t[i] for i in range(k, self.rows)):
             return None
         return self.V.matvec(y)
-
-
-def solve_exact(A, b: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """One integer solution of A x = b, or None if none exists."""
-    return ExactSolver(A).solve(b)
 
 
 def _factorint(n: int) -> dict[int, int]:
@@ -454,19 +477,11 @@ def solve_mod(A, moduli: Sequence[int]) -> SolutionGroup:
     M = _as_lists(A)
     c = len(M[0]) if M else 0
     L = math.lcm(*moduli) if moduli else 1
-    basis = congruence_kernel(M, list(moduli))
-    # Quotient of the solution lattice by L * Z^c.
     if c == 0:
         return SolutionGroup((), FinAbGroup.trivial(), L)
-    Bcols = [[row[i] for row in basis] for i in range(c)]  # c x k (k = len(basis))
-    solver = ExactSolver(Bcols)
-    rel_cols = []
-    for j in range(c):
-        target = [L if i == j else 0 for i in range(c)]
-        y = solver.solve(target)
-        if y is None:
-            raise RuntimeError("L*e_j must lie in the solution lattice")
-        rel_cols.append(list(y))
+    # Quotient of the solution lattice by L * Z^c.
+    basis, rel_cols = lattice_coordinates(
+        M, moduli, c, ([L if i == j else 0 for i in range(c)] for j in range(c)))
     group = cokernel(rel_cols, len(basis))
     gens = tuple(tuple(x % L for x in row) for row in basis)
     return SolutionGroup(gens, group, L)

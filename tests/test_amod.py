@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -18,7 +19,7 @@ from uctbench.amod import (
 from uctbench.crossring import CrossedRing, target_category
 from uctbench.errors import FamilyMismatch, FreePartError, RingMismatch
 from uctbench.groups import preset_group
-from uctbench.zlinalg import FinAbGroup
+from uctbench.zlinalg import FinAbGroup, IntMatrix
 
 from helpers import brute_hom_count, random_module
 
@@ -135,6 +136,49 @@ def test_hom_generators_are_module_maps():
         for i in range(2):
             for j in range(2):
                 assert (left.entries[i][j] - right.entries[i][j]) % 7 == 0, name
+
+
+def _congruent_zero_rows(X, orders):
+    return all(v % q == 0 for row, q in zip(X.entries, orders) for v in row)
+
+
+def test_hom_generators_align_with_invariant_factors_seeded():
+    # One degree block at a time: hom_group sums the two blocks' groups into
+    # invariant-factor form, which can merge factors (C3 + C5 = C15) while
+    # keeping one generator per block factor.
+    rng = random.Random(202)
+    multi_factor = set()
+    for trial in range(24):
+        summand = (Z2_INT, Z3_CYC, S3_CROSSED)[trial % 3]
+        M, N = (direct_sum(random_module(rng, summand, max_order=49),
+                           random_module(rng, summand, max_order=49))
+                for _ in range(2))
+        empty = AModObject.zero(summand).parts[0]
+        for P in M.parts:
+            for Q in N.parts:
+                res = hom_group(AModObject(summand, (P, empty)),
+                                AModObject(summand, (Q, empty)), 0)
+                assert len(res.generators) == len(res.group.factors)
+                if len(res.group.factors) > 1:
+                    multi_factor.add(summand.kind)
+                for gen, order in zip(res.generators, res.group.factors):
+                    X = gen.blocks[0]
+                    for Pg, Qg in zip(P.mats, Q.mats):
+                        diff = IntMatrix.from_rows(
+                            [[a - b for a, b in zip(ra, rb)]
+                             for ra, rb in zip((X @ Pg).entries, (Qg @ X).entries)])
+                        assert _congruent_zero_rows(diff, Q.orders), (trial, summand.kind)
+                    scaled = IntMatrix.from_rows([[order * v for v in row] for row in X.entries])
+                    assert _congruent_zero_rows(scaled, Q.orders), (trial, order)
+                # independent: the sums c_1 X_1 + ... with 0 <= c_i < d_i differ
+                sums = {
+                    tuple(sum(c * gen.blocks[0].entries[i][j]
+                              for c, gen in zip(cs, res.generators)) % q
+                          for i, q in enumerate(Q.orders) for j in range(P.rank))
+                    for cs in itertools.product(*map(range, res.group.factors))
+                }
+                assert len(sums) == res.group.order(), (trial, summand.kind)
+    assert multi_factor == {Z2_INT.kind, Z3_CYC.kind, S3_CROSSED.kind}
 
 
 def test_hom_matches_bruteforce_seeded():

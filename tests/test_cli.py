@@ -169,3 +169,32 @@ def test_uct_invalid_module_named_relation(tmp_path, capsys):
     code, _, err = run(capsys, "uct", "preset:cyclic(3)", "--a", str(a), "--b", str(a))
     assert code == 2
     assert "Phi_3" in err
+
+
+def _uct_with_a(tmp_path, capsys, module):
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps({"modules": [module]}))
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps({"modules": []}))
+    return run(capsys, "uct", "preset:cyclic(2)", "--a", str(a), "--b", str(b))
+
+
+def test_uct_summand_bool_rejected(tmp_path, capsys):
+    code, _, err = _uct_with_a(tmp_path, capsys,
+                               {"summand": True, "degree0": {"orders": [3]}})
+    assert code == 2
+    assert "'summand' must be an integer" in err
+
+
+def test_uct_fractional_order_rejected(tmp_path, capsys):
+    code, _, err = _uct_with_a(tmp_path, capsys,
+                               {"summand": 0, "degree0": {"orders": [3.5]}})
+    assert code == 2
+    assert "orders must be integers" in err
+
+
+def test_uct_string_order_rejected(tmp_path, capsys):
+    code, _, err = _uct_with_a(tmp_path, capsys,
+                               {"summand": 0, "degree0": {"orders": ["a"]}})
+    assert code == 2
+    assert "orders must be integers" in err

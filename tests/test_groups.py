@@ -1,5 +1,6 @@
 import pytest
 
+from uctbench import groups
 from uctbench.errors import (
     NonAssociative,
     UnknownPreset,
@@ -77,6 +78,19 @@ def test_preset_errors():
         preset_group("cyclic(0)")
     with pytest.raises(UnknownPreset):
         preset_group("quaternion(8)")
+
+
+@pytest.mark.parametrize("name", ["cyclic(100000000)", "symmetric(8)",
+                                  "direct_product(symmetric(7),cyclic(2))"])
+def test_preset_order_bound_before_any_table(name, monkeypatch):
+    def no_table(*args):
+        raise AssertionError(f"{name}: a table was built")
+
+    for builder in ("_cyclic_table", "_dihedral_table", "_symmetric_table",
+                    "_direct_product"):
+        monkeypatch.setattr(groups, builder, no_table)
+    with pytest.raises(UnsupportedSize, match=str(groups.MAX_PRESET_ORDER)):
+        preset_group(name)
 
 
 def test_cyclic_classes_klein_four():

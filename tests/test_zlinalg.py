@@ -11,9 +11,9 @@ from uctbench.zlinalg import (
     det_unimodular,
     hnf,
     kernel_basis,
+    lattice_coordinates,
     lattice_kernel_localized,
     snf,
-    solve_exact,
     solve_mod,
 )
 
@@ -122,8 +122,11 @@ def test_kernel_basis_spans_random():
             solver = ExactSolver(Bcols)
             for _ in range(20):
                 x = [rng.randint(-2, 2) for _ in range(5)]
+                y = solver.solve(x)
                 if all(v == 0 for v in M.matvec(x)):
-                    assert solver.solve(x) is not None
+                    assert IntMatrix.from_rows(Bcols).matvec(y) == tuple(x)
+                else:
+                    assert y is None
 
 
 def test_congruence_kernel_matches_bruteforce():
@@ -179,10 +182,24 @@ def test_lattice_kernel_contains_m_times_lattice():
             assert solver.solve(target) is not None
 
 
-def test_solve_exact():
-    assert solve_exact([[2, 0], [0, 3]], [4, 9]) == (2, 3)
-    assert solve_exact([[2]], [3]) is None
-    assert solve_exact([[1, 1]], [5]) in {(5, 0), (0, 5)} or solve_exact([[1, 1]], [5]) is not None
+def test_lattice_coordinates():
+    basis, coords = lattice_coordinates([], [], 3, [[4, 0, -1]])
+    assert basis == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert coords == [(4, 0, -1)]
+    rng = random.Random(11)
+    for _ in range(30):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 4)
+        A = rand_matrix(rng, rows, cols, -6, 6)
+        moduli = [rng.randint(1, 9) for _ in range(rows)]
+        basis = congruence_kernel(A, moduli)
+        combos = [[rng.randint(-3, 3) for _ in basis] for _ in range(3)]
+        vectors = [[sum(c * b[x] for c, b in zip(y, basis)) for x in range(cols)]
+                   for y in combos]
+        got_basis, coords = lattice_coordinates(A, moduli, cols, vectors)
+        assert got_basis == basis
+        assert coords == [tuple(y) for y in combos]
+    with pytest.raises(RuntimeError, match="outside"):
+        lattice_coordinates([[1, 0]], [2], 2, [[1, 0]])
 
 
 def test_invariant_factors_match_sympy():
