@@ -7,6 +7,11 @@ read modulo the cyclic orders (row modulus).  Hom groups are congruence
 kernels modulo the target orders; Ext^1 uses the two-step presentation
 R^k -> M with kernel lattice K, which suffices because R^k is free:
 Ext^1(M, N) = coker(Hom(R^k, N) -> Hom(K, N)).
+
+The free cover is irredundant: a coordinate vector of M becomes a cover
+generator only when it lies outside the R-span of those chosen before it.
+So (R/q)^k over a ring of Z-rank rho gets k generators instead of rho * k,
+and K has Z-rank rho * k instead of rho^2 * k.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .zlinalg import (
     IntMatrix,
     cokernel,
     congruence_kernel,
+    hermite_coordinates,
     hnf,
     lattice_coordinates,
     snf,
@@ -426,47 +432,57 @@ def _hom_lattice(width: int, src_mats: Sequence[IntMatrix], Q: ModulePart,
     return basis, coords
 
 
-def _hom_block(P: ModulePart, Q: ModulePart):
-    """Hom over the ring between two finite parts: (FinAbGroup, generators)."""
+def _smith_basis(X, n: int) -> list[tuple[int, list[int]]]:
+    """One Smith form U X V = D of the relations X on Z^n: each invariant
+    factor d > 1 of Z^n / X with the column of U^-1 that generates it."""
+    D, U, _ = snf(X)
+    diag = D.diagonal()
+    if len(diag) < n or 0 in diag:
+        raise RuntimeError("Hom of finite modules must be finite")
+    _, Uinv = hnf(U)  # U is unimodular: its Hermite form is I = Uinv U
+    return [(d, [Uinv[l, i] for l in range(n)]) for i, d in enumerate(diag) if d > 1]
+
+
+def _hom_block(P: ModulePart, Q: ModulePart) -> list[tuple[int, IntMatrix]]:
+    """Hom between two finite parts: (invariant factor, generating map) pairs."""
     r, s = P.rank, Q.rank
     t = r * s
     if t == 0:
-        return FinAbGroup.trivial(), []
+        return []
     basis, rel_cols = _hom_lattice(r, P.mats, Q, P.orders)
-    # One Smith form U X V = D of the relations gives the group (the
-    # diagonal) and generators aligned with it (the columns of U^-1).
-    D, U, _ = snf([[col[i] for col in rel_cols] for i in range(t)])
-    diag = D.diagonal()
-    if 0 in diag:
-        raise RuntimeError("Hom of finite modules must be finite")
-    _, Uinv = hnf(U)  # U is unimodular: its Hermite form is I = Uinv U
-    gens = []
-    for i, d in enumerate(diag):
-        if d > 1:
-            vec = [sum(basis[l][x] * Uinv[l, i] for l in range(t)) for x in range(t)]
-            gens.append(IntMatrix.from_rows(
-                [[vec[k * r + j] % q for j in range(r)] for k, q in enumerate(Q.orders)]))
-    return FinAbGroup(tuple(d for d in diag if d > 1)), gens
+    out = []
+    for d, col in _smith_basis([[c[i] for c in rel_cols] for i in range(t)], t):
+        vec = [sum(basis[l][x] * col[l] for l in range(t)) for x in range(t)]
+        out.append((d, IntMatrix.from_rows(
+            [[vec[k * r + j] % q for j in range(r)] for k, q in enumerate(Q.orders)])))
+    return out
 
 
 def hom_group(M: AModObject, N: AModObject, degree: int = 0) -> HomResult:
     """The group of degree-shifting module maps M -> N commuting with all
-    ring generators, with explicit generating homomorphisms."""
+    ring generators, with one generating homomorphism per invariant factor."""
     _check_same_ring(M.ring, N.ring, "hom")
     _reject_free(M, N)
     degree %= 2
-    out_group = FinAbGroup.trivial()
-    gens: list[HomMap] = []
-    for d in (0, 1):
-        P = M.parts[d]
-        Q = N.parts[(d + degree) % 2]
-        g, block_gens = _hom_block(P, Q)
-        out_group = out_group.direct_sum(g)
-        for bm in block_gens:
-            blocks = [None, None]
-            blocks[d] = bm
-            gens.append(HomMap(degree, (blocks[0], blocks[1])))
-    return HomResult(out_group, tuple(gens))
+    targets = [N.parts[(d + degree) % 2] for d in (0, 1)]
+    found = [(d, order, X) for d in (0, 1)
+             for order, X in _hom_block(M.parts[d], targets[d])]
+    # The two blocks' factors need not form one divisibility chain (C3 and
+    # C5 make C15): recombine the maps along a Smith form of them.
+    n = len(found)
+    chain = _smith_basis([[found[i][1] if i == j else 0 for j in range(n)]
+                          for i in range(n)], n)
+    factors, gens = [order for order, _ in chain], []
+    for _, col in chain:
+        blocks = [None, None]
+        for d, Q in enumerate(targets):
+            terms = [(c, X) for c, (dd, _, X) in zip(col, found) if dd == d and c]
+            if terms:
+                blocks[d] = IntMatrix.from_rows(
+                    [[sum(c * X[i, j] for c, X in terms) % q for j in range(M.parts[d].rank)]
+                     for i, q in enumerate(Q.orders)])
+        gens.append(HomMap(degree, (blocks[0], blocks[1])))
+    return HomResult(FinAbGroup(tuple(factors)), tuple(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -477,17 +493,6 @@ def _word_matrix(mats: Sequence[IntMatrix], word: tuple[int, ...], r: int) -> In
     out = IntMatrix.identity(r)
     for g in word:
         out = out @ mats[g]
-    return out
-
-
-def _block_diag(mat: IntMatrix, copies: int) -> list[list[int]]:
-    n = mat.rows
-    size = n * copies
-    out = [[0] * size for _ in range(size)]
-    for c in range(copies):
-        for i in range(n):
-            for j in range(n):
-                out[c * n + i][c * n + j] = mat.entries[i][j]
     return out
 
 
@@ -508,27 +513,33 @@ def _free_cover_kernel(pres: RingPresentation, orders: Sequence[int],
                        extra_generators: Sequence[Sequence[int]] = ()) -> _CoverKernel:
     r = len(orders)
     rho = pres.rank
-    gvecs = [tuple(1 if i == j else 0 for i in range(r)) for j in range(r)]
-    gvecs += [tuple(map(int, v)) for v in extra_generators]
-    r2 = len(gvecs)
     word_mats = [_word_matrix(mats, w, r) for w in pres.basis_words]
-    cols = []
-    for j2 in range(r2):
-        for beta in range(rho):
-            cols.append(word_mats[beta].matvec(gvecs[j2]))
-    A = [[cols[c][i] for c in range(r2 * rho)] for i in range(r)]
-    kernel = congruence_kernel(A, list(orders))
+    # Irredundant cover: e_j becomes a generator only when it lies outside
+    # the Z-span of the order rows o_i e_i and of the R-span of the
+    # generators before it (order 0 marks a free lattice); `span` holds the
+    # Hermite rows of that Z-span.
+    span = [tuple(o if i == j else 0 for i in range(r)) for j, o in enumerate(orders) if o]
+    gvecs, cols = [], []
+    for e in IntMatrix.identity(r).entries:
+        if hermite_coordinates(span, [e])[0] is None:
+            gvecs.append(e)
+            new = [wm.matvec(e) for wm in word_mats]
+            cols += new
+            span = [row for row in hnf(span + new)[0].entries if any(row)]
+    for v in extra_generators:
+        gvecs.append(tuple(map(int, v)))
+        cols += [wm.matvec(gvecs[-1]) for wm in word_mats]
+    n = len(cols)
+    kernel = congruence_kernel([[col[i] for col in cols] for i in range(r)], list(orders))
     lam = len(kernel)
-    B = tuple(tuple(kernel[l][x] for l in range(lam)) for x in range(r2 * rho))
+    B = tuple(tuple(kernel[l][x] for l in range(lam)) for x in range(n))
     solver = ExactSolver([list(row) for row in B]) if lam else None
     actions = []
-    for g in range(len(pres.gen_mats)):
-        big = _block_diag(pres.gen_mats[g], r2)
+    for G in pres.gen_mats:
+        # G acts on each cover slot's copy of R by its left-regular matrix.
         act = []
-        for l in range(lam):
-            v = [sum(big[i][x] * kernel[l][x] for x in range(r2 * rho))
-                 for i in range(r2 * rho)]
-            y = solver.solve(v)
+        for x in kernel:
+            y = solver.solve([c for k in range(0, n, rho) for c in G.matvec(x[k:k + rho])])
             if y is None:
                 raise RuntimeError("free-cover kernel is not generator-stable")
             act.append(y)
@@ -617,12 +628,8 @@ def ext_second_step(M: AModObject, N: AModObject, degree: int = 0) -> FinAbGroup
         if P.rank == 0 or Q.rank == 0:
             continue
         first = _free_cover_kernel(pres, P.orders, P.mats)
-        if first.lam == 0:
-            continue
         # second cover: R^lam ->> K (orders all 0 marks a free lattice)
         second = _free_cover_kernel(pres, (0,) * first.lam, first.actions)
-        if second.lam == 0:
-            continue
         out = out.direct_sum(
             _lattice_hom_quotient(second.lam, second.actions, Q,
                                   _restriction_images(pres, second, Q))

@@ -57,6 +57,8 @@ def load_group(src: str) -> FiniteGroup:
     if not isinstance(data, dict):
         raise InputError(f"{src}: group file must be a JSON object")
     if "preset" in data:
+        if not isinstance(data["preset"], str):
+            raise InputError(f"{src}: 'preset' must be a preset name string")
         return preset_group(data["preset"])
     if "table" not in data:
         raise InputError(f"{src}: need either 'preset' or 'table'")

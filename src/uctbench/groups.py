@@ -83,10 +83,18 @@ def group_from_table(table: Sequence[Sequence[int]],
                      labels: Optional[Sequence[str]] = None) -> FiniteGroup:
     """Validate a multiplication table and wrap it as a FiniteGroup.
 
-    Raises InvalidGroupTable (shape/range), NoIdentity, NoInverse or
+    Raises InvalidGroupTable (types/shape/range), NoIdentity, NoInverse or
     NonAssociative naming the offending element or triple.
     """
-    rows = [tuple(int(x) for x in row) for row in table]
+    if not isinstance(table, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) and all(type(x) is int for x in row) for row in table
+    ):
+        raise InvalidGroupTable("table must be a list of rows of integer element indices")
+    if labels is not None and not (
+        isinstance(labels, (list, tuple)) and all(isinstance(x, str) for x in labels)
+    ):
+        raise InvalidGroupTable("labels must be a list of strings")
+    rows = [tuple(row) for row in table]
     n = len(rows)
     if n == 0:
         raise InvalidGroupTable("empty table")
@@ -114,7 +122,7 @@ def group_from_table(table: Sequence[Sequence[int]],
             for c in range(n):
                 if mul[ab][c] != row_a[mul[b][c]]:
                     raise NonAssociative((a, b, c))
-    lab = tuple(str(s) for s in labels) if labels is not None else None
+    lab = tuple(labels) if labels is not None else None
     if lab is not None and len(lab) != n:
         raise InvalidGroupTable("label count does not match order")
     return FiniteGroup(n, mul, identity, lab)

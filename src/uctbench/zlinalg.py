@@ -224,29 +224,6 @@ def snf(A) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return IntMatrix.from_rows(M), IntMatrix.from_rows(U), IntMatrix.from_rows(V)
 
 
-def det_unimodular(U: IntMatrix) -> int:
-    """Determinant of a square integer matrix via fraction-free elimination."""
-    M = U.tolists()
-    n = len(M)
-    if any(len(row) != n for row in M):
-        raise ValueError("determinant of non-square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not M[k][k]:
-            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if swap is None:
-                return 0
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1] if n else 1
-
-
 def kernel_basis(A) -> list[tuple[int, ...]]:
     """Basis of the integer kernel {x : A x = 0}, canonical (HNF) rows."""
     M = _as_lists(A)
@@ -302,8 +279,18 @@ def lattice_coordinates(A, moduli: Sequence[int], cols: int,
     Raises RuntimeError for a vector outside the lattice."""
     M = _as_lists(A)
     basis = congruence_kernel(M, moduli) if M else list(IntMatrix.identity(cols).entries)
+    coords = hermite_coordinates(basis, vectors)
+    if None in coords:
+        raise RuntimeError("a vector lies outside the congruence lattice")
+    return basis, coords
+
+
+def hermite_coordinates(basis: Sequence[Row], vectors: Iterable[Row],
+                        ) -> list[Optional[tuple[int, ...]]]:
+    """Coordinates of each of `vectors` in the Z-span of the nonzero Hermite
+    rows `basis`, or None for a vector outside that span."""
     pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
-    coords = []
+    out = []
     for v in vectors:
         # Hermite rows are echelon with positive pivots: eliminate down the
         # pivot columns.  A remainder stays in its column, which later rows
@@ -314,12 +301,10 @@ def lattice_coordinates(A, moduli: Sequence[int], cols: int,
             q = rest[p] // row[p]
             y.append(q)
             if q:
-                for j in range(p, cols):
+                for j in range(p, len(rest)):
                     rest[j] -= q * row[j]
-        if any(rest):
-            raise RuntimeError(f"vector {tuple(v)} lies outside the congruence lattice")
-        coords.append(tuple(y))
-    return basis, coords
+        out.append(None if any(rest) else tuple(y))
+    return out
 
 
 def lattice_kernel_localized(A, m: int, N: int = 1) -> IntMatrix:

@@ -8,6 +8,30 @@ from uctbench.crossring import RingSummand
 from uctbench.zlinalg import IntMatrix
 
 
+def det_unimodular(U: IntMatrix) -> int:
+    """Determinant of a square integer matrix via fraction-free elimination;
+    the HNF/SNF tests use it to check that transforms are unimodular."""
+    M = U.tolists()
+    n = len(M)
+    if any(len(row) != n for row in M):
+        raise ValueError("determinant of non-square matrix")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not M[k][k]:
+            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if swap is None:
+                return 0
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1] if n else 1
+
+
 def _torsion_elements(orders, a):
     """All x in prod Z/q_i with a * x = 0."""
     choices = []

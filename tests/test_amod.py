@@ -6,12 +6,14 @@ import pytest
 
 from uctbench.amod import (
     AModFamily,
+    _free_cover_kernel,
     AModObject,
     direct_sum,
     ext_group,
     ext_second_step,
     family_from_json,
     hom_group,
+    presentation_of,
     suspend,
     uct_order,
     validate,
@@ -21,7 +23,11 @@ from uctbench.errors import FamilyMismatch, FreePartError, RingMismatch
 from uctbench.groups import preset_group
 from uctbench.zlinalg import FinAbGroup, IntMatrix
 
-from helpers import brute_hom_count, random_module
+from helpers import (
+    brute_hom_count,
+    random_module,
+    regular_module_part,
+)
 
 Z2_REPORT = target_category(preset_group("cyclic(2)"))
 Z2_INT = Z2_REPORT.flat_summands()[0]          # a Z[1/2] summand
@@ -29,6 +35,7 @@ Z3_REPORT = target_category(preset_group("cyclic(3)"))
 Z3_CYC = Z3_REPORT.flat_summands()[1]          # Z[theta_3, 1/3]
 S3_REPORT = target_category(preset_group("symmetric(3)"))
 S3_CROSSED = S3_REPORT.flat_summands()[2]      # Z[theta_3, 1/6] x| Z/2
+S3_UNSPLIT = S3_REPORT.flat_summands()[0]      # Z[1/6][S3], left unsplit
 
 
 def int_module(summand, *orders, degree=0):
@@ -142,43 +149,65 @@ def _congruent_zero_rows(X, orders):
     return all(v % q == 0 for row, q in zip(X.entries, orders) for v in row)
 
 
+def _check_hom_generators(M, N, degree, res):
+    """Generator i is a module map killed by factor d_i, and the sums
+    c_1 X_1 + ... with 0 <= c_i < d_i are pairwise different."""
+    assert len(res.generators) == len(res.group.factors)
+    pairs = [(M.parts[d], N.parts[(d + degree) % 2]) for d in (0, 1)]
+
+    def block(gen, d):
+        X = gen.blocks[d]
+        P, Q = pairs[d]
+        return IntMatrix.zero(Q.rank, P.rank) if X is None else X
+
+    for gen, order in zip(res.generators, res.group.factors):
+        for d, (P, Q) in enumerate(pairs):
+            if P.rank == 0 or Q.rank == 0:
+                continue
+            X = block(gen, d)
+            for Pg, Qg in zip(P.mats, Q.mats):
+                diff = IntMatrix.from_rows(
+                    [[a - b for a, b in zip(ra, rb)]
+                     for ra, rb in zip((X @ Pg).entries, (Qg @ X).entries)])
+                assert _congruent_zero_rows(diff, Q.orders)
+            scaled = IntMatrix.from_rows([[order * v for v in row] for row in X.entries])
+            assert _congruent_zero_rows(scaled, Q.orders)
+    sums = {
+        tuple(sum(c * block(gen, d).entries[i][j] for c, gen in zip(cs, res.generators)) % q
+              for d, (P, Q) in enumerate(pairs)
+              for i, q in enumerate(Q.orders) for j in range(P.rank))
+        for cs in itertools.product(*map(range, res.group.factors))
+    }
+    assert len(sums) == res.group.order()
+
+
 def test_hom_generators_align_with_invariant_factors_seeded():
-    # One degree block at a time: hom_group sums the two blocks' groups into
-    # invariant-factor form, which can merge factors (C3 + C5 = C15) while
-    # keeping one generator per block factor.
     rng = random.Random(202)
     multi_factor = set()
+    recombined = False
     for trial in range(24):
         summand = (Z2_INT, Z3_CYC, S3_CROSSED)[trial % 3]
         M, N = (direct_sum(random_module(rng, summand, max_order=49),
                            random_module(rng, summand, max_order=49))
                 for _ in range(2))
-        empty = AModObject.zero(summand).parts[0]
-        for P in M.parts:
-            for Q in N.parts:
-                res = hom_group(AModObject(summand, (P, empty)),
-                                AModObject(summand, (Q, empty)), 0)
-                assert len(res.generators) == len(res.group.factors)
-                if len(res.group.factors) > 1:
-                    multi_factor.add(summand.kind)
-                for gen, order in zip(res.generators, res.group.factors):
-                    X = gen.blocks[0]
-                    for Pg, Qg in zip(P.mats, Q.mats):
-                        diff = IntMatrix.from_rows(
-                            [[a - b for a, b in zip(ra, rb)]
-                             for ra, rb in zip((X @ Pg).entries, (Qg @ X).entries)])
-                        assert _congruent_zero_rows(diff, Q.orders), (trial, summand.kind)
-                    scaled = IntMatrix.from_rows([[order * v for v in row] for row in X.entries])
-                    assert _congruent_zero_rows(scaled, Q.orders), (trial, order)
-                # independent: the sums c_1 X_1 + ... with 0 <= c_i < d_i differ
-                sums = {
-                    tuple(sum(c * gen.blocks[0].entries[i][j]
-                              for c, gen in zip(cs, res.generators)) % q
-                          for i, q in enumerate(Q.orders) for j in range(P.rank))
-                    for cs in itertools.product(*map(range, res.group.factors))
-                }
-                assert len(sums) == res.group.order(), (trial, summand.kind)
+        for degree in (0, 1):
+            res = hom_group(M, N, degree)
+            _check_hom_generators(M, N, degree, res)
+            if len(res.group.factors) > 1:
+                multi_factor.add(summand.kind)
+            recombined |= any(None not in gen.blocks for gen in res.generators)
     assert multi_factor == {Z2_INT.kind, Z3_CYC.kind, S3_CROSSED.kind}
+    assert recombined
+
+
+def test_hom_generators_merge_factors_across_degrees():
+    # Z/3 in degree 0 plus Z/5 in degree 1: End is C3 + C5 = C15, one
+    # generator of order 15 that is nonzero on both degrees.
+    M = AModObject.build(Z2_INT, degree0=((3,), ()), degree1=((5,), ()))
+    res = hom_group(M, M, 0)
+    assert res.group == FinAbGroup((15,))
+    assert len(res.generators) == 1
+    _check_hom_generators(M, M, 0, res)
 
 
 def test_hom_matches_bruteforce_seeded():
@@ -231,6 +260,72 @@ def test_ext_generator_choice_independence():
     assert ext_group(mc, mc, 0, extra_generators={0: [(1, 1)]}) == base
 
 
+def _full_cover(M):
+    """extra_generators naming every coordinate vector of every degree: the
+    cover by all Z-coordinates, on top of the irredundant one."""
+    return {d: [tuple(int(i == j) for i in range(p.rank)) for j in range(p.rank)]
+            for d, p in enumerate(M.parts)}
+
+
+def _unsplit_s3_modules(q):
+    """The trivial and sign modules Z/q (in degrees 0 and 1) and the regular
+    module R/q over Z[1/6][S3]."""
+    ring = S3_UNSPLIT.ring
+    m = ring.weyl_order
+
+    def order(v):
+        k, x = 1, v
+        while x != 0:
+            x, k = ring.weyl_table[x][v], k + 1
+        return k
+
+    trivial = AModObject.build(S3_UNSPLIT, degree0=((q,), [[[1]]] * m))
+    sign = AModObject.build(
+        S3_UNSPLIT, degree1=((q,), [[[-1 if order(v) == 2 else 1]] for v in range(m)]))
+    regular = AModObject(S3_UNSPLIT, (regular_module_part(S3_UNSPLIT, q),
+                                      AModObject.zero(S3_UNSPLIT).parts[1]))
+    return trivial, sign, regular
+
+
+def test_ext_irredundant_cover_oracles_seeded():
+    # Ext must not depend on the cover: the irredundant one gives the same
+    # group as the full cover by all Z-coordinates.  And Ext^1(M, N) is
+    # isomorphic to Hom(M, N) for finite modules over these rings.
+    rng = random.Random(303)
+    pairs = []
+    for trial in range(18):
+        summand = (Z2_INT, Z3_CYC, S3_CROSSED)[trial % 3]
+        pairs.append((random_module(rng, summand, max_order=49),
+                      random_module(rng, summand, max_order=49)))
+    trivial, sign, regular = _unsplit_s3_modules(7)
+    both = direct_sum(trivial, sign)
+    pairs += [(M, N) for M in (trivial, sign, both) for N in (trivial, sign)]
+    pairs.append((both, regular))
+    nontrivial = set()
+    for M, N in pairs:
+        assert validate(M).ok and validate(N).ok
+        for degree in (0, 1):
+            ext = ext_group(M, N, degree)
+            assert ext == ext_group(M, N, degree, extra_generators=_full_cover(M))
+            assert ext == hom_group(M, N, degree).group
+            if not ext.is_trivial():
+                nontrivial.add(M.ring.kind)
+    assert nontrivial == {Z2_INT.kind, Z3_CYC.kind, S3_CROSSED.kind, S3_UNSPLIT.kind}
+
+
+def test_ext_rank_four_summand_cube():
+    # Ext^1((R/11)^3, (R/11)^3) over Z[theta_5, 1/5] is C11^(4*3*3).  The
+    # cover needs 3 generators, not all 12 Z-coordinates; with all 12 this
+    # query took 58 s on a 2.1 GHz Xeon.
+    summand = target_category(preset_group("cyclic(5)")).flat_summands()[1]
+    part = regular_module_part(summand, 11)
+    M = AModObject(summand, (part, AModObject.zero(summand).parts[1]))
+    M3 = direct_sum(direct_sum(M, M), M)
+    P = M3.parts[0]
+    assert len(_free_cover_kernel(presentation_of(summand), P.orders, P.mats).gvecs) == 3
+    assert ext_group(M3, M3, 0) == FinAbGroup((11,) * 36)
+
+
 def test_ext_dedekind_prime_oracle():
     # Z[theta_3] at the split prime 7 = (theta-2)(theta-4): for the residue
     # module M at one prime, End(M) = Ext^1(M, M) = Z/7 and both vanish
@@ -246,8 +341,6 @@ def test_ext_dedekind_prime_oracle():
 def test_hom_ext_inert_prime_oracle():
     # 5 stays prime in Z[theta_3]; the residue module R/5R has endomorphism
     # ring the field with 25 elements, and Ext^1(R/5, R/5) = R/5 as well.
-    from uctbench.amod import presentation_of
-
     pres = presentation_of(Z3_CYC)
     M = AModObject.build(Z3_CYC, degree0=((5, 5), (pres.gen_mats[0],)))
     assert validate(M).ok

@@ -1,0 +1,35 @@
+"""Malformed input files end in exit 2 with a named error, never a traceback."""
+
+import json
+
+import pytest
+
+from uctbench import group_from_table
+from uctbench.errors import InvalidGroupTable
+from uctbench.cli import main
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"table": None}, "table must be a list of rows"),
+    ({"table": [["a"]]}, "table must be a list of rows"),
+    ({"table": [[0.0]]}, "table must be a list of rows"),
+    ({"table": [[True]]}, "table must be a list of rows"),
+    ({"table": [[0]], "labels": 5}, "labels must be a list of strings"),
+    ({"preset": 5}, "'preset' must be a preset name string"),
+])
+def test_group_file_type_errors(tmp_path, capsys, payload, message):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(payload))
+    code = main(["group-info", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert message in err
+
+
+@pytest.mark.parametrize("table, labels", [
+    (None, None), ([["a"]], None), ([[0.0]], None), ([[True]], None), ([[0]], 5), ([[0]], [0]),
+])
+def test_group_from_table_type_errors(table, labels):
+    with pytest.raises(InvalidGroupTable):
+        group_from_table(table, labels)

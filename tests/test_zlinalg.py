@@ -8,7 +8,6 @@ from uctbench.zlinalg import (
     IntMatrix,
     cokernel,
     congruence_kernel,
-    det_unimodular,
     hnf,
     kernel_basis,
     lattice_coordinates,
@@ -16,6 +15,8 @@ from uctbench.zlinalg import (
     snf,
     solve_mod,
 )
+
+from helpers import det_unimodular
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
