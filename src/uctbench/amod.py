@@ -16,6 +16,7 @@ and K has Z-rank rho * k instead of rho^2 * k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -554,7 +555,9 @@ def _lattice_hom_quotient(lam: int, K_actions: Sequence[IntMatrix],
     given generator actions.  extra_relations yields integer matrices (s x lam)
     to quotient out in addition to the trivial maps."""
     _, rel_cols = _hom_lattice(lam, K_actions, Q, relations=extra_relations)
-    group = cokernel(rel_cols, Q.rank * lam)
+    # the trivial maps are among the relations, so lcm(Q.orders) kills the
+    # quotient
+    group = cokernel(rel_cols, Q.rank * lam, math.lcm(*Q.orders))
     if group.free_rank:
         raise RuntimeError("Ext of finite modules must be finite")
     return group

@@ -2,11 +2,16 @@
 classes: exact element arithmetic, the integral regular representation, and
 the commutative splittings that exist after inverting the group order.
 
-Only the abelian trivial-action splittings are implemented (single-summand
-rings, group rings of abelian Weyl groups at n = 1, and +-1-character
-splittings for elementary abelian 2-groups); everything else is kept as an
-honest unsplit crossed product and handled through its regular
-representation.
+One splitting rule is implemented.  It applies when W is abelian, acts
+trivially on theta_n (n = 1 or every unit is 1) and every prime of |W| is
+inverted, and at present only for n = 1 or W of exponent at most 2 (trivial
+W included).  The characters of W, valued in the e-th roots of unity for e
+the exponent of W, fall into orbits under (Z/e)^x; an orbit of characters
+of order d gives one summand, Z[theta_d, 1/N] at n = 1 and Z[theta_n, 1/N]
+otherwise, cut out by the idempotent (1/|W|) sum_w c(w) w, where
+c(w) = mu(o) phi(d) / phi(o) is the Ramanujan sum at the order o of chi(w).
+Every other ring is kept as an honest unsplit crossed product and handled
+through its regular representation.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from typing import Optional
 
 from .cyclotomic import (
     CycEltN,
-    _reduce_mod_phi,
     _tables,
     galois,
     prime_factors,
@@ -29,16 +33,9 @@ from .groups import CyclicClass, FiniteGroup, cyclic_classes
 from .zlinalg import IntMatrix
 
 
-def _radical(N: int) -> int:
-    out = 1
-    for p in prime_factors(N):
-        out *= p
-    return out
-
-
 def _ring_name(d: int, N: int) -> str:
     """Display name of Z[theta_d, 1/N]; the localization shows its radical."""
-    rad = _radical(N)
+    rad = math.prod(prime_factors(N))
     base = "Z" if rad == 1 else f"Z[1/{rad}]"
     if totient(d) == 1:
         return base
@@ -62,9 +59,6 @@ class CrossedRing:
     @property
     def rank(self) -> int:
         return totient(self.n) * self.weyl_order
-
-    def weyl_inverse(self, w: int) -> int:
-        return next(v for v in range(self.weyl_order) if self.weyl_table[w][v] == 0)
 
     def describe(self) -> str:
         theta = _ring_name(self.n, self.N)
@@ -315,70 +309,9 @@ def _abelian_characters(table) -> tuple[list[tuple[int, ...]], int]:
     return chars, exponent
 
 
-def _root_sum_integer(exponents: list[int], e: int) -> int:
-    """Exact value of sum theta_e^{t} over the given exponents; must be a
-    rational integer (Galois-stable input)."""
-    acc = [0] * e
-    for t in exponents:
-        acc[t % e] += 1
-    reduced = _reduce_mod_phi(e, acc)
-    if any(reduced[1:]):
-        raise RuntimeError("root-of-unity sum is not rational")
-    return reduced[0]
-
-
-def _char_order(vals: tuple[int, ...], e: int) -> int:
-    g = e
-    for v in vals:
-        g = math.gcd(g, v)
-    return e // g
-
-
-def _orbit_split(ring: CrossedRing) -> tuple[list[RingSummand], list[CrossedElt]]:
-    """Split Z[1/N][W] (n = 1, W abelian) along Galois orbits of characters."""
-    chars, e = _abelian_characters(ring.weyl_table)
-    units = [u for u in range(1, e + 1) if math.gcd(u, e) == 1]
-    seen: set[tuple[int, ...]] = set()
-    orbits: list[tuple[int, list[tuple[int, ...]]]] = []
-    for chi in sorted(chars):
-        if chi in seen:
-            continue
-        orbit = {tuple((u * v) % e for v in chi) for u in units}
-        seen |= orbit
-        orbits.append((_char_order(chi, e), sorted(orbit)))
-    orbits.sort(key=lambda t: (t[0], t[1][0]))
-    m = ring.weyl_order
-    summands = []
-    idems = []
-    for d, orbit in orbits:
-        summands.append(RingSummand(_kind_for(d), d, ring.N, provenance=f"character orbit of order {d}"))
-        parts = {}
-        for w in range(m):
-            winv = ring.weyl_inverse(w)
-            c = _root_sum_integer([chi[winv] for chi in orbit], e)
-            parts[w] = CycEltN.from_int(ring.n, ring.N, c, den=m)
-        idems.append(CrossedElt.from_parts(ring, parts))
-    return summands, idems
-
-
-def _sign_split(ring: CrossedRing) -> tuple[list[RingSummand], list[CrossedElt]]:
-    """Split Z[theta_n, 1/N][W] for W elementary abelian of exponent 2 using
-    its +-1-valued characters."""
-    chars, e = _abelian_characters(ring.weyl_table)
-    m = ring.weyl_order
-    summands = []
-    idems = []
-    for chi in sorted(chars):
-        summands.append(
-            RingSummand(_kind_for(ring.n), ring.n, ring.N,
-                        provenance="sign character " + "".join(str(v) for v in chi))
-        )
-        parts = {}
-        for w in range(m):
-            sign = 1 if chi[w] % e == 0 or e == 1 else -1
-            parts[w] = CycEltN.from_int(ring.n, ring.N, sign, den=m)
-        idems.append(CrossedElt.from_parts(ring, parts))
-    return summands, idems
+def _mobius(n: int) -> int:
+    ps = prime_factors(n)
+    return (-1) ** len(ps) if math.prod(ps) == n else 0
 
 
 def _merge_multiplicities(flat: list[RingSummand]) -> list[RingSummand]:
@@ -394,24 +327,40 @@ def _merge_multiplicities(flat: list[RingSummand]) -> list[RingSummand]:
 def _split_with_idempotents(
     ring: CrossedRing,
 ) -> tuple[list[RingSummand], Optional[list[CrossedElt]]]:
+    """The character-orbit rule, where it applies (see the module doc)."""
     n, N, m = ring.n, ring.N, ring.weyl_order
-    if m == 1:
-        if all(N % p == 0 for p in prime_factors(n)):
-            s = RingSummand(_kind_for(n), n, N, provenance="trivial Weyl group")
-            return [s], [CrossedElt.one(ring)]
+    table = ring.weyl_table
+    # The exponent gate at n > 1 only keeps today's summand numbering:
+    # dropping it renumbers the flat summands of groups such as cyclic(9).
+    if not (_is_abelian(table) and all(u == 1 or n == 1 for u in ring.weyl_units)
+            and all(N % p == 0 for p in prime_factors(m))
+            and (n == 1 or all(o <= 2 for o in _coset_orders(table)))):
         return [RingSummand("unsplit_crossed", n, N, ring=ring,
-                            provenance="primes of n not inverted")], None
-    units_trivial = all(u == 1 or n == 1 for u in ring.weyl_units)
-    if n == 1 and _is_abelian(ring.weyl_table) \
-            and all(N % p == 0 for p in prime_factors(m)):
-        flat, idems = _orbit_split(ring)
-        return _merge_multiplicities(flat), idems
-    if units_trivial and all(o <= 2 for o in _coset_orders(ring.weyl_table)) \
-            and N % 2 == 0:
-        flat, idems = _sign_split(ring)
-        return _merge_multiplicities(flat), idems
-    return [RingSummand("unsplit_crossed", n, N, ring=ring,
-                        provenance="no splitting rule applies")], None
+                            provenance="no splitting rule applies")], None
+    chars, e = _abelian_characters(table)
+    units = [u for u in range(1, e + 1) if math.gcd(u, e) == 1]
+    seen: set[tuple[int, ...]] = set()
+    orbits: list[tuple[int, tuple[int, ...]]] = []
+    for chi in sorted(chars):
+        if chi not in seen:  # so chi is the least character of its orbit
+            seen |= {tuple((u * v) % e for v in chi) for u in units}
+            orbits.append((e // math.gcd(e, *chi), chi))
+    orbits.sort()
+    summands, idems = [], []
+    for d, chi in orbits:
+        k = d if n == 1 else n
+        summands.append(RingSummand(_kind_for(k), k, N, provenance=f"character orbit of order {d}"))
+        # The orbit's sum of chi'(w^-1) is the Ramanujan sum c_d at the
+        # order o of chi(w): mu(o) phi(d) / phi(o).
+        coeff: dict[int, CycEltN] = {}
+        parts = []
+        for w in range(m):
+            o = e // math.gcd(e, chi[w])
+            if o not in coeff:
+                coeff[o] = CycEltN.from_int(n, N, _mobius(o) * totient(d) // totient(o), den=m)
+            parts.append(coeff[o])
+        idems.append(CrossedElt(ring, tuple(parts)))
+    return _merge_multiplicities(summands), idems
 
 
 def split_ring(ring: CrossedRing) -> list[RingSummand]:

@@ -115,8 +115,25 @@ def group_from_table(table: Sequence[Sequence[int]],
     for a in range(n):
         if not any(mul[a][b] == identity and mul[b][a] == identity for b in range(n)):
             raise NoInverse(a)
-    for a in range(n):
-        for b in range(n):
+    # Light's test: the b with (ab)c = a(bc) for all a, c form a submagma,
+    # so it is enough to check b over a generating set.  Grow one greedily:
+    # the least element not yet reached joins, and the reached set is closed
+    # under right multiplication by the chosen elements.
+    gens: list[int] = []
+    reached = {identity}
+    for g in range(n):
+        if g in reached:
+            continue
+        gens.append(g)
+        # elements reached before need only the new generator
+        frontier = [mul[x][g] for x in reached]
+        while frontier:
+            y = frontier.pop()
+            if y not in reached:
+                reached.add(y)
+                frontier.extend(mul[y][h] for h in gens)
+    for b in gens:
+        for a in range(n):
             ab = mul[a][b]
             row_a = mul[a]
             for c in range(n):
@@ -315,23 +332,25 @@ def cyclic_classes(G: FiniteGroup) -> list[CyclicClass]:
     for H in subs:
         if H in seen:
             continue
-        orbit = {_conjugate_subgroup(G, H, x) for x in range(G.order)}
+        # subs is sorted, so H is the least member of its class: the
+        # representative.  One sweep gives its class and its normalizer.
+        orbit: set[frozenset[int]] = set()
+        normalizer: list[int] = []
+        for x in range(G.order):
+            K = _conjugate_subgroup(G, H, x)
+            orbit.add(K)
+            if K == H:
+                normalizer.append(x)
         seen |= orbit
-        rep_set = min(orbit, key=lambda s: sorted(s))
-        rep_sorted = tuple(sorted(rep_set))
-        n = len(rep_set)
-        generator = min(h for h in rep_set if G.element_order(h) == n)
-        normalizer = tuple(
-            x for x in range(G.order)
-            if _conjugate_subgroup(G, rep_set, x) == rep_set
-        )
+        n = len(H)
+        generator = min(h for h in H if G.element_order(h) == n)
         # left cosets of the representative inside its normalizer
         coset_of: dict[int, int] = {}
         cosets: list[tuple[int, ...]] = []
         for x in normalizer:
             if x in coset_of:
                 continue
-            coset = tuple(sorted(G.mul[x][h] for h in rep_set))
+            coset = tuple(sorted(G.mul[x][h] for h in H))
             idx = len(cosets)
             cosets.append(coset)
             for y in coset:
@@ -364,9 +383,9 @@ def cyclic_classes(G: FiniteGroup) -> list[CyclicClass]:
         )
         classes.append(
             CyclicClass(
-                representative=CyclicSubgroup(generator, n, rep_sorted),
+                representative=CyclicSubgroup(generator, n, tuple(sorted(H))),
                 class_size=len(orbit),
-                normalizer=normalizer,
+                normalizer=tuple(normalizer),
                 coset_reps=tuple(reps),
                 weyl_units=tuple(units),
                 weyl_table=table,

@@ -154,14 +154,39 @@ def hnf(A) -> tuple[IntMatrix, IntMatrix]:
     return IntMatrix.from_rows(M), IntMatrix.from_rows(U)
 
 
-def snf(A) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+def snf(A, modulus: int = 0) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form: returns (D, U, V) with U*A*V = D diagonal,
-    nonnegative, and d_i | d_{i+1}."""
+    nonnegative, and d_i | d_{i+1}.
+
+    With modulus L > 0 every entry is kept reduced mod L: then U*A*V == D
+    (mod L) with U, V invertible mod L, and Z^rows modulo the columns of A
+    and L Z^rows is the sum of the Z/gcd(d_i, L), a zero or missing d_i
+    counting as L.
+    """
     M = _as_lists(A)
     r = len(M)
     c = len(M[0]) if M else 0
     U = IntMatrix.identity(r).tolists()
     V = IntMatrix.identity(c).tolists()
+
+    def row_sub(i: int, k: int, q: int) -> None:
+        _row_sub(M, i, k, q)
+        _row_sub(U, i, k, q)
+        if modulus:
+            M[i] = [x % modulus for x in M[i]]
+            U[i] = [x % modulus for x in U[i]]
+
+    def col_sub(j: int, k: int, q: int) -> None:
+        _col_sub(M, j, k, q)
+        _col_sub(V, j, k, q)
+        if modulus:
+            for row in M:
+                row[j] %= modulus
+            for row in V:
+                row[j] %= modulus
+
+    if modulus:
+        M = [[x % modulus for x in row] for row in M]
     t = 0
     while t < min(r, c):
         # Locate the smallest nonzero entry of the trailing block.
@@ -189,18 +214,14 @@ def snf(A) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             dirty = False
             for i in range(t + 1, r):
                 if M[i][t]:
-                    q = M[i][t] // M[t][t]
-                    _row_sub(M, i, t, q)
-                    _row_sub(U, i, t, q)
+                    row_sub(i, t, M[i][t] // M[t][t])
                     if M[i][t]:
                         M[t], M[i] = M[i], M[t]
                         U[t], U[i] = U[i], U[t]
                         dirty = True
             for j in range(t + 1, c):
                 if M[t][j]:
-                    q = M[t][j] // M[t][t]
-                    _col_sub(M, j, t, q)
-                    _col_sub(V, j, t, q)
+                    col_sub(j, t, M[t][j] // M[t][t])
                     if M[t][j]:
                         _col_swap(M, t, j)
                         _col_swap(V, t, j)
@@ -217,8 +238,7 @@ def snf(A) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 bad_row = i
                 break
         if bad_row is not None:
-            _row_sub(M, t, bad_row, -1)
-            _row_sub(U, t, bad_row, -1)
+            row_sub(t, bad_row, -1)
             continue
         t += 1
     return IntMatrix.from_rows(M), IntMatrix.from_rows(U), IntMatrix.from_rows(V)
@@ -429,15 +449,22 @@ class FinAbGroup:
         return " x ".join(parts) if parts else "0"
 
 
-def cokernel(columns: Sequence[Sequence[int]], ambient_rank: int) -> FinAbGroup:
-    """Structure of Z^ambient_rank / <columns> (columns are relation vectors)."""
+def cokernel(columns: Sequence[Sequence[int]], ambient_rank: int,
+             exponent: int = 0) -> FinAbGroup:
+    """Structure of Z^ambient_rank / <columns> (columns are relation vectors).
+
+    A known exponent L > 0 of the quotient (L Z^ambient_rank lies in the
+    span of the columns) lets the Smith form run mod L.
+    """
     if ambient_rank == 0:
         return FinAbGroup.trivial()
     if not columns:
         return FinAbGroup(free_rank=ambient_rank)
     X = [[col[i] for col in columns] for i in range(ambient_rank)]
-    D, _, _ = snf(X)
+    D, _, _ = snf(X, exponent)
     diag = D.diagonal()
+    if exponent:
+        diag = [math.gcd(d, exponent) for d in diag] + [exponent] * (ambient_rank - len(diag))
     nonzero = [d for d in diag if d]
     free = ambient_rank - len(nonzero)
     return FinAbGroup(tuple(d for d in nonzero if d > 1), free)

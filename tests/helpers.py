@@ -4,7 +4,8 @@ import itertools
 import math
 
 from uctbench.amod import AModObject, ModulePart, presentation_of
-from uctbench.crossring import RingSummand
+from uctbench.crossring import CrossedRing, RingSummand, _abelian_characters
+from uctbench.cyclotomic import _reduce_mod_phi
 from uctbench.zlinalg import IntMatrix
 
 
@@ -218,3 +219,37 @@ def random_module(rng, summand: RingSummand, max_order=81) -> AModObject:
         parts[d] = _concat_parts(parts[d], part, gen_count)
         budget //= math.prod(part.orders)
     return AModObject(summand, (parts[0], parts[1]))
+
+
+def root_sum_idempotent_coefficients(ring: CrossedRing) -> list[list[int]]:
+    """For an abelian Weyl group: one list per Galois orbit of its characters
+    (orbits ordered by character order, then least member), holding for each
+    coset w the sum of chi(w^-1) over the orbit, summed as roots of unity and
+    reduced mod Phi_e.  |W| times the orbit's idempotent has these
+    coefficients."""
+    table = ring.weyl_table
+    m = len(table)
+    chars, e = _abelian_characters(table)
+    units = [u for u in range(1, e + 1) if math.gcd(u, e) == 1]
+    orbits, seen = [], set()
+    for chi in sorted(chars):
+        if chi in seen:
+            continue
+        orbit = sorted({tuple(u * v % e for v in chi) for u in units})
+        seen.update(orbit)
+        order = e // math.gcd(e, *chi)
+        orbits.append((order, orbit[0], orbit))
+    out = []
+    for _, _, orbit in sorted(orbits):
+        coeffs = []
+        for w in range(m):
+            w_inv = next(v for v in range(m) if table[w][v] == 0)
+            acc = [0] * e
+            for chi in orbit:
+                acc[chi[w_inv]] += 1
+            reduced = _reduce_mod_phi(e, acc)
+            if any(reduced[1:]):
+                raise AssertionError("an orbit sum of roots of unity is not rational")
+            coeffs.append(reduced[0])
+        out.append(coeffs)
+    return out

@@ -25,6 +25,7 @@ from uctbench.zlinalg import FinAbGroup, IntMatrix
 
 from helpers import (
     brute_hom_count,
+    conjugated_part,
     random_module,
     regular_module_part,
 )
@@ -311,6 +312,19 @@ def test_ext_irredundant_cover_oracles_seeded():
             if not ext.is_trivial():
                 nontrivial.add(M.ring.kind)
     assert nontrivial == {Z2_INT.kind, Z3_CYC.kind, S3_CROSSED.kind, S3_UNSPLIT.kind}
+
+
+def test_ext_dense_conjugation_over_unsplit_s3():
+    # The trivial module Z/7 against R/7 over Z[1/6][S3], in a basis changed
+    # by a dense random matrix mod 7.  The Smith form of the Ext quotient
+    # used to grow its entries without bound here (no answer in 40 s); run
+    # mod 7, it gives Ext = Hom = C7.
+    trivial, _, regular = _unsplit_s3_modules(7)
+    for seed in (1, 3):
+        part = conjugated_part(random.Random(seed), regular.parts[0], 7)
+        N = AModObject(S3_UNSPLIT, (part, regular.parts[1]))
+        assert validate(N).ok
+        assert ext_group(trivial, N) == hom_group(trivial, N).group == FinAbGroup((7,))
 
 
 def test_ext_rank_four_summand_cube():

@@ -1,10 +1,11 @@
 import pytest
 
-from uctbench.cyclotomic import CycEltN, cyclotomic, totient
+from uctbench.cyclotomic import CycEltN, cyclotomic, prime_factors, totient
 from uctbench.errors import InsufficientInversion, RingMismatch
 from uctbench.crossring import (
     CrossedElt,
     CrossedRing,
+    RingSummand,
     build_crossed_ring,
     companion_matrix,
     crossed_mul,
@@ -15,6 +16,8 @@ from uctbench.crossring import (
 )
 from uctbench.groups import cyclic_classes, preset_group
 from uctbench.zlinalg import IntMatrix
+
+from helpers import root_sum_idempotent_coefficients
 
 
 def ring_for(group_name, class_order, N=None):
@@ -154,14 +157,27 @@ def test_split_ring_unsplit_cases():
     assert [s.kind for s in split_ring(r)] == ["unsplit_crossed"]
 
 
+# (kind, d, multiplicity) of the summands, where a case pins them
+SPLIT_LABELS = {
+    # sign characters at odd n: W = Z/2 acting trivially on theta_3
+    ("cyclic(6)", 3): [("cyclotomic_local", 3, 2)],
+    ("cyclic(2)", 1): [("integral_local", 1, 1), ("integral_local", 2, 1)],
+    # trivial Weyl group
+    ("cyclic(5)", 5): [("cyclotomic_local", 5, 1)],
+}
+
+
 @pytest.mark.parametrize("group,order", [
     ("klein_four", 1), ("klein_four", 2), ("cyclic(3)", 1), ("cyclic(5)", 1),
     ("cyclic(12)", 1), ("cyclic(12)", 4), ("symmetric(3)", 2),
     ("direct_product(cyclic(2),cyclic(4))", 1),
+    ("cyclic(6)", 3), ("cyclic(2)", 1), ("cyclic(5)", 5),
 ])
 def test_split_ring_rank_and_idempotents(group, order):
     r = ring_for(group, order)
     parts = split_ring(r)
+    if (group, order) in SPLIT_LABELS:
+        assert [(s.kind, s.d, s.multiplicity) for s in parts] == SPLIT_LABELS[group, order]
     assert sum(s.rank() * s.multiplicity for s in parts) == r.rank
     idems = splitting_idempotents(r)
     if idems is None:
@@ -176,6 +192,52 @@ def test_split_ring_rank_and_idempotents(group, order):
             if i != j:
                 assert (e * f).is_zero(), (group, order, i, j)
     assert total == CrossedElt.one(r)
+
+
+def test_split_ring_hand_built_trivial_weyl_group():
+    # Z[theta_3, 1/2] with trivial W: the prime 3 of n is not inverted, but
+    # the ring is already commutative and is its own single summand.
+    r = CrossedRing(3, 2, ((0,),), (1,))
+    assert split_ring(r) == [
+        RingSummand("cyclotomic_local", 3, 2, provenance="character orbit of order 1")]
+    assert splitting_idempotents(r) == [CrossedElt.one(r)]
+
+
+ORACLE_PRESETS = (
+    [f"cyclic({n})" for n in range(1, 49)]
+    + [f"dihedral({n})" for n in range(2, 25)]
+    + ["klein_four", "symmetric(3)", "symmetric(4)",
+       "direct_product(cyclic(2),cyclic(4))", "direct_product(cyclic(4),cyclic(4))",
+       "direct_product(cyclic(3),cyclic(3))", "direct_product(cyclic(6),cyclic(6))",
+       "direct_product(cyclic(2),dihedral(4))", "direct_product(klein_four,cyclic(3))",
+       "direct_product(cyclic(2),direct_product(cyclic(2),cyclic(2)))"]
+)
+
+
+def test_splitting_idempotents_match_root_sums():
+    # Closed form against the direct route: the coefficient of w in |W|
+    # times an orbit's idempotent is the sum of chi(w^-1) over the orbit,
+    # added up as roots of unity.  The rule must apply exactly to abelian W
+    # acting trivially with |W| inverted, at n = 1 or exponent <= 2.
+    applied = 0
+    for name in ORACLE_PRESETS:
+        G = preset_group(name)
+        for C in cyclic_classes(G):
+            r = build_crossed_ring(C, G.order)
+            table, m = r.weyl_table, r.weyl_order
+            applies = (all(table[a][b] == table[b][a] for a in range(m) for b in range(m))
+                       and (r.n == 1 or set(r.weyl_units) == {1})
+                       and all(r.N % p == 0 for p in prime_factors(m))
+                       and (r.n == 1 or all(table[w][w] == 0 for w in range(m))))
+            idems = splitting_idempotents(r)
+            assert (idems is not None) == applies, (name, C.n)
+            if idems is None:
+                continue
+            applied += 1
+            expected = [CrossedElt(r, tuple(CycEltN.from_int(r.n, r.N, c, den=m) for c in row))
+                        for row in root_sum_idempotent_coefficients(r)]
+            assert idems == expected, (name, C.n)
+    assert applied > 150
 
 
 def test_target_category_klein_four():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from uctbench import groups
@@ -44,6 +46,39 @@ def test_nonassociative_mutation_of_s3():
     assert violations, "mutation must break associativity"
     with pytest.raises(NonAssociative) as exc:
         group_from_table(table)
+    assert exc.value.triple in violations
+    # Seeded single-entry mutations that keep the identity and the inverses:
+    # Light's test over a generating set must still see every failure.
+    rng = random.Random(11)
+    broken = 0
+    for name in ("symmetric(3)", "symmetric(4)", "dihedral(4)"):
+        G = preset_group(name)
+        done = 0
+        while done < 25:
+            a, b = rng.randrange(1, G.order), rng.randrange(1, G.order)
+            v = rng.randrange(G.order)
+            if G.mul[a][b] == G.identity or v == G.identity or v == G.mul[a][b]:
+                continue  # would touch an inverse witness or change nothing
+            table = [list(r) for r in G.mul]
+            table[a][b] = v
+            done += 1
+            violations = brute_force_assoc_violations(table)
+            if not violations:
+                assert group_from_table(table).order == G.order
+                continue
+            broken += 1
+            with pytest.raises(NonAssociative) as exc:
+                group_from_table(table)
+            assert exc.value.triple in violations, (name, a, b, v)
+    assert broken >= 60
+    # A loop of order 6 generated by 1 and 2 in which 1 associates in the
+    # middle: only the second generator exposes the failure.
+    loop = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1],
+            [3, 2, 5, 4, 1, 0], [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3]]
+    violations = brute_force_assoc_violations(loop)
+    assert violations and all(b != 1 for _, b, _ in violations)
+    with pytest.raises(NonAssociative) as exc:
+        group_from_table(loop)
     assert exc.value.triple in violations
 
 

@@ -218,6 +218,25 @@ def test_invariant_factors_match_sympy():
         assert ours == theirs, A
 
 
+def test_cokernel_mod_exponent_matches_exact():
+    # A known exponent L of the quotient lets the Smith form run mod L; the
+    # group must equal the exact one, and U A V == D (mod L).
+    # Kept small: the exact Smith form is the oracle, and its entries can
+    # grow without bound on larger dense inputs.
+    rng = random.Random(21)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        L = rng.choice([1, 2, 6, 7, 12, 49, 60])
+        cols = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+        cols += [[L if i == j else 0 for i in range(n)] for j in range(n)]
+        assert cokernel(cols, n, L) == cokernel(cols, n), (cols, L)
+        A = [[col[i] for col in cols] for i in range(n)]
+        D, U, V = snf(A, L)
+        assert all((x - y) % L == 0 for r1, r2 in zip((U @ IntMatrix.from_rows(A) @ V).entries,
+                                                      D.entries) for x, y in zip(r1, r2))
+        assert D.is_diagonal()
+
+
 def test_cokernel_and_finabgroup():
     g = cokernel([[2, 0], [0, 3]], 2)
     assert g == FinAbGroup((6,))
