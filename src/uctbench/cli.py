@@ -38,7 +38,14 @@ from .cyclotomic import (
     totient,
 )
 from .errors import InputError, WorkbenchError
-from .green import frobenius_check, induce, p_idempotent
+from .green import (
+    _induce_via_characters,
+    _restrict_via_characters,
+    frobenius_check,
+    induce,
+    p_idempotent,
+    restrict,
+)
 from .groups import FiniteGroup, cyclic_classes, group_from_table, preset_group
 from .zlinalg import IntMatrix
 
@@ -191,9 +198,14 @@ def _suite_frobenius(bound: int, seed: int) -> list[CheckItem]:
         def run():
             checks = 0
             w = n // k
-            ind = induce(p_idempotent(k, k, n), n)
-            if ind != p_idempotent(n, k, n) * w:
+            p_kk, p_nk = p_idempotent(k, k, n), p_idempotent(n, k, n)
+            ind = induce(p_kk, n)
+            if ind != p_nk * w:
                 return checks, f"ind(p_{{{k},{k}}}) != {w} * p_{{{n},{k}}}"
+            if ind != _induce_via_characters(p_kk, n):
+                return checks, f"ind(p_{{{k},{k}}}) differs from its character oracle"
+            if restrict(p_nk, k) != _restrict_via_characters(p_nk, k):
+                return checks, f"res(p_{{{n},{k}}}) differs from its character oracle"
             checks += 1
             rep = frobenius_check(n, k)
             checks += rep.checked

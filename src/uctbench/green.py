@@ -1,11 +1,18 @@
 """Restriction, induction and conjugation for representation rings of
-cyclic groups, on the level of exact characters.
+cyclic groups.
 
 An element of R(H) for cyclic H of order n is a CycPoly over
-Z[1/N][z]/(z^n - 1).  Characters take values in Z[theta_n, 1/N]; the
-character map is injective, and its inverse is computed exactly via the
-discrete Fourier formula y_e = (1/n) sum_j chi(j) theta^{-e j}, followed by
-rationality and denominator checks.
+Z[1/N][z]/(z^n - 1).  Restriction to the order-k subgroup and induction from
+it are closed forms on coefficients (Serre, Linear Representations of Finite
+Groups, section 7): restriction folds z^e to z^(e mod k), induction lifts z^a
+to the sum of z^e over e = a (mod k).
+
+The character route is kept as the independent oracle.  Characters take
+values in Z[theta_n, 1/N]; the character map is injective, and its inverse is
+computed exactly via the discrete Fourier formula
+y_e = (1/n) sum_j chi(j) theta^{-e j}, followed by rationality and
+denominator checks.  `_restrict_via_characters` and
+`_induce_via_characters` compute both maps this way.
 """
 
 from __future__ import annotations
@@ -98,6 +105,7 @@ def p_idempotent(n: int, k: int, N: Optional[int] = None) -> RepElt:
 # ---------------------------------------------------------------------------
 # moving between cyclotomic rings
 
+# Only the character-route oracle descends, so only it needs zlinalg.ExactSolver.
 _DESCENT_SOLVERS: dict[tuple[int, int], zlinalg.ExactSolver] = {}
 
 
@@ -195,23 +203,40 @@ def char_solve(n: int, N: int, values: Sequence[CycEltN]) -> RepElt:
 # the Green functor structure maps
 
 
-def restrict(x: RepElt, k: int) -> RepElt:
-    """Restriction to the order-k subgroup: character slots j -> j * n/k,
-    descended to Z[theta_k]."""
-    n = x.n
-    if n % k:
+def _check_divisor(n: int, k: int) -> None:
+    if n < 1 or k < 1 or n % k:
         raise NotADivisor(f"k={k} must divide n={n}")
+
+
+def restrict(x: RepElt, k: int) -> RepElt:
+    """Restriction to the order-k subgroup: z^e -> z^(e mod k)."""
+    _check_divisor(x.n, k)
+    num = x.value.num
+    return RepElt(CycPoly(k, x.N, tuple(sum(num[r::k]) for r in range(k)), x.value.den))
+
+
+def induce(x: RepElt, n: int) -> RepElt:
+    """Induction from the order-k subgroup: z^a -> sum of z^e, e = a (mod k)."""
+    k = x.n
+    _check_divisor(n, k)
+    return RepElt(CycPoly(n, x.N, x.value.num * (n // k), x.value.den))
+
+
+def _restrict_via_characters(x: RepElt, k: int) -> RepElt:
+    """Oracle for `restrict`: character slots j -> j * n/k, descended to
+    Z[theta_k], inverted by `char_solve`."""
+    n = x.n
+    _check_divisor(n, k)
     w = n // k
     values = [descend(evaluate_at_root(x.value, j * w), k) for j in range(k)]
     return char_solve(k, x.N, values)
 
 
-def induce(x: RepElt, n: int) -> RepElt:
-    """Induction from the order-k subgroup: the character vanishes off the
-    subgroup and is multiplied by the index n/k on it."""
+def _induce_via_characters(x: RepElt, n: int) -> RepElt:
+    """Oracle for `induce`: the character vanishes off the subgroup and is
+    multiplied by the index n/k on it, inverted by `char_solve`."""
     k = x.n
-    if n % k:
-        raise NotADivisor(f"order {k} must divide {n}")
+    _check_divisor(n, k)
     w = n // k
     zero = CycEltN.zero(n, x.N)
     values = [zero] * n
@@ -241,8 +266,7 @@ class FrobeniusReport:
 def frobenius_check(n: int, k: int, N: Optional[int] = None) -> FrobeniusReport:
     """Verify the Frobenius identity for all monomials x = z^a of R(K) and
     y = z^b of R(H), K the order-k subgroup of the cyclic group H of order n."""
-    if n % k:
-        raise NotADivisor(f"k={k} must divide n={n}")
+    _check_divisor(n, k)
     if N is None:
         N = n
     ind_cache: dict[tuple, RepElt] = {}

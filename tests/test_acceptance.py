@@ -94,7 +94,11 @@ def test_04_character_suite():
 
 def test_05_frobenius_induction_suite():
     def crit():
-        checks = _run_suite(_suite_frobenius(60, 0))
+        items = _suite_frobenius(60, 0)
+        checks = _run_suite(items)
+        # one item per k | n, each 1 + n*k checks
+        assert len(items) == 261
+        assert checks == 122813
         return f"{checks} checks over all k | n <= 60"
 
     _run("05 induction formula and Frobenius identity to n=60", 120.0, crit)

@@ -2,10 +2,20 @@ import random
 
 import pytest
 
-from uctbench.cyclotomic import CycEltN, CycPoly, divisors, order_mod, psi, totient
-from uctbench.errors import CharacterSolveError, DescentFailure, NotAUnit
+from uctbench.cyclotomic import (
+    CycEltN,
+    CycPoly,
+    divisors,
+    order_mod,
+    prime_factors,
+    psi,
+    totient,
+)
+from uctbench.errors import CharacterSolveError, DescentFailure, NotADivisor, NotAUnit
 from uctbench.green import (
     RepElt,
+    _induce_via_characters,
+    _restrict_via_characters,
     char_solve,
     conjugate_rep,
     decompose_generator,
@@ -169,3 +179,40 @@ def test_char_solve_rejects_non_characters():
         # solvable over Q but needs 1/2, unavailable in Z[1/1]
         vals = (CycEltN.one(2, 1), CycEltN.zero(2, 1))
         char_solve(2, 1, vals)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: restrict(RepElt.monomial(6, 6, 1), 0),
+    lambda: restrict(RepElt.monomial(6, 6, 1), -2),
+    lambda: frobenius_check(6, -2),
+    lambda: induce(RepElt.monomial(3, 6, 1), 0),
+    lambda: frobenius_check(0, 1),
+], ids=["restrict-k0", "restrict-k-2", "frobenius-k-2", "induce-n0", "frobenius-n0"])
+def test_bad_divisor_arguments_raise_not_a_divisor(call):
+    with pytest.raises(NotADivisor):
+        call()
+
+
+def test_closed_forms_match_character_oracle_seeded():
+    # restrict folds coefficients and induce lifts them; the character round
+    # trip must agree on every k | n <= 30, over N in {1, n, 2n}, on elements
+    # whose denominators use only primes of N.
+    rng = random.Random(5)
+
+    def element(m, N):
+        den = 1
+        for p in prime_factors(N):
+            den *= p ** rng.randint(0, 2)
+        return RepElt(CycPoly(m, N, tuple(rng.randint(-5, 5) for _ in range(m)), den))
+
+    checked = 0
+    for n in range(1, 31):
+        for k in divisors(n):
+            for N in (1, n, 2 * n):
+                for _ in range(3):
+                    x = element(n, N)
+                    assert restrict(x, k) == _restrict_via_characters(x, k), (n, k, N, x)
+                    y = element(k, N)
+                    assert induce(y, n) == _induce_via_characters(y, n), (n, k, N, y)
+                    checked += 2
+    assert checked == 1998
