@@ -23,6 +23,7 @@ from typing import Optional
 
 from .cyclotomic import (
     CycEltN,
+    _reduce_mod_phi,
     _tables,
     galois,
     prime_factors,
@@ -131,17 +132,39 @@ class CrossedElt:
             return CrossedElt(self.ring, tuple(c * other for c in self.coeffs))
         self._check_ring(other)
         ring = self.ring
-        out = [CycEltN.zero(ring.n, ring.N)] * ring.weyl_order
+        n, m = ring.n, ring.weyl_order
+        # (a_w w)(b_v v) = a_w galois(b_v, u_w) wv.  Every product is taken
+        # over the one denominator da * db, so the products that land in a
+        # coset add up as integer vectors, reduced mod Phi_n once per coset.
+        da = math.lcm(*(a.den for a in self.coeffs))
+        db = math.lcm(*(b.den for b in other.coeffs))
+        twisted: dict[int, list] = {}
+        raw = [None] * m
         for w, aw in enumerate(self.coeffs):
             if aw.is_zero():
                 continue
+            a_terms = [(i, x * (da // aw.den)) for i, x in enumerate(aw.num) if x]
             u = ring.weyl_units[w]
-            for v, bv in enumerate(other.coeffs):
-                if bv.is_zero():
+            if u not in twisted:
+                twisted[u] = [
+                    [(j, y * (db // c.den)) for j, y in enumerate(c.num) if y]
+                    for c in (other.coeffs if u == 1
+                              else [galois(b, u) for b in other.coeffs])
+                ]
+            row = ring.weyl_table[w]
+            for v, b_terms in enumerate(twisted[u]):
+                if not b_terms:
                     continue
-                t = ring.weyl_table[w][v]
-                out[t] = out[t] + aw * galois(bv, u)
-        return CrossedElt(ring, tuple(out))
+                acc = raw[row[v]]
+                if acc is None:
+                    acc = raw[row[v]] = [0] * (2 * len(aw.num) - 1)
+                for i, x in a_terms:
+                    for j, y in b_terms:
+                        acc[i + j] += x * y
+        zero = CycEltN.zero(n, ring.N)
+        return CrossedElt(ring, tuple(
+            zero if acc is None else CycEltN(n, ring.N, _reduce_mod_phi(n, acc), da * db)
+            for acc in raw))
 
     __rmul__ = __mul__
 
@@ -243,70 +266,84 @@ def _kind_for(d: int) -> str:
 
 
 def _is_abelian(table) -> bool:
-    m = len(table)
-    return all(table[i][j] == table[j][i] for i in range(m) for j in range(m))
+    # zip yields one column at a time and all stops at the first mismatch
+    return all(tuple(row) == col for row, col in zip(table, zip(*table)))
 
 
 def _coset_orders(table) -> list[int]:
     m = len(table)
-    orders = []
+    orders = [0] * m
     for x in range(m):
-        cur, k = x, 1
+        if orders[x]:
+            continue
+        # one walk over the powers of x gives every order on its cycle:
+        # x^k has order o / gcd(k, o)
+        powers = [0]
+        cur = x
         while cur != 0:
+            powers.append(cur)
             cur = table[cur][x]
-            k += 1
-        orders.append(k)
+        o = len(powers)
+        for k, y in enumerate(powers):
+            orders[y] = o // math.gcd(k, o)
     return orders
 
 
-def _abelian_characters(table) -> tuple[list[tuple[int, ...]], int]:
+def _abelian_characters(table) -> tuple[list[tuple[int, ...]], int, list[int]]:
     """All characters of an abelian group given by its table, as exponent
-    vectors: chi(x) = theta_e^{vals[x]} with e the exponent of the group."""
+    vectors: chi(x) = theta_e^{vals[x]} with e the exponent of the group.
+    Also returns the generators, whose values fix a character.
+
+    One walk over the group writes every element as a word in greedily
+    chosen generators.  An edge x -> x g gives the relation
+    word(x) + g - word(x g); the characters are the assignments of values
+    to the generators that kill every relation."""
     m = len(table)
     orders = _coset_orders(table)
     exponent = math.lcm(*orders)
     gens: list[int] = []
-    generated = {0}
-    while len(generated) < m:
-        g = max((x for x in range(m) if x not in generated),
+    parent: dict[int, tuple[int, int]] = {}
+    walk = [0]
+    while len(walk) < m:
+        g = max((x for x in range(m) if x != 0 and x not in parent),
                 key=lambda x: (orders[x], -x))
         gens.append(g)
-        closure = set(generated)
-        frontier = list(closure)
-        while frontier:
-            x = frontier.pop()
+        # elements reached before need only the new generator
+        stack = [(x, len(gens) - 1) for x in walk]
+        while stack:
+            x, l = stack.pop()
+            y = table[x][gens[l]]
+            if y != 0 and y not in parent:
+                parent[y] = (x, l)
+                walk.append(y)
+                stack.extend((y, k) for k in range(len(gens)))
+    k = len(gens)
+    word = {0: (0,) * k}
+    for y in walk[1:]:
+        x, l = parent[y]
+        word[y] = tuple(c + (i == l) for i, c in enumerate(word[x]))
+    relations = set()
+    for x in range(m):
+        for l, g in enumerate(gens):
             y = table[x][g]
-            if y not in closure:
-                closure.add(y)
-                frontier.append(y)
-            for h in list(closure):
-                for prev in (table[x][h], table[h][x]):
-                    if prev not in closure:
-                        closure.add(prev)
-                        frontier.append(prev)
-        generated = closure
+            r = tuple((word[x][i] + (i == l) - word[y][i]) % orders[gens[i]]
+                      for i in range(k))
+            if any(r):
+                relations.add(r)
+    columns = [[word[x][i] for x in range(m)] for i in range(k)]
     chars = []
     for assign in itertools.product(*[range(orders[g]) for g in gens]):
-        vals = {0: 0}
-        frontier = [0]
-        ok = True
-        while frontier and ok:
-            x = frontier.pop()
-            for l, g in enumerate(gens):
-                y = table[x][g]
-                v = (vals[x] + (exponent // orders[g]) * assign[l]) % exponent
-                if y in vals:
-                    if vals[y] != v:
-                        ok = False
-                        break
-                else:
-                    vals[y] = v
-                    frontier.append(y)
-        if ok and len(vals) == m:
-            chars.append(tuple(vals[x] for x in range(m)))
+        c = [(exponent // orders[g]) * a for g, a in zip(gens, assign)]
+        if any(sum(ri * ci for ri, ci in zip(r, c)) % exponent for r in relations):
+            continue
+        vals = [0] * m
+        for col, ci in zip(columns, c):
+            if ci:
+                vals = [v + x * ci for v, x in zip(vals, col)]
+        chars.append(tuple(v % exponent for v in vals))
     if len(chars) != m:
         raise RuntimeError("character count must equal the group order")
-    return chars, exponent
+    return chars, exponent, gens
 
 
 def _mobius(n: int) -> int:
@@ -330,21 +367,27 @@ def _split_with_idempotents(
     """The character-orbit rule, where it applies (see the module doc)."""
     n, N, m = ring.n, ring.N, ring.weyl_order
     table = ring.weyl_table
-    # The exponent gate at n > 1 only keeps today's summand numbering:
-    # dropping it renumbers the flat summands of groups such as cyclic(9).
+    # The exponent gate at n > 1 keeps the rule correct.  For n > 1 it
+    # labels every summand Z[theta_n, 1/N], but an orbit of characters of
+    # order d > 2 gives Z[theta_lcm(n,d), 1/N]: without the gate the ranks
+    # stop adding up (cyclic(9), class n = 3, W = C3: rank 6 splits into
+    # rank 4).  Lifting it needs orbits under Gal(Q(theta_lcm(n,e))/Q(theta_n)).
     if not (_is_abelian(table) and all(u == 1 or n == 1 for u in ring.weyl_units)
             and all(N % p == 0 for p in prime_factors(m))
             and (n == 1 or all(o <= 2 for o in _coset_orders(table)))):
         return [RingSummand("unsplit_crossed", n, N, ring=ring,
                             provenance="no splitting rule applies")], None
-    chars, e = _abelian_characters(table)
+    chars, e, gens = _abelian_characters(table)
     units = [u for u in range(1, e + 1) if math.gcd(u, e) == 1]
+    # a character is fixed by its values on the generators, so its Galois
+    # orbit is marked by those values alone
     seen: set[tuple[int, ...]] = set()
     orbits: list[tuple[int, tuple[int, ...]]] = []
     for chi in sorted(chars):
-        if chi not in seen:  # so chi is the least character of its orbit
-            seen |= {tuple((u * v) % e for v in chi) for u in units}
-            orbits.append((e // math.gcd(e, *chi), chi))
+        key = tuple(chi[g] for g in gens)
+        if key not in seen:  # so chi is the least character of its orbit
+            seen |= {tuple((u * v) % e for v in key) for u in units}
+            orbits.append((e // math.gcd(e, *key), chi))
     orbits.sort()
     summands, idems = [], []
     for d, chi in orbits:

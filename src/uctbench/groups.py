@@ -211,8 +211,8 @@ def _split_call(spec: str) -> tuple[str, Optional[list[str]]]:
     return head.strip(), [a.strip() for a in args]
 
 
-# Largest preset order built: the table of symmetric(7) took 36 s and
-# 414 MB on a 2-core, 8 GB machine, and a table grows with the square of
+# Largest preset order built: the table of symmetric(7) takes 16-33 s and
+# 412 MB on a 2-core, 8 GB machine, and a table grows with the square of
 # the order.
 MAX_PRESET_ORDER = 5040
 
@@ -242,7 +242,8 @@ def _parse_preset(name: str) -> tuple[int, Callable[[], FiniteGroup]]:
     if head == "trivial":
         return 1, lambda: FiniteGroup(1, ((0,),), 0)
     if head in ("cyclic", "dihedral", "symmetric"):
-        if not args or len(args) != 1 or not args[0].isdigit():
+        # isdigit alone also accepts digits such as "²" or "٣"
+        if not args or len(args) != 1 or not (args[0].isascii() and args[0].isdigit()):
             raise UnknownPreset(f"{head} takes one integer argument")
         n = int(args[0])
         if n < 1:
@@ -304,46 +305,49 @@ class CyclicClass:
         return self.class_size * len(self.normalizer)
 
 
-def _generated_subgroup(G: FiniteGroup, g: int) -> frozenset[int]:
-    elems = {G.identity}
-    cur = g
-    while cur != G.identity:
-        elems.add(cur)
-        cur = G.mul[cur][g]
-    return frozenset(elems)
-
-
-def _conjugate_subgroup(G: FiniteGroup, H: frozenset[int], x: int) -> frozenset[int]:
-    return frozenset(G.conjugate(x, h) for h in H)
-
-
-def all_cyclic_subgroups(G: FiniteGroup) -> list[frozenset[int]]:
-    """Every cyclic subgroup, found by brute-force generator enumeration."""
-    return sorted({_generated_subgroup(G, g) for g in range(G.order)},
-                  key=lambda s: (len(s), sorted(s)))
+def _cyclic_subgroup_map(G: FiniteGroup) -> list[frozenset[int]]:
+    """subgroup_of[g] = <g>, with one frozenset object per cyclic subgroup:
+    the powers g^k with gcd(k, |g|) = 1 are exactly the generators of <g>."""
+    subgroup_of: list[Optional[frozenset[int]]] = [None] * G.order
+    for g in range(G.order):
+        if subgroup_of[g] is not None:
+            continue
+        powers = [G.identity]
+        cur = g
+        while cur != G.identity:
+            powers.append(cur)
+            cur = G.mul[cur][g]
+        H = frozenset(powers)
+        n = len(powers)
+        for k in range(n):
+            if math.gcd(k, n) == 1:
+                subgroup_of[powers[k]] = H
+    return subgroup_of
 
 
 def cyclic_classes(G: FiniteGroup) -> list[CyclicClass]:
     """One CyclicClass per conjugacy class of cyclic subgroups, including the
     trivial subgroup, sorted by (order, representative elements)."""
-    subs = all_cyclic_subgroups(G)
+    mul, inv = G.mul, G.inv
+    subgroup_of = _cyclic_subgroup_map(G)
     seen: set[frozenset[int]] = set()
     classes: list[CyclicClass] = []
-    for H in subs:
+    for H in sorted(set(subgroup_of), key=lambda s: (len(s), sorted(s))):
         if H in seen:
             continue
-        # subs is sorted, so H is the least member of its class: the
-        # representative.  One sweep gives its class and its normalizer.
+        # H is the least member of its class: the representative.  Since
+        # x<h>x^-1 = <xhx^-1>, conjugating one generator per x gives its
+        # class and its normalizer.
+        n = len(H)
+        generator = min(h for h in H if subgroup_of[h] is H)
         orbit: set[frozenset[int]] = set()
         normalizer: list[int] = []
         for x in range(G.order):
-            K = _conjugate_subgroup(G, H, x)
+            K = subgroup_of[mul[mul[x][generator]][inv[x]]]
             orbit.add(K)
-            if K == H:
+            if K is H:
                 normalizer.append(x)
         seen |= orbit
-        n = len(H)
-        generator = min(h for h in H if G.element_order(h) == n)
         # left cosets of the representative inside its normalizer
         coset_of: dict[int, int] = {}
         cosets: list[tuple[int, ...]] = []
@@ -379,7 +383,7 @@ def cyclic_classes(G: FiniteGroup) -> list[CyclicClass]:
             else:
                 units.append(dlog[G.conjugate(r, generator)])
         table = tuple(
-            tuple(coset_of[G.mul[a][b]] for b in reps) for a in reps
+            tuple([coset_of[row[b]] for b in reps]) for row in [mul[a] for a in reps]
         )
         classes.append(
             CyclicClass(

@@ -58,13 +58,20 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        bt = other.transpose().entries
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-                for row in self.entries
-            )
-        )
+        # Row i of the product is sum_k A[i][k] * B[k], taken over the nonzero
+        # A[i][k] only: block-monomial factors skip most of the dense work.
+        zero = (0,) * other.cols
+        out = []
+        for row in self.entries:
+            acc = None
+            for a, brow in zip(row, other.entries):
+                if a:
+                    if acc is None:
+                        acc = [a * b for b in brow]
+                    else:
+                        acc = [x + a * b for x, b in zip(acc, brow)]
+            out.append(zero if acc is None else tuple(acc))
+        return IntMatrix(tuple(out))
 
     def matvec(self, v: Row) -> tuple[int, ...]:
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)

@@ -4,8 +4,9 @@ import itertools
 import math
 
 from uctbench.amod import AModObject, ModulePart, presentation_of
-from uctbench.crossring import CrossedRing, RingSummand, _abelian_characters
-from uctbench.cyclotomic import _reduce_mod_phi
+from uctbench.crossring import CrossedElt, CrossedRing, RingSummand
+from uctbench.cyclotomic import CycEltN, _reduce_mod_phi, galois
+from uctbench.groups import CyclicClass, CyclicSubgroup, FiniteGroup
 from uctbench.zlinalg import IntMatrix
 
 
@@ -229,7 +230,7 @@ def root_sum_idempotent_coefficients(ring: CrossedRing) -> list[list[int]]:
     coefficients."""
     table = ring.weyl_table
     m = len(table)
-    chars, e = _abelian_characters(table)
+    chars, e = bfs_abelian_characters(table)
     units = [u for u in range(1, e + 1) if math.gcd(u, e) == 1]
     orbits, seen = [], set()
     for chi in sorted(chars):
@@ -253,3 +254,149 @@ def root_sum_idempotent_coefficients(ring: CrossedRing) -> list[list[int]]:
             coeffs.append(reduced[0])
         out.append(coeffs)
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference versions of the rings path: each does the dense or exhaustive
+# work that the library's fast path avoids
+
+
+def dense_matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    """A @ B by one dense inner product per entry."""
+    if A.cols != B.rows:
+        raise ValueError("shape mismatch")
+    bt = B.transpose().entries
+    return IntMatrix(
+        tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in A.entries)
+    )
+
+
+def termwise_crossed_mul(x: CrossedElt, y: CrossedElt) -> CrossedElt:
+    """x * y as sum over (w, v) of a_w galois(b_v, u_w) in coset wv, one
+    CycEltN product and sum per pair of terms."""
+    ring = x.ring
+    out = [CycEltN.zero(ring.n, ring.N)] * ring.weyl_order
+    for w, aw in enumerate(x.coeffs):
+        if aw.is_zero():
+            continue
+        u = ring.weyl_units[w]
+        for v, bv in enumerate(y.coeffs):
+            if bv.is_zero():
+                continue
+            t = ring.weyl_table[w][v]
+            out[t] = out[t] + aw * galois(bv, u)
+    return CrossedElt(ring, tuple(out))
+
+
+def _generated_subgroup(G: FiniteGroup, g: int) -> frozenset:
+    elems = {G.identity}
+    cur = g
+    while cur != G.identity:
+        elems.add(cur)
+        cur = G.mul[cur][g]
+    return frozenset(elems)
+
+
+def brute_cyclic_subgroups(G: FiniteGroup) -> list:
+    """Every cyclic subgroup, one generated subgroup per element, sorted by
+    (order, elements)."""
+    return sorted({_generated_subgroup(G, g) for g in range(G.order)},
+                  key=lambda s: (len(s), sorted(s)))
+
+
+def reference_cyclic_classes(G: FiniteGroup) -> list:
+    """cyclic_classes by conjugating every element of every representative:
+    |G| * |H| conjugations per class."""
+    subs = brute_cyclic_subgroups(G)
+    seen = set()
+    classes = []
+    for H in subs:
+        if H in seen:
+            continue
+        orbit = set()
+        normalizer = []
+        for x in range(G.order):
+            K = frozenset(G.conjugate(x, h) for h in H)
+            orbit.add(K)
+            if K == H:
+                normalizer.append(x)
+        seen |= orbit
+        n = len(H)
+        generator = min(h for h in H if G.element_order(h) == n)
+        coset_of = {}
+        cosets = []
+        for x in normalizer:
+            if x in coset_of:
+                continue
+            coset = tuple(sorted(G.mul[x][h] for h in H))
+            for y in coset:
+                coset_of[y] = len(cosets)
+            cosets.append(coset)
+        id_idx = coset_of[G.identity]
+        order_keys = sorted(range(len(cosets)), key=lambda i: (i != id_idx, cosets[i][0]))
+        relabel = {old: new for new, old in enumerate(order_keys)}
+        coset_of = {x: relabel[i] for x, i in coset_of.items()}
+        reps = [0] * len(cosets)
+        for old, new in relabel.items():
+            reps[new] = G.identity if new == 0 else cosets[old][0]
+        dlog = {G.power(generator, t): t for t in range(n)}
+        units = [1 if n == 1 else dlog[G.conjugate(r, generator)] for r in reps]
+        table = tuple(tuple(coset_of[G.mul[a][b]] for b in reps) for a in reps)
+        classes.append(CyclicClass(
+            representative=CyclicSubgroup(generator, n, tuple(sorted(H))),
+            class_size=len(orbit),
+            normalizer=tuple(normalizer),
+            coset_reps=tuple(reps),
+            weyl_units=tuple(units),
+            weyl_table=table,
+        ))
+    classes.sort(key=lambda c: (c.n, c.representative.elements))
+    return classes
+
+
+def bfs_abelian_characters(table) -> tuple:
+    """(characters as exponent vectors, exponent e) of an abelian group
+    table: one walk over the group per assignment of values to the
+    generators, kept when it is consistent."""
+    m = len(table)
+    orders = []
+    for x in range(m):
+        cur, k = x, 1
+        while cur != 0:
+            cur = table[cur][x]
+            k += 1
+        orders.append(k)
+    exponent = math.lcm(*orders)
+    gens = []
+    generated = {0}
+    while len(generated) < m:
+        g = max((x for x in range(m) if x not in generated), key=lambda x: (orders[x], -x))
+        gens.append(g)
+        frontier = list(generated)
+        while frontier:
+            x = frontier.pop()
+            for h in gens:
+                y = table[x][h]
+                if y not in generated:
+                    generated.add(y)
+                    frontier.append(y)
+    chars = []
+    for assign in itertools.product(*[range(orders[g]) for g in gens]):
+        vals = {0: 0}
+        frontier = [0]
+        ok = True
+        while frontier and ok:
+            x = frontier.pop()
+            for l, g in enumerate(gens):
+                y = table[x][g]
+                v = (vals[x] + (exponent // orders[g]) * assign[l]) % exponent
+                if y in vals:
+                    if vals[y] != v:
+                        ok = False
+                        break
+                else:
+                    vals[y] = v
+                    frontier.append(y)
+        if ok and len(vals) == m:
+            chars.append(tuple(vals[x] for x in range(m)))
+    return chars, exponent

@@ -16,6 +16,7 @@ from uctbench.amod import (
 )
 from uctbench.cli import (
     _suite_characters,
+    _suite_crossed,
     _suite_crt,
     _suite_frobenius,
     _suite_psi,
@@ -241,3 +242,16 @@ def test_10_uct_assembly_and_grading():
         return "kk order 3 in both degrees; suspension swaps the degrees exactly"
 
     _run("10 UCT order assembly and suspension bookkeeping", 5.0, crit)
+
+
+def test_11_crossed_relations_suite():
+    def crit():
+        items = _suite_crossed(24, 0)
+        checks = _run_suite(items)
+        # one item per cyclic class of the presets of order <= 24; pinned so
+        # that a faster path cannot drop checks unnoticed
+        assert len(items) == 143
+        assert checks == 12364
+        return f"{checks} checks over {len(items)} crossed rings, n <= 24"
+
+    _run("11 crossed-product relations and splittings to n=24", 30.0, crit)

@@ -1,11 +1,15 @@
+import random
+
 import pytest
 
+from uctbench.cli import _crossed_preset_names
 from uctbench.cyclotomic import CycEltN, cyclotomic, prime_factors, totient
 from uctbench.errors import InsufficientInversion, RingMismatch
 from uctbench.crossring import (
     CrossedElt,
     CrossedRing,
     RingSummand,
+    _abelian_characters,
     build_crossed_ring,
     companion_matrix,
     crossed_mul,
@@ -17,7 +21,11 @@ from uctbench.crossring import (
 from uctbench.groups import cyclic_classes, preset_group
 from uctbench.zlinalg import IntMatrix
 
-from helpers import root_sum_idempotent_coefficients
+from helpers import (
+    bfs_abelian_characters,
+    root_sum_idempotent_coefficients,
+    termwise_crossed_mul,
+)
 
 
 def ring_for(group_name, class_order, N=None):
@@ -53,6 +61,40 @@ def test_crossed_mul_twisted_relation():
     conj = w * z * w  # w has order 2
     assert conj == z * z
     assert conj == CrossedElt.from_parts(r, {0: CycEltN(3, 6, (-1, -1))})
+
+
+def _random_crossed_elt(rng, ring):
+    """Random coefficients, some zero, over denominators built from the
+    primes of N."""
+    dens = [1] + [p ** k for p in prime_factors(ring.N) for k in (1, 2)]
+    deg = totient(ring.n)
+    coeffs = []
+    for _ in range(ring.weyl_order):
+        if rng.random() < 0.25:
+            coeffs.append(CycEltN.zero(ring.n, ring.N))
+        else:
+            num = tuple(rng.randint(-5, 5) for _ in range(deg))
+            coeffs.append(CycEltN(ring.n, ring.N, num, rng.choice(dens) * rng.choice(dens)))
+    return CrossedElt(ring, tuple(coeffs))
+
+
+def test_crossed_product_matches_termwise():
+    # the one-denominator product against one CycEltN product and sum per
+    # pair of terms, over every class of every preset of order <= 24,
+    # twisted Weyl units included (symmetric(3), dihedral(4), dihedral(5))
+    rng = random.Random(24)
+    twisted = 0
+    for name in _crossed_preset_names(24):
+        G = preset_group(name)
+        for C in cyclic_classes(G):
+            ring = build_crossed_ring(C, G.order)
+            twisted += any(u != 1 for u in ring.weyl_units)
+            zero = CrossedElt.zero(ring)
+            for _ in range(3):
+                x, y = _random_crossed_elt(rng, ring), _random_crossed_elt(rng, ring)
+                assert x * y == termwise_crossed_mul(x, y), (name, C.n)
+            assert x * zero == zero and zero * x == zero
+    assert twisted >= 10
 
 
 def test_crossed_identity_and_mismatch():
@@ -238,6 +280,25 @@ def test_splitting_idempotents_match_root_sums():
                         for row in root_sum_idempotent_coefficients(r)]
             assert idems == expected, (name, C.n)
     assert applied > 150
+
+
+def test_abelian_characters_match_bfs_reference():
+    # the one-walk characters against one walk per assignment, on every
+    # abelian Weyl table of the oracle presets and of cyclic(720)
+    tables = set()
+    for name in ORACLE_PRESETS + ["cyclic(720)"]:
+        for C in cyclic_classes(preset_group(name)):
+            m = C.weyl_order
+            if all(C.weyl_table[a][b] == C.weyl_table[b][a] for a in range(m) for b in range(m)):
+                tables.add(C.weyl_table)
+    assert len(tables) > 60
+    for table in tables:
+        chars, e, gens = _abelian_characters(table)
+        ref_chars, ref_e = bfs_abelian_characters(table)
+        assert e == ref_e
+        assert sorted(chars) == sorted(ref_chars)
+        # the generators' values fix a character: the split keys orbits on them
+        assert len({tuple(chi[g] for g in gens) for chi in chars}) == len(table)
 
 
 def test_target_category_klein_four():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from helpers import brute_cyclic_subgroups, reference_cyclic_classes
 from uctbench import groups
 from uctbench.errors import (
     NonAssociative,
@@ -9,7 +10,7 @@ from uctbench.errors import (
     UnsupportedSize,
 )
 from uctbench.groups import (
-    all_cyclic_subgroups,
+    _symmetric_table,
     cyclic_classes,
     group_from_table,
     preset_group,
@@ -113,6 +114,11 @@ def test_preset_errors():
         preset_group("cyclic(0)")
     with pytest.raises(UnknownPreset):
         preset_group("quaternion(8)")
+    # str.isdigit accepts these, int() rejects the first two and reads the
+    # last as 3; only ASCII decimal digits are arguments
+    for name in ("cyclic(²)", "direct_product(cyclic(3),symmetric(¹))", "cyclic(٣)"):
+        with pytest.raises(UnknownPreset):
+            preset_group(name)
 
 
 @pytest.mark.parametrize("name", ["cyclic(100000000)", "symmetric(8)",
@@ -183,7 +189,7 @@ def test_class_invariants(name):
         rep = frozenset(c.representative.elements)
         for x in range(G.order):
             covered.add(frozenset(G.conjugate(x, h) for h in rep))
-    assert covered == set(all_cyclic_subgroups(G))
+    assert covered == set(brute_cyclic_subgroups(G))
     # each element generates exactly one cyclic subgroup
     total = 0
     for c in classes:
@@ -213,3 +219,39 @@ def test_group_order_from_class():
     s3 = preset_group("symmetric(3)")
     for c in cyclic_classes(s3):
         assert c.group_order() == 6
+
+
+REFERENCE_CLASS_PRESETS = (
+    [f"cyclic({n})" for n in list(range(1, 25)) + [30, 36, 48, 60, 64, 72, 96, 120]]
+    + [f"dihedral({n})" for n in list(range(1, 13)) + [15, 30, 60]]
+    + [f"symmetric({n})" for n in range(1, 6)]
+    + ["trivial", "klein_four", "direct_product(cyclic(2),cyclic(4))",
+       "direct_product(cyclic(3),cyclic(9))", "direct_product(dihedral(4),cyclic(3))",
+       "direct_product(symmetric(4),cyclic(5))"]
+    + [f"direct_product(symmetric(3),cyclic({k}))" for k in (2, 4, 5, 20)]
+    + [f"direct_product(klein_four,dihedral({k}))" for k in (3, 6, 15)]
+)
+
+
+def test_cyclic_classes_match_reference():
+    # the generator-only conjugation against conjugating every element of
+    # every representative, field by field
+    for name in REFERENCE_CLASS_PRESETS:
+        G = preset_group(name)
+        assert cyclic_classes(G) == reference_cyclic_classes(G), name
+
+
+def test_cyclic_classes_match_reference_on_relabelled_table():
+    rng = random.Random(5)
+    table = _symmetric_table(5)
+    sigma = list(range(len(table)))
+    rng.shuffle(sigma)
+    relabelled = [[0] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, ab in enumerate(row):
+            relabelled[sigma[a]][sigma[b]] = sigma[ab]
+    G = group_from_table(relabelled)
+    assert G.identity != 0
+    classes = cyclic_classes(G)
+    assert [c.n for c in classes] == [1, 2, 2, 3, 4, 5, 6]
+    assert classes == reference_cyclic_classes(G)

@@ -33,3 +33,14 @@ def test_group_file_type_errors(tmp_path, capsys, payload, message):
 def test_group_from_table_type_errors(table, labels):
     with pytest.raises(InvalidGroupTable):
         group_from_table(table, labels)
+
+
+@pytest.mark.parametrize("preset", [
+    "cyclic(²)", "direct_product(cyclic(3),symmetric(¹))", "cyclic(٣)",
+])
+def test_preset_non_ascii_digit_exits_2(capsys, preset):
+    code = main(["group-info", f"preset:{preset}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "takes one integer argument" in err

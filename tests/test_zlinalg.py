@@ -16,11 +16,39 @@ from uctbench.zlinalg import (
     solve_mod,
 )
 
-from helpers import det_unimodular
+from helpers import dense_matmul, det_unimodular
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+
+def test_matmul_matches_dense_reference():
+    rng = random.Random(58)
+    shapes = [(1, 1, 1), (3, 0, 2), (0, 0, 0), (4, 1, 5)]
+    shapes += [(rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)) for _ in range(40)]
+    for r, k, c in shapes:
+        A = rand_matrix(rng, r, k)
+        B = rand_matrix(rng, k, c)
+        # zero rows and zero columns on both sides, and sparse entries
+        for M in (A, B):
+            if M and M[0] and rng.random() < 0.5:
+                M[rng.randrange(len(M))] = [0] * len(M[0])
+                j = rng.randrange(len(M[0]))
+                for row in M:
+                    row[j] = 0
+            for row in M:
+                for j in range(len(row)):
+                    if rng.random() < 0.4:
+                        row[j] = 0
+        A = IntMatrix(tuple(tuple(row) for row in A))
+        B = IntMatrix(tuple(tuple(row) for row in B))
+        if k == 0:
+            # a k x 0 matrix has no rows to read its width from
+            B = IntMatrix(())
+        assert A @ B == dense_matmul(A, B), (r, k, c)
+    with pytest.raises(ValueError):
+        IntMatrix.from_rows([[1, 2]]) @ IntMatrix.from_rows([[1, 2]])
 
 
 def test_hnf_identity_fixed():
