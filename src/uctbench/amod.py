@@ -1,21 +1,36 @@
 """Z/2-graded finite modules over the target-category ring summands, and
-the Hom / Ext^1 computations behind the UCT order bookkeeping.
+the Hom / Ext computations behind the UCT order bookkeeping.
 
 A module is stored per degree as the cyclic orders of its underlying finite
 abelian group plus one integer action matrix per ring generator, entries
-read modulo the cyclic orders (row modulus).  Hom groups are congruence
-kernels modulo the target orders; Ext^1 uses the two-step presentation
-R^k -> M with kernel lattice K, which suffices because R^k is free:
-Ext^1(M, N) = coker(Hom(R^k, N) -> Hom(K, N)).
+read modulo the cyclic orders (row modulus).
 
-The free cover is irredundant: a coordinate vector of M becomes a cover
-generator only when it lies outside the R-span of those chosen before it.
-So (R/q)^k over a ring of Z-rank rho gets k generators instead of rho * k,
-and K has Z-rank rho * k instead of rho^2 * k.
+Hom and Ext are the cohomology of one complex.  Resolve a part P by free
+covers, 0 <- P <- R^g0 <- R^g1 <- R^g2, each the irredundant cover of the
+kernel before it (after the first step the kernels are lattices, orders 0).
+A map R^g -> Q is its tuple y in Q^g of generator images, so Hom_R(-, Q)
+turns the resolution into Q^g0 -d0-> Q^g1 -d1-> Q^g2, where d evaluates the
+map at the next kernel's generators: sum_{j, beta} c_{j beta} W_Q[beta] y_j
+for a kernel vector c in cover coordinates and W_Q[beta] the action of the
+basis word beta on Q.  Then
+
+    Hom(P, Q) = ker d0,   Ext^1(P, Q) = ker d1 / im d0,
+
+and Ext^2 is the same construction one step further on.  A kernel ker d is
+the congruence lattice, modulo Q's orders, of the y whose map vanishes on a
+Z-basis of the kernel it evaluates on; quotients are Smith forms mod lcm(Q's
+orders); a Hom generator y becomes a matrix through a section of the cover.
+
+The free cover is irredundant: a coordinate vector becomes a cover generator
+only when it lies outside the R-span of those chosen before it.  So
+(R/q)^k over a ring of Z-rank rho has g0 = k instead of rho * k, and Hom
+solves for g0 * s unknowns, s the rank of Q, instead of for every entry of
+an s x rho k matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -27,7 +42,7 @@ from .crossring import (
     companion_matrix,
     regular_representation,
 )
-from .cyclotomic import cyclotomic, prime_factors, totient
+from .cyclotomic import cyclotomic, totient
 from .errors import (
     FamilyMismatch,
     FreePartError,
@@ -295,13 +310,9 @@ def validate(M: AModObject) -> ValidationReport:
         for o in part.orders:
             if o < 0 or o == 1:
                 return ValidationReport(False, f"{tag}: cyclic order {o} invalid (need 0 or >= 2)")
-            if o:
-                for p in prime_factors(o):
-                    if N % p == 0:
-                        return ValidationReport(
-                            False,
-                            f"{tag}: order {o} is not coprime to the inverted N={N}",
-                        )
+            if o and math.gcd(o, N) > 1:
+                return ValidationReport(
+                    False, f"{tag}: order {o} is not coprime to the inverted N={N}")
         r = part.rank
         if len(part.mats) != len(pres.gen_names):
             return ValidationReport(False, f"{tag}: wrong number of action matrices")
@@ -379,7 +390,7 @@ def _reject_free(*modules: AModObject) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Hom
+# Hom and Ext from one free resolution
 
 
 @dataclass(frozen=True)
@@ -396,41 +407,111 @@ class HomResult:
     generators: tuple[HomMap, ...]
 
 
-def _hom_lattice(width: int, src_mats: Sequence[IntMatrix], Q: ModulePart,
-                 src_orders: Sequence[int] = (), relations=()):
-    """The congruence kernel of s x width integer matrices X (flattened row
-    by row) with X g_src == g_Q X mod Q's orders for every generator, and,
-    when source orders o are given, o_j X[:, j] == 0 so that X is well
-    defined on the source group.  Returns its basis and, in that basis, the
-    coordinates of the trivial maps (Q's order times a unit matrix)
-    followed by the flattened `relations`."""
+def _word_matrix(mats: Sequence[IntMatrix], word: tuple[int, ...], r: int) -> IntMatrix:
+    out = IntMatrix.identity(r)
+    for g in word:
+        out = out @ mats[g]
+    return out
+
+
+@dataclass(frozen=True)
+class _CoverKernel:
+    """An irredundant free cover R^g ->> X of a module part or lattice X: the
+    generators (vectors of X), the Hermite rows of the kernel K in the cover
+    coordinates Z^(g * rho), slot by slot, and the ring generators' actions
+    on K in that basis."""
+
+    gvecs: tuple[tuple[int, ...], ...]
+    kernel: tuple[tuple[int, ...], ...]
+    actions: tuple[IntMatrix, ...]
+
+
+@functools.lru_cache(maxsize=16)
+def _free_cover_kernel(pres: RingPresentation, orders: tuple[int, ...],
+                       mats: tuple[IntMatrix, ...],
+                       extra_generators: tuple[tuple[int, ...], ...] = ()) -> _CoverKernel:
+    # Memoised: uct_order asks for each source part's cover, and for its
+    # kernel's cover, once per Hom and once per Ext target.
+    r = len(orders)
+    rho = pres.rank
+    word_mats = [_word_matrix(mats, w, r) for w in pres.basis_words]
+    # Irredundant cover: e_j becomes a generator only when it lies outside
+    # the Z-span of the order rows o_i e_i and of the R-span of the
+    # generators before it (order 0 marks a free lattice); `span` holds the
+    # Hermite rows of that Z-span.
+    span = [tuple(o if i == j else 0 for i in range(r)) for j, o in enumerate(orders) if o]
+    gvecs, cols = [], []
+    for e in IntMatrix.identity(r).entries:
+        if hermite_coordinates(span, [e])[0] is None:
+            gvecs.append(e)
+            new = [wm.matvec(e) for wm in word_mats]
+            cols += new
+            span = [row for row in hnf(span + new)[0].entries if any(row)]
+    for v in extra_generators:
+        gvecs.append(v)
+        cols += [wm.matvec(v) for wm in word_mats]
+    n = len(cols)
+    kernel = congruence_kernel([[col[i] for col in cols] for i in range(r)], list(orders))
+    actions = []
+    for G in pres.gen_mats:
+        # G acts on each cover slot's copy of R by its left-regular matrix.
+        coords = hermite_coordinates(
+            kernel, ([c for k in range(0, n, rho) for c in G.matvec(x[k:k + rho])]
+                     for x in kernel))
+        if None in coords:
+            raise RuntimeError("free-cover kernel is not generator-stable")
+        actions.append(IntMatrix.from_rows(zip(*coords)))
+    return _CoverKernel(tuple(gvecs), tuple(kernel), tuple(actions))
+
+
+def _part_cover(pres: RingPresentation, P: ModulePart,
+                extra_generators: Sequence[Sequence[int]] = ()) -> _CoverKernel:
+    return _free_cover_kernel(pres, tuple(P.orders), tuple(P.mats),
+                              tuple(tuple(map(int, v)) for v in extra_generators))
+
+
+def _syzygy(pres: RingPresentation,
+            cover: _CoverKernel) -> tuple[_CoverKernel, tuple[tuple[int, ...], ...]]:
+    """The cover of the kernel K, and its generators written in the outer
+    cover's coordinates: the relators at which d0 evaluates."""
+    inner = _free_cover_kernel(pres, (0,) * len(cover.kernel), cover.actions)
+    relators = IntMatrix.from_rows(inner.gvecs) @ IntMatrix.from_rows(cover.kernel)
+    return inner, relators.entries
+
+
+def _evaluations(pres: RingPresentation, vectors: Sequence[Sequence[int]],
+                 Q: ModulePart) -> list[list[int]]:
+    """The map Q^g -> Q^len(vectors) taking generator images y to the values
+    f_y(c) = sum_{j, beta} c[j rho + beta] W_Q[beta] y_j at the given vectors
+    c of Z^(g * rho), where f_y: R^g -> Q sends slot j's 1 to y_j.  Rows are
+    indexed (vector, coordinate of Q), columns (slot j, coordinate of Q)."""
+    s, rho = Q.rank, pres.rank
+    words = [_word_matrix(Q.mats, w, s).entries for w in pres.basis_words]
+    rows = []
+    for c in vectors:
+        block = [[0] * (len(c) // rho * s) for _ in range(s)]
+        for x, cx in enumerate(c):
+            if cx:
+                j, beta = divmod(x, rho)
+                for row, wrow in zip(block, words[beta]):
+                    for t, v in enumerate(wrow, j * s):
+                        row[t] += cx * v
+        rows += block
+    return rows
+
+
+def _presented_hom(pres: RingPresentation, cover: _CoverKernel, Q: ModulePart,
+                   relations: Sequence[Sequence[int]] = ()):
+    """Hom_R(X, Q) for X presented by the cover R^g ->> X: the lattice of
+    generator images y in Z^(g * s) with f_y(c) == 0 mod Q's orders for every
+    Z-basis vector c of the kernel.  Returns its basis and, in that basis,
+    the coordinates of the trivial images (Q's order in one coordinate)
+    followed by `relations`."""
     s = Q.rank
-    t = s * width
-    rows: list[list[int]] = []
-    moduli: list[int] = []
-    for i in range(s):
-        for j, o in enumerate(src_orders):
-            row = [0] * t
-            row[i * width + j] = o
-            rows.append(row)
-            moduli.append(Q.orders[i])
-    for Gs, GQ in zip(src_mats, Q.mats):
-        for i in range(s):
-            for u in range(width):
-                row = [0] * t
-                for v in range(width):
-                    row[i * width + v] += Gs.entries[v][u]
-                for w in range(s):
-                    row[w * width + u] -= GQ.entries[i][w]
-                rows.append(row)
-                moduli.append(Q.orders[i])
-    vectors = [[Q.orders[i] if k == i * width + j else 0 for k in range(t)]
-               for i in range(s) for j in range(width)]
-    vectors += [[mat[i][l] for i in range(s) for l in range(width)] for mat in relations]
-    basis, coords = lattice_coordinates(rows, moduli, t, vectors)
-    if len(basis) != t:
-        raise RuntimeError("solution lattice must have full rank")
-    return basis, coords
+    t = len(cover.gvecs) * s
+    vectors = [[Q.orders[x % s] if x == y else 0 for x in range(t)] for y in range(t)]
+    return lattice_coordinates(_evaluations(pres, cover.kernel, Q),
+                               list(Q.orders) * len(cover.kernel), t, vectors + list(relations))
 
 
 def _smith_basis(X, n: int) -> list[tuple[int, list[int]]]:
@@ -444,18 +525,44 @@ def _smith_basis(X, n: int) -> list[tuple[int, list[int]]]:
     return [(d, [Uinv[l, i] for l in range(n)]) for i, d in enumerate(diag) if d > 1]
 
 
-def _hom_block(P: ModulePart, Q: ModulePart) -> list[tuple[int, IntMatrix]]:
-    """Hom between two finite parts: (invariant factor, generating map) pairs."""
-    r, s = P.rank, Q.rank
-    t = r * s
-    if t == 0:
-        return []
-    basis, rel_cols = _hom_lattice(r, P.mats, Q, P.orders)
+def _section(pres: RingPresentation, cover: _CoverKernel,
+             P: ModulePart) -> list[tuple[int, ...]]:
+    """A preimage in Z^(g * rho) of each coordinate vector of P: a solution
+    of [cover columns | diag(orders)] x = e_t, cut to the cover part."""
+    word_mats = [_word_matrix(P.mats, w, P.rank) for w in pres.basis_words]
+    cols = [wm.matvec(v) for v in cover.gvecs for wm in word_mats]
+    solver = ExactSolver([[col[i] for col in cols]
+                          + [o if k == i else 0 for k, o in enumerate(P.orders)]
+                          for i in range(P.rank)])
     out = []
-    for d, col in _smith_basis([[c[i] for c in rel_cols] for i in range(t)], t):
-        vec = [sum(basis[l][x] * col[l] for l in range(t)) for x in range(t)]
+    for e in IntMatrix.identity(P.rank).entries:
+        x = solver.solve(e)
+        if x is None:
+            raise RuntimeError("the free cover misses a coordinate vector")
+        out.append(x[:len(cols)])
+    return out
+
+
+def _hom_block(pres: RingPresentation, P: ModulePart,
+               Q: ModulePart) -> list[tuple[int, IntMatrix]]:
+    """Hom between two finite parts: (invariant factor, generating map) pairs."""
+    s = Q.rank
+    if P.rank == 0 or s == 0:
+        return []
+    cover = _part_cover(pres, P)
+    t = len(cover.gvecs) * s
+    basis, rel_cols = _presented_hom(pres, cover, Q)
+    chain = _smith_basis([[c[i] for c in rel_cols] for i in range(t)], t)
+    if not chain:
+        return []
+    # The map's column t is f_y at a preimage of P's coordinate vector e_t.
+    lift = _evaluations(pres, _section(pres, cover, P), Q)
+    out = []
+    for d, col in chain:
+        y = [(x, v) for x in range(t) if (v := sum(basis[l][x] * col[l] for l in range(t)))]
         out.append((d, IntMatrix.from_rows(
-            [[vec[k * r + j] % q for j in range(r)] for k, q in enumerate(Q.orders)])))
+            [[sum(lift[j * s + i][x] * v for x, v in y) % q for j in range(P.rank)]
+             for i, q in enumerate(Q.orders)])))
     return out
 
 
@@ -464,10 +571,11 @@ def hom_group(M: AModObject, N: AModObject, degree: int = 0) -> HomResult:
     ring generators, with one generating homomorphism per invariant factor."""
     _check_same_ring(M.ring, N.ring, "hom")
     _reject_free(M, N)
+    pres = presentation_of(M.ring)
     degree %= 2
     targets = [N.parts[(d + degree) % 2] for d in (0, 1)]
     found = [(d, order, X) for d in (0, 1)
-             for order, X in _hom_block(M.parts[d], targets[d])]
+             for order, X in _hom_block(pres, M.parts[d], targets[d])]
     # The two blocks' factors need not form one divisibility chain (C3 and
     # C5 make C15): recombine the maps along a Smith form of them.
     n = len(found)
@@ -486,117 +594,28 @@ def hom_group(M: AModObject, N: AModObject, degree: int = 0) -> HomResult:
     return HomResult(FinAbGroup(tuple(factors)), tuple(gens))
 
 
-# ---------------------------------------------------------------------------
-# Ext^1
-
-
-def _word_matrix(mats: Sequence[IntMatrix], word: tuple[int, ...], r: int) -> IntMatrix:
-    out = IntMatrix.identity(r)
-    for g in word:
-        out = out @ mats[g]
-    return out
-
-
-@dataclass(frozen=True)
-class _CoverKernel:
-    """Kernel lattice of a free cover R^{r2} ->> module part: its rank, its
-    basis as columns of B (rows indexed by cover coordinates), the generator
-    actions in the kernel basis, and the cover generator vectors."""
-
-    lam: int
-    B: tuple[tuple[int, ...], ...]
-    actions: tuple[IntMatrix, ...]
-    gvecs: tuple[tuple[int, ...], ...]
-
-
-def _free_cover_kernel(pres: RingPresentation, orders: Sequence[int],
-                       mats: Sequence[IntMatrix],
-                       extra_generators: Sequence[Sequence[int]] = ()) -> _CoverKernel:
-    r = len(orders)
-    rho = pres.rank
-    word_mats = [_word_matrix(mats, w, r) for w in pres.basis_words]
-    # Irredundant cover: e_j becomes a generator only when it lies outside
-    # the Z-span of the order rows o_i e_i and of the R-span of the
-    # generators before it (order 0 marks a free lattice); `span` holds the
-    # Hermite rows of that Z-span.
-    span = [tuple(o if i == j else 0 for i in range(r)) for j, o in enumerate(orders) if o]
-    gvecs, cols = [], []
-    for e in IntMatrix.identity(r).entries:
-        if hermite_coordinates(span, [e])[0] is None:
-            gvecs.append(e)
-            new = [wm.matvec(e) for wm in word_mats]
-            cols += new
-            span = [row for row in hnf(span + new)[0].entries if any(row)]
-    for v in extra_generators:
-        gvecs.append(tuple(map(int, v)))
-        cols += [wm.matvec(gvecs[-1]) for wm in word_mats]
-    n = len(cols)
-    kernel = congruence_kernel([[col[i] for col in cols] for i in range(r)], list(orders))
-    lam = len(kernel)
-    B = tuple(tuple(kernel[l][x] for l in range(lam)) for x in range(n))
-    solver = ExactSolver([list(row) for row in B]) if lam else None
-    actions = []
-    for G in pres.gen_mats:
-        # G acts on each cover slot's copy of R by its left-regular matrix.
-        act = []
-        for x in kernel:
-            y = solver.solve([c for k in range(0, n, rho) for c in G.matvec(x[k:k + rho])])
-            if y is None:
-                raise RuntimeError("free-cover kernel is not generator-stable")
-            act.append(y)
-        actions.append(IntMatrix.from_rows([[act[l][k] for l in range(lam)]
-                                            for k in range(lam)]))
-    return _CoverKernel(lam, B, tuple(actions), tuple(gvecs))
-
-
-def _lattice_hom_quotient(lam: int, K_actions: Sequence[IntMatrix],
-                          Q: ModulePart, extra_relations) -> FinAbGroup:
-    """Hom_R(K, Q) / (relations), for K a free lattice of rank lam with the
-    given generator actions.  extra_relations yields integer matrices (s x lam)
-    to quotient out in addition to the trivial maps."""
-    _, rel_cols = _hom_lattice(lam, K_actions, Q, relations=extra_relations)
-    # the trivial maps are among the relations, so lcm(Q.orders) kills the
-    # quotient
-    group = cokernel(rel_cols, Q.rank * lam, math.lcm(*Q.orders))
+def _ext_block(pres: RingPresentation, cover: _CoverKernel, Q: ModulePart) -> FinAbGroup:
+    """Ext^1_R(X, Q) for X presented by the cover R^g0 ->> X with kernel K:
+    Hom_R(K, Q), presented through K's own cover R^g1 ->> K, modulo the
+    image of d0, which restricts the maps R^g0 -> Q to K."""
+    if Q.rank == 0 or not cover.kernel:
+        return FinAbGroup.trivial()
+    inner, relators = _syzygy(pres, cover)
+    # column (j, t) of d0: the map sending slot j to Q's coordinate vector e_t
+    images = list(zip(*_evaluations(pres, relators, Q)))
+    basis, coords = _presented_hom(pres, inner, Q, images)
+    # the trivial images are among the relations, so lcm(Q.orders) kills
+    # the quotient
+    group = cokernel(coords, len(basis), math.lcm(*Q.orders))
     if group.free_rank:
         raise RuntimeError("Ext of finite modules must be finite")
     return group
 
 
-def _restriction_images(pres: RingPresentation, cover: _CoverKernel,
-                        Q: ModulePart):
-    """Integer matrices (s x lam): the R-maps R^{r2} -> Q sending one cover
-    slot to one coordinate generator of Q, restricted to the kernel lattice."""
-    rho = pres.rank
-    s = Q.rank
-    lam = cover.lam
-    word_mats_Q = [_word_matrix(Q.mats, w, s) for w in pres.basis_words]
-    for j2 in range(len(cover.gvecs)):
-        for i in range(s):
-            mat = [[0] * lam for _ in range(s)]
-            for l in range(lam):
-                for beta in range(rho):
-                    c = cover.B[j2 * rho + beta][l]
-                    if c:
-                        col = word_mats_Q[beta]
-                        for ii in range(s):
-                            mat[ii][l] += c * col.entries[ii][i]
-            yield mat
-
-
-def _ext_block(pres: RingPresentation, P: ModulePart, Q: ModulePart,
-               extra_generators: Sequence[Sequence[int]] = ()) -> FinAbGroup:
-    if Q.rank == 0 or (P.rank == 0 and not extra_generators):
-        return FinAbGroup.trivial()
-    cover = _free_cover_kernel(pres, P.orders, P.mats, extra_generators)
-    return _lattice_hom_quotient(cover.lam, cover.actions, Q,
-                                 _restriction_images(pres, cover, Q))
-
-
 def ext_group(M: AModObject, N: AModObject, degree: int = 0,
               extra_generators: Optional[dict[int, Sequence[Sequence[int]]]] = None,
               ) -> FinAbGroup:
-    """Ext^1 of degree-shifting module maps, through the free-cover kernel.
+    """Ext^1 of degree-shifting module maps, through the free resolution.
 
     extra_generators optionally adds redundant module generators per source
     degree; the result must not depend on them (well-definedness probe).
@@ -610,7 +629,8 @@ def ext_group(M: AModObject, N: AModObject, degree: int = 0,
     for d in (0, 1):
         P = M.parts[d]
         Q = N.parts[(d + degree) % 2]
-        out = out.direct_sum(_ext_block(pres, P, Q, tuple(extra.get(d, ()))))
+        if Q.rank and (P.rank or extra.get(d)):
+            out = out.direct_sum(_ext_block(pres, _part_cover(pres, P, extra.get(d, ())), Q))
     return out
 
 
@@ -628,15 +648,9 @@ def ext_second_step(M: AModObject, N: AModObject, degree: int = 0) -> FinAbGroup
     for d in (0, 1):
         P = M.parts[d]
         Q = N.parts[(d + degree) % 2]
-        if P.rank == 0 or Q.rank == 0:
-            continue
-        first = _free_cover_kernel(pres, P.orders, P.mats)
-        # second cover: R^lam ->> K (orders all 0 marks a free lattice)
-        second = _free_cover_kernel(pres, (0,) * first.lam, first.actions)
-        out = out.direct_sum(
-            _lattice_hom_quotient(second.lam, second.actions, Q,
-                                  _restriction_images(pres, second, Q))
-        )
+        if P.rank and Q.rank:
+            inner, _ = _syzygy(pres, _part_cover(pres, P))
+            out = out.direct_sum(_ext_block(pres, inner, Q))
     return out
 
 
@@ -718,15 +732,15 @@ def uct_order(A: AModFamily, B: AModFamily) -> UCTOrderResult:
     the middle group's order is the product of the two ends, per degree."""
     if A.report != B.report:
         raise FamilyMismatch("families live over different target categories")
-    out = []
-    for d in (0, 1):
-        hom_total = FinAbGroup.trivial()
-        ext_total = FinAbGroup.trivial()
-        for MA, MB in zip(A.modules, B.modules):
-            hom_total = hom_total.direct_sum(hom_group(MA, MB, d).group)
-            ext_total = ext_total.direct_sum(ext_group(MA, suspend(MB), d))
-        out.append(DegreeOrders(hom_total, ext_total))
-    return UCTOrderResult((out[0], out[1]))
+    hom = [FinAbGroup.trivial(), FinAbGroup.trivial()]
+    ext = [FinAbGroup.trivial(), FinAbGroup.trivial()]
+    # Both degrees of one module pair run back to back, so the memoised
+    # covers of MA's parts serve all four Hom and Ext blocks.
+    for MA, MB in zip(A.modules, B.modules):
+        for d in (0, 1):
+            hom[d] = hom[d].direct_sum(hom_group(MA, MB, d).group)
+            ext[d] = ext[d].direct_sum(ext_group(MA, suspend(MB), d))
+    return UCTOrderResult(tuple(DegreeOrders(h, e) for h, e in zip(hom, ext)))
 
 
 # ---------------------------------------------------------------------------
@@ -789,13 +803,12 @@ def family_from_json(report: TargetCategoryReport, data) -> AModFamily:
                 f"summand index {idx!r} out of range (0..{len(flat) - 1})"
             )
         ring = flat[idx]
-        spec0 = e.get("degree0")
-        spec1 = e.get("degree1")
-        M = AModObject.build(
-            ring,
-            _part_from_json(ring, spec0) if spec0 else None,
-            _part_from_json(ring, spec1) if spec1 else None,
-        )
+        # an absent, null or empty degree is zero; any other non-object
+        # is rejected by _part_from_json
+        specs = [e.get(f"degree{d}") for d in (0, 1)]
+        M = AModObject.build(ring, *(
+            None if spec is None or spec == {} else _part_from_json(ring, spec)
+            for spec in specs))
         if idx in assignments:
             raise InputError(f"summand {idx} listed twice")
         assignments[idx] = M

@@ -377,20 +377,6 @@ class ExactSolver:
         return self.V.matvec(y)
 
 
-def _factorint(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    n = abs(n)
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 @dataclass(frozen=True)
 class FinAbGroup:
     """A finitely generated abelian group in invariant-factor form.
@@ -413,24 +399,20 @@ class FinAbGroup:
     def from_orders(cls, orders: Iterable[int]) -> "FinAbGroup":
         """Canonicalize an arbitrary list of cyclic orders (0 means Z)."""
         rank = 0
-        primary: dict[int, list[int]] = {}
+        chain: list[int] = []
         for d in orders:
             d = abs(int(d))
             if d == 0:
                 rank += 1
-            elif d > 1:
-                for p, e in _factorint(d).items():
-                    primary.setdefault(p, []).append(e)
-        slots = max((len(v) for v in primary.values()), default=0)
-        chain = []
-        for i in range(slots):
-            f = 1
-            for p, exps in primary.items():
-                exps_sorted = sorted(exps, reverse=True)
-                if i < len(exps_sorted):
-                    f *= p ** exps_sorted[i]
-            chain.append(f)
-        return cls(tuple(sorted(chain)), rank)
+                continue
+            # Z/a + Z/b = Z/gcd + Z/lcm: pass d down the chain from its top,
+            # each factor keeping the lcm and handing on the gcd; no
+            # factoring, so huge orders cost only gcds.
+            for i in range(len(chain) - 1, -1, -1):
+                chain[i], d = math.lcm(chain[i], d), math.gcd(chain[i], d)
+            if d > 1:
+                chain.insert(0, d)
+        return cls(tuple(chain), rank)
 
     @classmethod
     def trivial(cls) -> "FinAbGroup":

@@ -2,12 +2,30 @@
 
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
-from uctbench.amod import AModObject, ModulePart, presentation_of
+from uctbench.amod import (
+    AModObject,
+    ModulePart,
+    RingPresentation,
+    _smith_basis,
+    _word_matrix,
+    presentation_of,
+)
 from uctbench.crossring import CrossedElt, CrossedRing, RingSummand
 from uctbench.cyclotomic import CycEltN, _reduce_mod_phi, galois
 from uctbench.groups import CyclicClass, CyclicSubgroup, FiniteGroup
-from uctbench.zlinalg import IntMatrix
+from uctbench.zlinalg import (
+    ExactSolver,
+    FinAbGroup,
+    IntMatrix,
+    cokernel,
+    congruence_kernel,
+    hermite_coordinates,
+    hnf,
+    lattice_coordinates,
+)
 
 
 def det_unimodular(U: IntMatrix) -> int:
@@ -102,6 +120,24 @@ def _inverse_mod_prime(mat, q):
     return [row[r:] for row in aug]
 
 
+def rank_mod_prime(rows, q):
+    """Rank of an integer matrix over the field Z/q, q prime."""
+    rows = [[x % q for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, q)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inv % q
+            if f:
+                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 def random_invertible(rng, r, q):
     while True:
         mat = [[rng.randrange(q) for _ in range(r)] for _ in range(r)]
@@ -129,12 +165,38 @@ def conjugated_part(rng, part: ModulePart, q: int) -> ModulePart:
     return ModulePart(part.orders, tuple(mats))
 
 
+def signed_permuted_part(rng, part: ModulePart) -> ModulePart:
+    """Change of basis of a part by a random signed permutation, which keeps
+    the entries small."""
+    r = part.rank
+    perm = list(range(r))
+    rng.shuffle(perm)
+    sign = [rng.choice((1, -1)) for _ in range(r)]
+    mats = []
+    for mat in part.mats:
+        raw = [[0] * r for _ in range(r)]
+        for i in range(r):
+            for j in range(r):
+                raw[perm[i]][perm[j]] = sign[i] * sign[j] * mat.entries[i][j]
+        mats.append(IntMatrix.from_rows(raw))
+    return ModulePart(tuple(part.orders[perm.index(i)] for i in range(r)), tuple(mats))
+
+
 def regular_module_part(summand: RingSummand, q: int) -> ModulePart:
     """The part R/qR with generators acting by the regular representation."""
     pres = presentation_of(summand)
     rank = pres.rank
     orders = (q,) * rank
     return ModulePart(orders, pres.gen_mats)
+
+
+def regular_power_part(summand: RingSummand, q: int, k: int) -> ModulePart:
+    """(R/qR)^k, k copies of the regular part on the diagonal."""
+    part = regular_module_part(summand, q)
+    out = part
+    for _ in range(k - 1):
+        out = _concat_parts(out, part, len(part.mats))
+    return out
 
 
 def coprime_primes(N, bound=50):
@@ -400,3 +462,170 @@ def bfs_abelian_characters(table) -> tuple:
         if ok and len(vals) == m:
             chars.append(tuple(vals[x] for x in range(m)))
     return chars, exponent
+
+
+# ---------------------------------------------------------------------------
+# reference versions of the module solver: Hom as the lattice of matrices
+# commuting with every generator, Ext^1 as that lattice on the cover's
+# kernel modulo the restrictions of the maps out of the cover
+
+
+def _hom_lattice(width: int, src_mats: Sequence[IntMatrix], Q: ModulePart,
+                 src_orders: Sequence[int] = (), relations=()):
+    """The congruence kernel of s x width integer matrices X (flattened row
+    by row) with X g_src == g_Q X mod Q's orders for every generator, and,
+    when source orders o are given, o_j X[:, j] == 0 so that X is well
+    defined on the source group.  Returns its basis and, in that basis, the
+    coordinates of the trivial maps (Q's order times a unit matrix)
+    followed by the flattened `relations`."""
+    s = Q.rank
+    t = s * width
+    rows: list[list[int]] = []
+    moduli: list[int] = []
+    for i in range(s):
+        for j, o in enumerate(src_orders):
+            row = [0] * t
+            row[i * width + j] = o
+            rows.append(row)
+            moduli.append(Q.orders[i])
+    for Gs, GQ in zip(src_mats, Q.mats):
+        for i in range(s):
+            for u in range(width):
+                row = [0] * t
+                for v in range(width):
+                    row[i * width + v] += Gs.entries[v][u]
+                for w in range(s):
+                    row[w * width + u] -= GQ.entries[i][w]
+                rows.append(row)
+                moduli.append(Q.orders[i])
+    vectors = [[Q.orders[i] if k == i * width + j else 0 for k in range(t)]
+               for i in range(s) for j in range(width)]
+    vectors += [[mat[i][l] for i in range(s) for l in range(width)] for mat in relations]
+    basis, coords = lattice_coordinates(rows, moduli, t, vectors)
+    if len(basis) != t:
+        raise RuntimeError("solution lattice must have full rank")
+    return basis, coords
+
+
+def _hom_block(P: ModulePart, Q: ModulePart) -> list[tuple[int, IntMatrix]]:
+    """Hom between two finite parts: (invariant factor, generating map) pairs."""
+    r, s = P.rank, Q.rank
+    t = r * s
+    if t == 0:
+        return []
+    basis, rel_cols = _hom_lattice(r, P.mats, Q, P.orders)
+    out = []
+    for d, col in _smith_basis([[c[i] for c in rel_cols] for i in range(t)], t):
+        vec = [sum(basis[l][x] * col[l] for l in range(t)) for x in range(t)]
+        out.append((d, IntMatrix.from_rows(
+            [[vec[k * r + j] % q for j in range(r)] for k, q in enumerate(Q.orders)])))
+    return out
+
+
+@dataclass(frozen=True)
+class _CoverKernel:
+    """Kernel lattice of a free cover R^{r2} ->> module part: its rank, its
+    basis as columns of B (rows indexed by cover coordinates), the generator
+    actions in the kernel basis, and the cover generator vectors."""
+
+    lam: int
+    B: tuple[tuple[int, ...], ...]
+    actions: tuple[IntMatrix, ...]
+    gvecs: tuple[tuple[int, ...], ...]
+
+
+def _free_cover_kernel(pres: RingPresentation, orders: Sequence[int],
+                       mats: Sequence[IntMatrix],
+                       extra_generators: Sequence[Sequence[int]] = ()) -> _CoverKernel:
+    r = len(orders)
+    rho = pres.rank
+    word_mats = [_word_matrix(mats, w, r) for w in pres.basis_words]
+    # Irredundant cover: e_j becomes a generator only when it lies outside
+    # the Z-span of the order rows o_i e_i and of the R-span of the
+    # generators before it (order 0 marks a free lattice); `span` holds the
+    # Hermite rows of that Z-span.
+    span = [tuple(o if i == j else 0 for i in range(r)) for j, o in enumerate(orders) if o]
+    gvecs, cols = [], []
+    for e in IntMatrix.identity(r).entries:
+        if hermite_coordinates(span, [e])[0] is None:
+            gvecs.append(e)
+            new = [wm.matvec(e) for wm in word_mats]
+            cols += new
+            span = [row for row in hnf(span + new)[0].entries if any(row)]
+    for v in extra_generators:
+        gvecs.append(tuple(map(int, v)))
+        cols += [wm.matvec(gvecs[-1]) for wm in word_mats]
+    n = len(cols)
+    kernel = congruence_kernel([[col[i] for col in cols] for i in range(r)], list(orders))
+    lam = len(kernel)
+    B = tuple(tuple(kernel[l][x] for l in range(lam)) for x in range(n))
+    solver = ExactSolver([list(row) for row in B]) if lam else None
+    actions = []
+    for G in pres.gen_mats:
+        # G acts on each cover slot's copy of R by its left-regular matrix.
+        act = []
+        for x in kernel:
+            y = solver.solve([c for k in range(0, n, rho) for c in G.matvec(x[k:k + rho])])
+            if y is None:
+                raise RuntimeError("free-cover kernel is not generator-stable")
+            act.append(y)
+        actions.append(IntMatrix.from_rows([[act[l][k] for l in range(lam)]
+                                            for k in range(lam)]))
+    return _CoverKernel(lam, B, tuple(actions), tuple(gvecs))
+
+
+def _lattice_hom_quotient(lam: int, K_actions: Sequence[IntMatrix],
+                          Q: ModulePart, extra_relations) -> FinAbGroup:
+    """Hom_R(K, Q) / (relations), for K a free lattice of rank lam with the
+    given generator actions.  extra_relations yields integer matrices (s x lam)
+    to quotient out in addition to the trivial maps."""
+    _, rel_cols = _hom_lattice(lam, K_actions, Q, relations=extra_relations)
+    # the trivial maps are among the relations, so lcm(Q.orders) kills the
+    # quotient
+    group = cokernel(rel_cols, Q.rank * lam, math.lcm(*Q.orders))
+    if group.free_rank:
+        raise RuntimeError("Ext of finite modules must be finite")
+    return group
+
+
+def _restriction_images(pres: RingPresentation, cover: _CoverKernel,
+                        Q: ModulePart):
+    """Integer matrices (s x lam): the R-maps R^{r2} -> Q sending one cover
+    slot to one coordinate generator of Q, restricted to the kernel lattice."""
+    rho = pres.rank
+    s = Q.rank
+    lam = cover.lam
+    word_mats_Q = [_word_matrix(Q.mats, w, s) for w in pres.basis_words]
+    for j2 in range(len(cover.gvecs)):
+        for i in range(s):
+            mat = [[0] * lam for _ in range(s)]
+            for l in range(lam):
+                for beta in range(rho):
+                    c = cover.B[j2 * rho + beta][l]
+                    if c:
+                        col = word_mats_Q[beta]
+                        for ii in range(s):
+                            mat[ii][l] += c * col.entries[ii][i]
+            yield mat
+
+
+def _reference_ext_block(P: ModulePart, Q: ModulePart, pres: RingPresentation) -> FinAbGroup:
+    if Q.rank == 0 or P.rank == 0:
+        return FinAbGroup.trivial()
+    cover = _free_cover_kernel(pres, P.orders, P.mats)
+    return _lattice_hom_quotient(cover.lam, cover.actions, Q,
+                                 _restriction_images(pres, cover, Q))
+
+
+def reference_hom_group(M: AModObject, N: AModObject, degree: int = 0) -> FinAbGroup:
+    """Hom(M, N) of degree-shifting maps as commuting matrices, block by block."""
+    orders = [d for s in (0, 1)
+              for d, _ in _hom_block(M.parts[s], N.parts[(s + degree) % 2])]
+    return FinAbGroup.from_orders(orders)
+
+
+def reference_ext_group(M: AModObject, N: AModObject, degree: int = 0) -> FinAbGroup:
+    """Ext^1(M, N) as Hom of the cover kernel modulo the restriction images."""
+    pres = presentation_of(M.ring)
+    return FinAbGroup.trivial().direct_sum(*(
+        _reference_ext_block(M.parts[s], N.parts[(s + degree) % 2], pres) for s in (0, 1)))

@@ -24,7 +24,12 @@ from uctbench.cli import (
 from uctbench.crossring import target_category
 from uctbench.groups import cyclic_classes, preset_group
 
-from helpers import brute_hom_count, random_module
+from helpers import (
+    brute_hom_count,
+    conjugated_part,
+    random_module,
+    regular_power_part,
+)
 
 
 def _run(name, budget, fn):
@@ -255,3 +260,22 @@ def test_11_crossed_relations_suite():
         return f"{checks} checks over {len(items)} crossed rings, n <= 24"
 
     _run("11 crossed-product relations and splittings to n=24", 30.0, crit)
+
+
+def test_12_heavy_hom_ext_closed_form():
+    def crit():
+        theta5 = target_category(preset_group("cyclic(5)")).flat_summands()[1]
+        unsplit = target_category(preset_group("symmetric(3)")).flat_summands()[0]
+        dense = conjugated_part(random.Random(1), regular_power_part(unsplit, 7, 2), 7)
+        cases = [(theta5, 11, 4, regular_power_part(theta5, 11, 4)),
+                 (unsplit, 7, 3, regular_power_part(unsplit, 7, 3)),
+                 (unsplit, 7, 2, dense)]
+        for summand, q, k, part in cases:
+            M = AModObject(summand, (part, AModObject.zero(summand).parts[1]))
+            n = part.rank * k  # rho * k * k
+            assert hom_group(M, M, 0).group.factors == (q,) * n, (summand.kind, k)
+            assert ext_group(M, M, 0).factors == (q,) * n, (summand.kind, k)
+        return ("Hom = Ext = C_q^(rho k k) for (R/11)^4 over Z[theta_5,1/5], (R/7)^3 and "
+                "densely conjugated (R/7)^2 over Z[1/6][S3]")
+
+    _run("12 heavy Hom and Ext against their closed form", 10.0, crit)

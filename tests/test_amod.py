@@ -27,7 +27,12 @@ from helpers import (
     brute_hom_count,
     conjugated_part,
     random_module,
+    rank_mod_prime,
+    reference_ext_group,
+    reference_hom_group,
     regular_module_part,
+    regular_power_part,
+    signed_permuted_part,
 )
 
 Z2_REPORT = target_category(preset_group("cyclic(2)"))
@@ -37,6 +42,7 @@ Z3_CYC = Z3_REPORT.flat_summands()[1]          # Z[theta_3, 1/3]
 S3_REPORT = target_category(preset_group("symmetric(3)"))
 S3_CROSSED = S3_REPORT.flat_summands()[2]      # Z[theta_3, 1/6] x| Z/2
 S3_UNSPLIT = S3_REPORT.flat_summands()[0]      # Z[1/6][S3], left unsplit
+THETA5 = target_category(preset_group("cyclic(5)")).flat_summands()[1]  # Z[theta_5, 1/5]
 
 
 def int_module(summand, *orders, degree=0):
@@ -152,7 +158,8 @@ def _congruent_zero_rows(X, orders):
 
 def _check_hom_generators(M, N, degree, res):
     """Generator i is a module map killed by factor d_i, and the sums
-    c_1 X_1 + ... with 0 <= c_i < d_i are pairwise different."""
+    c_1 X_1 + ... with 0 <= c_i < d_i are pairwise different: enumerated up
+    to 4096 sums, beyond that (only for C_q^n, q prime) as F_q-independence."""
     assert len(res.generators) == len(res.group.factors)
     pairs = [(M.parts[d], N.parts[(d + degree) % 2]) for d in (0, 1)]
 
@@ -173,6 +180,13 @@ def _check_hom_generators(M, N, degree, res):
                 assert _congruent_zero_rows(diff, Q.orders)
             scaled = IntMatrix.from_rows([[order * v for v in row] for row in X.entries])
             assert _congruent_zero_rows(scaled, Q.orders)
+    if res.group.order() > 4096:
+        q = res.group.factors[0]
+        assert set(res.group.factors) == {q}
+        flat = [[v for d, (P, Q) in enumerate(pairs) for row in block(gen, d).entries for v in row]
+                for gen in res.generators]
+        assert rank_mod_prime(flat, q) == len(flat)
+        return
     sums = {
         tuple(sum(c * block(gen, d).entries[i][j] for c, gen in zip(cs, res.generators)) % q
               for d, (P, Q) in enumerate(pairs)
@@ -209,6 +223,32 @@ def test_hom_generators_merge_factors_across_degrees():
     assert res.group == FinAbGroup((15,))
     assert len(res.generators) == 1
     _check_hom_generators(M, M, 0, res)
+
+
+def test_resolution_matches_reference_solver():
+    # The commuting-matrix Hom and the lattice-Hom Ext (tests/helpers.py)
+    # as the oracle, on same-prime pairs (R/q)^k -> (R/q)^k' where both are
+    # C_q^(rho k k'): signed permutations up to k = 2, and one dense change
+    # of basis.  (R/7)^2 -> (R/7)^2 over the unsplit Z[1/6][S3] is left out:
+    # the reference takes seconds there.
+    rng = random.Random(404)
+    for summand, q in ((Z3_CYC, 7), (S3_CROSSED, 7), (S3_UNSPLIT, 7), (THETA5, 11)):
+        rho = presentation_of(summand).rank
+        zero = AModObject.zero(summand).parts[1]
+        pairs = [(signed_permuted_part(rng, regular_power_part(summand, q, k)),
+                  signed_permuted_part(rng, regular_power_part(summand, q, k2)), k * k2)
+                 for k, k2 in ((1, 1), (1, 2), (2, 1), (2, 2))
+                 if k * k2 < 4 or summand is not S3_UNSPLIT]
+        pairs.append((conjugated_part(rng, regular_module_part(summand, q), q),
+                      regular_module_part(summand, q), 1))
+        for P, Q, kk in pairs:
+            M, N = (AModObject(summand, (X, zero)) for X in (P, Q))
+            assert validate(M).ok and validate(N).ok
+            want = FinAbGroup((q,) * (rho * kk))
+            res = hom_group(M, N, 0)
+            assert res.group == reference_hom_group(M, N, 0) == want, (summand.kind, kk)
+            _check_hom_generators(M, N, 0, res)
+            assert ext_group(M, N, 0) == reference_ext_group(M, N, 0) == want, (summand.kind, kk)
 
 
 def test_hom_matches_bruteforce_seeded():

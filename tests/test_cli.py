@@ -1,7 +1,13 @@
 import json
+import os
+import re
+import subprocess
+import sys
 
 from uctbench.cli import SUITES, main
 from uctbench.groups import preset_group
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(capsys, *argv):
@@ -198,3 +204,46 @@ def test_uct_string_order_rejected(tmp_path, capsys):
                                {"summand": 0, "degree0": {"orders": ["a"]}})
     assert code == 2
     assert "orders must be integers" in err
+
+
+def test_uct_huge_orders_answer_quickly(tmp_path):
+    # Orders were factored by trial division, in validation and again in
+    # the group's invariant factors: a 23-digit order never finished.  Run
+    # in a child process so that a hang fails the test instead of the suite.
+    p = 2 ** 61 - 1
+    files = {}
+    for tag, orders in (("big", [99999999999999999999999]), ("pp", [p * p]), ("p", [p])):
+        files[tag] = tmp_path / f"{tag}.json"
+        files[tag].write_text(json.dumps({"modules": [{"summand": 0,
+                                                       "degree0": {"orders": orders}}]}))
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def uct(a, b):
+        proc = subprocess.run(
+            [sys.executable, "-m", "uctbench.cli", "uct", "preset:cyclic(2)",
+             "--a", str(files[a]), "--b", str(files[b]), "--json"],
+            capture_output=True, text=True, env=env, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    assert uct("big", "big")["degree0"]["hom"]["factors"] == [99999999999999999999999]
+    payload = uct("pp", "p")
+    assert payload["degree0"]["hom"]["factors"] == [p]
+    assert payload["degree1"]["ext"]["factors"] == [p]
+
+
+def test_readme_module_family_example(tmp_path, capsys):
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
+    example = next(b for b in blocks if '"modules"' in b)
+    path = tmp_path / "family.json"
+    path.write_text(example)
+    code, out, err = run(capsys, "uct", "preset:symmetric(3)", "--a", str(path),
+                         "--b", str(path), "--json")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["degree0"]["hom"]["factors"] == [35]
+    assert payload["degree0"]["ext"]["factors"] == []
+    assert payload["degree1"]["hom"]["factors"] == []
+    assert payload["degree1"]["ext"]["factors"] == [35]

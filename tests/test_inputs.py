@@ -44,3 +44,26 @@ def test_preset_non_ascii_digit_exits_2(capsys, preset):
     assert code == 2
     assert err.startswith("error: ")
     assert "takes one integer argument" in err
+
+
+@pytest.mark.parametrize("degree1", [0, False, "", []])
+def test_non_object_degree_exits_2(tmp_path, capsys, degree1):
+    # a falsy non-object degree used to read as a zero part and exit 0
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"modules": [
+        {"summand": 0, "degree0": {"orders": [3]}, "degree1": degree1}]}))
+    code = main(["uct", "preset:cyclic(2)", "--a", str(path), "--b", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "each degree must be an object" in err
+
+
+@pytest.mark.parametrize("degree1", [None, {}])
+def test_null_or_empty_degree_is_zero(tmp_path, capsys, degree1):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"modules": [
+        {"summand": 0, "degree0": {"orders": [3]}, "degree1": degree1}]}))
+    code = main(["uct", "preset:cyclic(2)", "--a", str(path), "--b", str(path), "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["degree0"]["hom"]["factors"] == [3]
