@@ -18,8 +18,11 @@ basis word beta on Q.  Then
 
 and Ext^2 is the same construction one step further on.  A kernel ker d is
 the congruence lattice, modulo Q's orders, of the y whose map vanishes on a
-Z-basis of the kernel it evaluates on; quotients are Smith forms mod lcm(Q's
-orders); a Hom generator y becomes a matrix through a section of the cover.
+set that generates the next kernel as an R-module: ker d0 tests the relators
+(the generators of the cover R^g1 ->> K, where d0 also evaluates) and ker d1
+a Z-basis of the kernel of that cover.  Quotients are Smith forms mod
+lcm(Q's orders); a Hom generator y becomes a matrix through a section of the
+cover.
 
 The free cover is irredundant: a coordinate vector becomes a cover generator
 only when it lies outside the R-span of those chosen before it.  So
@@ -30,7 +33,6 @@ an s x rho k matrix.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -294,10 +296,10 @@ def _mat_poly(coeffs: Sequence[int], M: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(out)
 
 
-def _mat_pow(M: IntMatrix, k: int) -> IntMatrix:
-    out = IntMatrix.identity(M.rows)
-    for _ in range(k):
-        out = out @ M
+def _word_matrix(mats: Sequence[IntMatrix], word: tuple[int, ...], r: int) -> IntMatrix:
+    out = IntMatrix.identity(r)
+    for g in word:
+        out = out @ mats[g]
     return out
 
 
@@ -369,7 +371,7 @@ def validate(M: AModObject) -> ValidationReport:
                 for a in range(m):
                     diff = _mat_sub(
                         wmats[a] @ zmat,
-                        _mat_pow(zmat, ring.weyl_units[a]) @ wmats[a],
+                        _word_matrix([zmat], (0,) * ring.weyl_units[a], r) @ wmats[a],
                     )
                     bad = _congruent_zero(diff, part.orders)
                     if bad is not None:
@@ -407,31 +409,23 @@ class HomResult:
     generators: tuple[HomMap, ...]
 
 
-def _word_matrix(mats: Sequence[IntMatrix], word: tuple[int, ...], r: int) -> IntMatrix:
-    out = IntMatrix.identity(r)
-    for g in word:
-        out = out @ mats[g]
-    return out
-
-
 @dataclass(frozen=True)
 class _CoverKernel:
     """An irredundant free cover R^g ->> X of a module part or lattice X: the
-    generators (vectors of X), the Hermite rows of the kernel K in the cover
-    coordinates Z^(g * rho), slot by slot, and the ring generators' actions
-    on K in that basis."""
+    generators (vectors of X), the cover's columns (the image of basis word
+    beta on generator j at index j * rho + beta), the Hermite rows of the
+    kernel K in the cover coordinates Z^(g * rho), and the ring generators'
+    actions on K in that basis."""
 
     gvecs: tuple[tuple[int, ...], ...]
+    cols: tuple[tuple[int, ...], ...]
     kernel: tuple[tuple[int, ...], ...]
     actions: tuple[IntMatrix, ...]
 
 
-@functools.lru_cache(maxsize=16)
-def _free_cover_kernel(pres: RingPresentation, orders: tuple[int, ...],
-                       mats: tuple[IntMatrix, ...],
-                       extra_generators: tuple[tuple[int, ...], ...] = ()) -> _CoverKernel:
-    # Memoised: uct_order asks for each source part's cover, and for its
-    # kernel's cover, once per Hom and once per Ext target.
+def _free_cover_kernel(pres: RingPresentation, orders: Sequence[int],
+                       mats: Sequence[IntMatrix],
+                       extra_generators: Sequence[Sequence[int]] = ()) -> _CoverKernel:
     r = len(orders)
     rho = pres.rank
     word_mats = [_word_matrix(mats, w, r) for w in pres.basis_words]
@@ -448,35 +442,46 @@ def _free_cover_kernel(pres: RingPresentation, orders: tuple[int, ...],
             cols += new
             span = [row for row in hnf(span + new)[0].entries if any(row)]
     for v in extra_generators:
-        gvecs.append(v)
+        gvecs.append(tuple(v))
         cols += [wm.matvec(v) for wm in word_mats]
-    n = len(cols)
     kernel = congruence_kernel([[col[i] for col in cols] for i in range(r)], list(orders))
     actions = []
     for G in pres.gen_mats:
         # G acts on each cover slot's copy of R by its left-regular matrix.
         coords = hermite_coordinates(
-            kernel, ([c for k in range(0, n, rho) for c in G.matvec(x[k:k + rho])]
+            kernel, ([c for k in range(0, len(cols), rho) for c in G.matvec(x[k:k + rho])]
                      for x in kernel))
         if None in coords:
             raise RuntimeError("free-cover kernel is not generator-stable")
         actions.append(IntMatrix.from_rows(zip(*coords)))
-    return _CoverKernel(tuple(gvecs), tuple(kernel), tuple(actions))
+    return _CoverKernel(tuple(gvecs), tuple(cols), tuple(kernel), tuple(actions))
 
 
-def _part_cover(pres: RingPresentation, P: ModulePart,
-                extra_generators: Sequence[Sequence[int]] = ()) -> _CoverKernel:
-    return _free_cover_kernel(pres, tuple(P.orders), tuple(P.mats),
-                              tuple(tuple(map(int, v)) for v in extra_generators))
+@dataclass(frozen=True)
+class _Resolution:
+    """The first two steps of a free resolution R^g1 -> R^g0 ->> X: the cover
+    of X with kernel K, the cover of K, and K's cover generators written in
+    the first cover's coordinates (the relators, at which d0 evaluates)."""
+
+    cover: _CoverKernel
+    syzygy: _CoverKernel
+    relators: tuple[tuple[int, ...], ...]
 
 
-def _syzygy(pres: RingPresentation,
-            cover: _CoverKernel) -> tuple[_CoverKernel, tuple[tuple[int, ...], ...]]:
-    """The cover of the kernel K, and its generators written in the outer
-    cover's coordinates: the relators at which d0 evaluates."""
-    inner = _free_cover_kernel(pres, (0,) * len(cover.kernel), cover.actions)
-    relators = IntMatrix.from_rows(inner.gvecs) @ IntMatrix.from_rows(cover.kernel)
-    return inner, relators.entries
+def _resolve(pres: RingPresentation, cover: _CoverKernel) -> _Resolution:
+    syzygy = _free_cover_kernel(pres, (0,) * len(cover.kernel), cover.actions)
+    relators = (IntMatrix.from_rows(syzygy.gvecs) @ IntMatrix.from_rows(cover.kernel)).entries
+    return _Resolution(cover, syzygy, tuple(relators))
+
+
+def _resolve_parts(pres: RingPresentation, M: AModObject,
+                 extra: Optional[dict[int, Sequence[Sequence[int]]]] = None,
+                 ) -> list[Optional[_Resolution]]:
+    """The resolution of each part of M (None for a zero part), covered with
+    the optional redundant generators per degree."""
+    extra = extra or {}
+    return [_resolve(pres, _free_cover_kernel(pres, P.orders, P.mats, extra.get(d, ())))
+            if P.rank or extra.get(d) else None for d, P in enumerate(M.parts)]
 
 
 def _evaluations(pres: RingPresentation, vectors: Sequence[Sequence[int]],
@@ -500,18 +505,18 @@ def _evaluations(pres: RingPresentation, vectors: Sequence[Sequence[int]],
     return rows
 
 
-def _presented_hom(pres: RingPresentation, cover: _CoverKernel, Q: ModulePart,
-                   relations: Sequence[Sequence[int]] = ()):
-    """Hom_R(X, Q) for X presented by the cover R^g ->> X: the lattice of
-    generator images y in Z^(g * s) with f_y(c) == 0 mod Q's orders for every
-    Z-basis vector c of the kernel.  Returns its basis and, in that basis,
-    the coordinates of the trivial images (Q's order in one coordinate)
-    followed by `relations`."""
+def _presented_hom(pres: RingPresentation, g: int, vectors: Sequence[Sequence[int]],
+                   Q: ModulePart, relations: Sequence[Sequence[int]] = ()):
+    """Hom_R(X, Q) for X presented by a cover R^g ->> X whose kernel is
+    generated, as an R-module, by `vectors`: the lattice of generator images
+    y in Z^(g * s) with f_y(c) == 0 mod Q's orders for each such c.  Returns
+    its basis and, in that basis, the coordinates of the trivial images (Q's
+    order in one coordinate) followed by `relations`."""
     s = Q.rank
-    t = len(cover.gvecs) * s
-    vectors = [[Q.orders[x % s] if x == y else 0 for x in range(t)] for y in range(t)]
-    return lattice_coordinates(_evaluations(pres, cover.kernel, Q),
-                               list(Q.orders) * len(cover.kernel), t, vectors + list(relations))
+    t = g * s
+    trivial = [[Q.orders[x % s] if x == y else 0 for x in range(t)] for y in range(t)]
+    return lattice_coordinates(_evaluations(pres, vectors, Q), list(Q.orders) * len(vectors),
+                               t, trivial + list(relations))
 
 
 def _smith_basis(X, n: int) -> list[tuple[int, list[int]]]:
@@ -525,38 +530,34 @@ def _smith_basis(X, n: int) -> list[tuple[int, list[int]]]:
     return [(d, [Uinv[l, i] for l in range(n)]) for i, d in enumerate(diag) if d > 1]
 
 
-def _section(pres: RingPresentation, cover: _CoverKernel,
-             P: ModulePart) -> list[tuple[int, ...]]:
+def _section(cover: _CoverKernel, P: ModulePart) -> list[tuple[int, ...]]:
     """A preimage in Z^(g * rho) of each coordinate vector of P: a solution
     of [cover columns | diag(orders)] x = e_t, cut to the cover part."""
-    word_mats = [_word_matrix(P.mats, w, P.rank) for w in pres.basis_words]
-    cols = [wm.matvec(v) for v in cover.gvecs for wm in word_mats]
-    solver = ExactSolver([[col[i] for col in cols]
+    n = len(cover.cols)
+    solver = ExactSolver([[col[i] for col in cover.cols]
                           + [o if k == i else 0 for k, o in enumerate(P.orders)]
                           for i in range(P.rank)])
-    out = []
-    for e in IntMatrix.identity(P.rank).entries:
-        x = solver.solve(e)
-        if x is None:
-            raise RuntimeError("the free cover misses a coordinate vector")
-        out.append(x[:len(cols)])
-    return out
+    xs = [solver.solve(e) for e in IntMatrix.identity(P.rank).entries]
+    if None in xs:
+        raise RuntimeError("the free cover misses a coordinate vector")
+    return [x[:n] for x in xs]
 
 
-def _hom_block(pres: RingPresentation, P: ModulePart,
+def _hom_block(pres: RingPresentation, res: Optional[_Resolution], P: ModulePart,
                Q: ModulePart) -> list[tuple[int, IntMatrix]]:
-    """Hom between two finite parts: (invariant factor, generating map) pairs."""
+    """Hom = ker d0 between two finite parts, P resolved by `res`:
+    (invariant factor, generating map) pairs."""
     s = Q.rank
-    if P.rank == 0 or s == 0:
+    if res is None or s == 0:
         return []
-    cover = _part_cover(pres, P)
-    t = len(cover.gvecs) * s
-    basis, rel_cols = _presented_hom(pres, cover, Q)
+    g = len(res.cover.gvecs)
+    t = g * s
+    basis, rel_cols = _presented_hom(pres, g, res.relators, Q)
     chain = _smith_basis([[c[i] for c in rel_cols] for i in range(t)], t)
     if not chain:
         return []
     # The map's column t is f_y at a preimage of P's coordinate vector e_t.
-    lift = _evaluations(pres, _section(pres, cover, P), Q)
+    lift = _evaluations(pres, _section(res.cover, P), Q)
     out = []
     for d, col in chain:
         y = [(x, v) for x in range(t) if (v := sum(basis[l][x] * col[l] for l in range(t)))]
@@ -566,16 +567,19 @@ def _hom_block(pres: RingPresentation, P: ModulePart,
     return out
 
 
-def hom_group(M: AModObject, N: AModObject, degree: int = 0) -> HomResult:
+def hom_group(M: AModObject, N: AModObject, degree: int = 0, *,
+              _resolved: Optional[Sequence[Optional[_Resolution]]] = None) -> HomResult:
     """The group of degree-shifting module maps M -> N commuting with all
-    ring generators, with one generating homomorphism per invariant factor."""
+    ring generators, with one generating homomorphism per invariant factor.
+    `_resolved` is a caller's resolution of M's parts (see uct_order)."""
     _check_same_ring(M.ring, N.ring, "hom")
     _reject_free(M, N)
     pres = presentation_of(M.ring)
     degree %= 2
+    res = _resolved or _resolve_parts(pres, M)
     targets = [N.parts[(d + degree) % 2] for d in (0, 1)]
     found = [(d, order, X) for d in (0, 1)
-             for order, X in _hom_block(pres, M.parts[d], targets[d])]
+             for order, X in _hom_block(pres, res[d], M.parts[d], targets[d])]
     # The two blocks' factors need not form one divisibility chain (C3 and
     # C5 make C15): recombine the maps along a Smith form of them.
     n = len(found)
@@ -594,16 +598,16 @@ def hom_group(M: AModObject, N: AModObject, degree: int = 0) -> HomResult:
     return HomResult(FinAbGroup(tuple(factors)), tuple(gens))
 
 
-def _ext_block(pres: RingPresentation, cover: _CoverKernel, Q: ModulePart) -> FinAbGroup:
-    """Ext^1_R(X, Q) for X presented by the cover R^g0 ->> X with kernel K:
-    Hom_R(K, Q), presented through K's own cover R^g1 ->> K, modulo the
-    image of d0, which restricts the maps R^g0 -> Q to K."""
-    if Q.rank == 0 or not cover.kernel:
+def _ext_block(pres: RingPresentation, res: Optional[_Resolution], Q: ModulePart) -> FinAbGroup:
+    """Ext^1_R(X, Q) = ker d1 / im d0 for X resolved by `res`: Hom_R(K, Q),
+    presented through K's cover R^g1 ->> K and tested on a Z-basis of that
+    cover's kernel, modulo the image of d0, which restricts the maps
+    R^g0 -> Q to K."""
+    if res is None or Q.rank == 0 or not res.relators:
         return FinAbGroup.trivial()
-    inner, relators = _syzygy(pres, cover)
     # column (j, t) of d0: the map sending slot j to Q's coordinate vector e_t
-    images = list(zip(*_evaluations(pres, relators, Q)))
-    basis, coords = _presented_hom(pres, inner, Q, images)
+    images = list(zip(*_evaluations(pres, res.relators, Q)))
+    basis, coords = _presented_hom(pres, len(res.syzygy.gvecs), res.syzygy.kernel, Q, images)
     # the trivial images are among the relations, so lcm(Q.orders) kills
     # the quotient
     group = cokernel(coords, len(basis), math.lcm(*Q.orders))
@@ -613,29 +617,25 @@ def _ext_block(pres: RingPresentation, cover: _CoverKernel, Q: ModulePart) -> Fi
 
 
 def ext_group(M: AModObject, N: AModObject, degree: int = 0,
-              extra_generators: Optional[dict[int, Sequence[Sequence[int]]]] = None,
-              ) -> FinAbGroup:
+              extra_generators: Optional[dict[int, Sequence[Sequence[int]]]] = None, *,
+              _resolved: Optional[Sequence[Optional[_Resolution]]] = None) -> FinAbGroup:
     """Ext^1 of degree-shifting module maps, through the free resolution.
 
     extra_generators optionally adds redundant module generators per source
     degree; the result must not depend on them (well-definedness probe).
+    `_resolved` is a caller's resolution of M's parts, used instead.
     """
     _check_same_ring(M.ring, N.ring, "ext")
     _reject_free(M, N)
     pres = presentation_of(M.ring)
-    degree %= 2
-    extra = extra_generators or {}
-    out = FinAbGroup.trivial()
-    for d in (0, 1):
-        P = M.parts[d]
-        Q = N.parts[(d + degree) % 2]
-        if Q.rank and (P.rank or extra.get(d)):
-            out = out.direct_sum(_ext_block(pres, _part_cover(pres, P, extra.get(d, ())), Q))
-    return out
+    res = _resolved or _resolve_parts(pres, M, extra_generators)
+    a, b = (_ext_block(pres, res[d], N.parts[(d + degree) % 2]) for d in (0, 1))
+    return a.direct_sum(b)
 
 
 def ext_second_step(M: AModObject, N: AModObject, degree: int = 0) -> FinAbGroup:
-    """Ext^1 of the first syzygy against N, i.e. Ext^2(M, N).
+    """Ext^1 of the first syzygy against N, i.e. Ext^2(M, N): ext_group with
+    each part's resolution moved one step on, to its kernel K.
 
     Hereditarity of the localized rings predicts this is always trivial; it
     is exposed as a verification probe, not used by uct_order.
@@ -643,15 +643,8 @@ def ext_second_step(M: AModObject, N: AModObject, degree: int = 0) -> FinAbGroup
     _check_same_ring(M.ring, N.ring, "ext")
     _reject_free(M, N)
     pres = presentation_of(M.ring)
-    degree %= 2
-    out = FinAbGroup.trivial()
-    for d in (0, 1):
-        P = M.parts[d]
-        Q = N.parts[(d + degree) % 2]
-        if P.rank and Q.rank:
-            inner, _ = _syzygy(pres, _part_cover(pres, P))
-            out = out.direct_sum(_ext_block(pres, inner, Q))
-    return out
+    res = [r and _resolve(pres, r.syzygy) for r in _resolve_parts(pres, M)]
+    return ext_group(M, N, degree, _resolved=res)
 
 
 # ---------------------------------------------------------------------------
@@ -732,15 +725,22 @@ def uct_order(A: AModFamily, B: AModFamily) -> UCTOrderResult:
     the middle group's order is the product of the two ends, per degree."""
     if A.report != B.report:
         raise FamilyMismatch("families live over different target categories")
-    hom = [FinAbGroup.trivial(), FinAbGroup.trivial()]
-    ext = [FinAbGroup.trivial(), FinAbGroup.trivial()]
-    # Both degrees of one module pair run back to back, so the memoised
-    # covers of MA's parts serve all four Hom and Ext blocks.
+    # One resolution of each source module serves both degrees of Hom and
+    # of Ext; the checks come first, as hom_group would make them.
+    resolved = []
     for MA, MB in zip(A.modules, B.modules):
-        for d in (0, 1):
-            hom[d] = hom[d].direct_sum(hom_group(MA, MB, d).group)
-            ext[d] = ext[d].direct_sum(ext_group(MA, suspend(MB), d))
-    return UCTOrderResult(tuple(DegreeOrders(h, e) for h, e in zip(hom, ext)))
+        _check_same_ring(MA.ring, MB.ring, "hom")
+        _reject_free(MA, MB)
+        resolved.append(_resolve_parts(presentation_of(MA.ring), MA))
+    out = []
+    for d in (0, 1):
+        hom_total = FinAbGroup.trivial()
+        ext_total = FinAbGroup.trivial()
+        for MA, MB, res in zip(A.modules, B.modules, resolved):
+            hom_total = hom_total.direct_sum(hom_group(MA, MB, d, _resolved=res).group)
+            ext_total = ext_total.direct_sum(ext_group(MA, suspend(MB), d, _resolved=res))
+        out.append(DegreeOrders(hom_total, ext_total))
+    return UCTOrderResult((out[0], out[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -500,6 +500,26 @@ def test_uct_multi_summand_klein_family():
     assert res.kk_order(1) == 27
 
 
+def test_uct_order_resolves_each_source_part_once(monkeypatch):
+    # uct_order hands one resolution of each source module to all four Hom
+    # and Ext blocks it asks of that module: each nonzero source part is
+    # covered once, and the cover's kernel once.
+    from uctbench import amod
+
+    covered = []
+    real = amod._free_cover_kernel
+    monkeypatch.setattr(amod, "_free_cover_kernel",
+                        lambda *args: covered.append(args[1]) or real(*args))
+    M = direct_sum(cyc_module(Z3_CYC, 7, 2, 0), cyc_module(Z3_CYC, 7, 4, 1))
+    fam = AModFamily.from_modules(Z3_REPORT, {1: M})
+    res = uct_order(fam, fam)
+    assert len(covered) == 4
+    for d in (0, 1):
+        assert res.degrees[d].hom_group == hom_group(M, M, d).group
+        assert res.degrees[d].ext_group == ext_group(M, suspend(M), d)
+    assert res.kk_order(0) == res.kk_order(1) == 49
+
+
 def test_family_mismatch():
     with pytest.raises(FamilyMismatch):
         uct_order(AModFamily.zero(Z2_REPORT), AModFamily.zero(Z3_REPORT))
