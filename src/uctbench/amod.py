@@ -41,10 +41,12 @@ from .crossring import (
     CrossedRing,
     RingSummand,
     TargetCategoryReport,
+    _first_difference,
     companion_matrix,
+    crossed_relations,
     regular_representation,
 )
-from .cyclotomic import cyclotomic, totient
+from .cyclotomic import totient
 from .errors import (
     FamilyMismatch,
     FreePartError,
@@ -266,36 +268,6 @@ class ValidationReport:
     message: Optional[str] = None
 
 
-def _congruent_zero(Mt: IntMatrix, orders: Sequence[int]) -> Optional[tuple[int, int]]:
-    """First entry (i, j) with M[i][j] != 0 mod orders[i], if any."""
-    for i in range(Mt.rows):
-        q = orders[i]
-        for j in range(Mt.cols):
-            v = Mt.entries[i][j]
-            if (v % q if q else v) != 0:
-                return (i, j)
-    return None
-
-
-def _mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return IntMatrix.from_rows(
-        [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)]
-    )
-
-
-def _mat_poly(coeffs: Sequence[int], M: IntMatrix) -> IntMatrix:
-    n = M.rows
-    out = [[0] * n for _ in range(n)]
-    power = IntMatrix.identity(n)
-    for c in coeffs:
-        if c:
-            for i in range(n):
-                for j in range(n):
-                    out[i][j] += c * power.entries[i][j]
-        power = M @ power
-    return IntMatrix.from_rows(out)
-
-
 def _word_matrix(mats: Sequence[IntMatrix], word: tuple[int, ...], r: int) -> IntMatrix:
     out = IntMatrix.identity(r)
     for g in word:
@@ -335,50 +307,33 @@ def validate(M: AModObject) -> ValidationReport:
         if r == 0:
             continue
         named = dict(zip(pres.gen_names, part.mats))
-        if "z" in named:
-            zmat = named["z"]
-            phi = cyclotomic(base).coeffs
-            bad = _congruent_zero(_mat_poly(phi, zmat), part.orders)
-            if bad is not None:
-                return ValidationReport(
-                    False,
-                    f"{tag}: Phi_{base}(z-action) is nonzero mod orders at {bad}",
-                )
         ring = M.ring.ring if isinstance(M.ring, RingSummand) else (
             M.ring if isinstance(M.ring, CrossedRing) else None
         )
         if ring is not None:
-            m = ring.weyl_order
-            wmats = [named[f"w{v}"] for v in range(m)]
-            bad = _congruent_zero(
-                _mat_sub(wmats[0], IntMatrix.identity(r)), part.orders
-            )
+            wmats = [named[f"w{v}"] for v in range(ring.weyl_order)]
+            bad = _first_difference(wmats[0], IntMatrix.identity(r), part.orders)
             if bad is not None:
                 return ValidationReport(
                     False, f"{tag}: identity coset does not act as identity at {bad}"
                 )
-            for a in range(m):
-                for b in range(m):
-                    diff = _mat_sub(wmats[a] @ wmats[b], wmats[ring.weyl_table[a][b]])
-                    bad = _congruent_zero(diff, part.orders)
-                    if bad is not None:
-                        return ValidationReport(
-                            False,
-                            f"{tag}: Weyl table relation w{a}*w{b} fails at {bad}",
-                        )
-            if "z" in named:
-                zmat = named["z"]
-                for a in range(m):
-                    diff = _mat_sub(
-                        wmats[a] @ zmat,
-                        _word_matrix([zmat], (0,) * ring.weyl_units[a], r) @ wmats[a],
-                    )
-                    bad = _congruent_zero(diff, part.orders)
-                    if bad is not None:
-                        return ValidationReport(
-                            False,
-                            f"{tag}: twisted commutation w{a} z = z^u w{a} fails at {bad}",
-                        )
+            table, units = ring.weyl_table, ring.weyl_units
+        elif "z" in named:
+            wmats, table, units = [], (), ()
+        else:
+            continue
+        # over n = 1 there is no z generator: theta_1 = 1 acts as the identity
+        zmat = named.get("z", IntMatrix.identity(r))
+        for rel in crossed_relations(base, table, units, zmat, wmats, part.orders):
+            if rel.bad is None:
+                continue
+            if rel.kind == "phi":
+                what = f"Phi_{base}(z-action) is nonzero mod orders"
+            elif rel.kind == "table":
+                what = f"Weyl table relation w{rel.a}*w{rel.b} fails"
+            else:
+                what = f"twisted commutation w{rel.a} z = z^u w{rel.a} fails"
+            return ValidationReport(False, f"{tag}: {what} at {rel.bad}")
     return ValidationReport(True)
 
 

@@ -20,17 +20,19 @@ from . import __version__
 from .amod import family_from_json, uct_order
 from .crossring import (
     CrossedElt,
+    CrossedRing,
     build_crossed_ring,
+    crossed_relations,
     regular_representation,
     split_ring,
     splitting_idempotents,
     target_category,
 )
 from .cyclotomic import (
+    CycEltN,
     CycPoly,
     crt_join,
     crt_split,
-    cyclotomic,
     divisors,
     evaluate_at_root,
     order_mod,
@@ -47,7 +49,6 @@ from .green import (
     restrict,
 )
 from .groups import FiniteGroup, cyclic_classes, group_from_table, preset_group
-from .zlinalg import IntMatrix
 
 
 def load_group(src: str) -> FiniteGroup:
@@ -174,8 +175,6 @@ def _suite_characters(bound: int, seed: int) -> list[CheckItem]:
     def item(n: int):
         def run():
             checks = 0
-            from .cyclotomic import CycEltN
-
             one = CycEltN.one(n, n)
             zero = CycEltN.zero(n, n)
             for k in divisors(n):
@@ -278,43 +277,24 @@ def _crossed_preset_names(bound: int) -> list[str]:
 
 def _suite_crossed(bound: int, seed: int) -> list[CheckItem]:
     items: list[CheckItem] = []
+    failures = {
+        "phi": "Phi_n(Z) != 0",
+        "table": "coset table relation fails",
+        "twist": "twisted commutation fails",
+    }
 
-    def item(name: str, class_index: int):
+    def item(name: str, class_index: int, ring: CrossedRing):
         def run():
             checks = 0
-            G = preset_group(name)
-            C = cyclic_classes(G)[class_index]
-            ring = build_crossed_ring(C, G.order)
+            label = f"{name}[{class_index}]"
             rep = regular_representation(ring)
-            rank = ring.rank
-            # Phi_n(Z) = 0
-            phi = cyclotomic(ring.n).coeffs
-            acc = IntMatrix.zero(rank, rank)
-            power = IntMatrix.identity(rank)
-            for c in phi:
-                if c:
-                    acc = IntMatrix.from_rows(
-                        [[acc.entries[i][j] + c * power.entries[i][j]
-                          for j in range(rank)] for i in range(rank)]
-                    )
-                power = rep.z @ power
-            if acc != IntMatrix.zero(rank, rank):
-                return checks, f"{name}[{class_index}]: Phi_n(Z) != 0"
-            checks += 1
-            for a in range(ring.weyl_order):
-                for b in range(ring.weyl_order):
-                    if rep.cosets[a] @ rep.cosets[b] != rep.cosets[ring.weyl_table[a][b]]:
-                        return checks, f"{name}[{class_index}]: coset table relation fails"
-                    checks += 1
-                zpow = IntMatrix.identity(rank)
-                for _ in range(ring.weyl_units[a]):
-                    zpow = zpow @ rep.z
-                if rep.cosets[a] @ rep.z != zpow @ rep.cosets[a]:
-                    return checks, f"{name}[{class_index}]: twisted commutation fails"
+            for rel in crossed_relations(ring.n, ring.weyl_table, ring.weyl_units,
+                                         rep.z, rep.cosets, (0,) * ring.rank):
+                if rel.bad is not None:
+                    return checks, f"{label}: {failures[rel.kind]}"
                 checks += 1
             # associativity and unit on seeded random triples
             rng = random.Random(f"{seed}:{name}:{class_index}")
-            from .cyclotomic import CycEltN
 
             def rand_elt():
                 deg = totient(ring.n)
@@ -328,15 +308,15 @@ def _suite_crossed(bound: int, seed: int) -> list[CheckItem]:
             for _ in range(4):
                 x, y, z = rand_elt(), rand_elt(), rand_elt()
                 if (x * y) * z != x * (y * z):
-                    return checks, f"{name}[{class_index}]: associativity fails"
+                    return checks, f"{label}: associativity fails"
                 checks += 1
                 if x * one != x or one * x != x:
-                    return checks, f"{name}[{class_index}]: unit fails"
+                    return checks, f"{label}: unit fails"
                 checks += 1
             # splitting sanity
             parts = split_ring(ring)
             if sum(s.rank() * s.multiplicity for s in parts) != ring.rank:
-                return checks, f"{name}[{class_index}]: summand ranks do not sum to rank"
+                return checks, f"{label}: summand ranks do not sum to rank"
             checks += 1
             idems = splitting_idempotents(ring)
             if idems is not None:
@@ -344,13 +324,13 @@ def _suite_crossed(bound: int, seed: int) -> list[CheckItem]:
                 for i, e in enumerate(idems):
                     total = total + e
                     if e * e != e:
-                        return checks, f"{name}[{class_index}]: idempotent {i} fails e^2=e"
+                        return checks, f"{label}: idempotent {i} fails e^2=e"
                     checks += 1
                     for j, f in enumerate(idems):
                         if i != j and not (e * f).is_zero():
-                            return checks, f"{name}[{class_index}]: idempotents {i},{j} not orthogonal"
+                            return checks, f"{label}: idempotents {i},{j} not orthogonal"
                 if total != one:
-                    return checks, f"{name}[{class_index}]: idempotents do not sum to 1"
+                    return checks, f"{label}: idempotents do not sum to 1"
                 checks += 1
             return checks, None
         return run
@@ -359,8 +339,8 @@ def _suite_crossed(bound: int, seed: int) -> list[CheckItem]:
         G = preset_group(name)
         if G.order > bound:
             continue
-        for ci in range(len(cyclic_classes(G))):
-            items.append((f"{name}[{ci}]", item(name, ci)))
+        for ci, C in enumerate(cyclic_classes(G)):
+            items.append((f"{name}[{ci}]", item(name, ci, build_crossed_ring(C, G.order))))
     return items
 
 

@@ -12,6 +12,9 @@ otherwise, cut out by the idempotent (1/|W|) sum_w c(w) w, where
 c(w) = mu(o) phi(d) / phi(o) is the Ramanujan sum at the order o of chi(w).
 Every other ring is kept as an honest unsplit crossed product and handled
 through its regular representation.
+
+`crossed_relations` checks the defining relations on given action matrices
+for both module validation and the crossed-relations suite.
 """
 
 from __future__ import annotations
@@ -19,12 +22,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .cyclotomic import (
     CycEltN,
     _reduce_mod_phi,
     _tables,
+    cyclotomic,
     galois,
     prime_factors,
     totient,
@@ -229,6 +233,57 @@ def companion_matrix(d: int) -> IntMatrix:
         for s in range(deg):
             rows[s][i] = vec[s]
     return IntMatrix.from_rows(rows)
+
+
+# ---------------------------------------------------------------------------
+# defining relations on action matrices
+
+
+class Relation(NamedTuple):
+    """One defining relation: kind "phi" (Phi_n(z) = 0), "table"
+    (w_a w_b = w_ab) or "twist" (w_a z = z^u_a w_a), and the first entry
+    (i, j) at which it fails, None when it holds."""
+
+    kind: str
+    a: int
+    b: int
+    bad: Optional[tuple[int, int]]
+
+
+def _first_difference(A: IntMatrix, B: IntMatrix,
+                      orders: Sequence[int]) -> Optional[tuple[int, int]]:
+    """First entry (i, j) at which A and B differ modulo orders[i] (0 means
+    exactly), or None.  Only unequal matrices are walked entry by entry."""
+    if A == B:
+        return None
+    for i, (ra, rb, q) in enumerate(zip(A.entries, B.entries, orders)):
+        for j, (x, y) in enumerate(zip(ra, rb)):
+            if (x - y) % q if q else x != y:
+                return i, j
+    return None
+
+
+def crossed_relations(n: int, weyl_table, weyl_units: Sequence[int], z: IntMatrix,
+                      cosets: Sequence[IntMatrix], orders: Sequence[int]):
+    """The defining relations of Z[theta_n] x| W on action matrices (z for
+    theta_n, one per Weyl coset), entries of row i read modulo orders[i].
+
+    Yields 1 + m^2 + m Relations for m cosets: Phi_n(z) = 0, then for each
+    coset a the relations w_a w_b = w_{ab} for every b and w_a z = z^{u_a} w_a."""
+    phi = cyclotomic(n).coeffs
+    powers = [IntMatrix.identity(z.rows)]
+    for _ in range(max([len(phi) - 1, *weyl_units])):
+        powers.append(z @ powers[-1])
+    value = IntMatrix.from_rows(
+        [sum(c * x for c, x in zip(phi, col)) for col in zip(*rows)]
+        for rows in zip(*(p.entries for p in powers)))
+    yield Relation("phi", 0, 0, _first_difference(value, IntMatrix.zero(z.rows, z.rows), orders))
+    for a, wa in enumerate(cosets):
+        for b, wb in enumerate(cosets):
+            yield Relation("table", a, b,
+                           _first_difference(wa @ wb, cosets[weyl_table[a][b]], orders))
+        yield Relation("twist", a, 0,
+                       _first_difference(wa @ z, powers[weyl_units[a]] @ wa, orders))
 
 
 # ---------------------------------------------------------------------------

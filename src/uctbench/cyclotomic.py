@@ -1,9 +1,16 @@
 """Exact arithmetic in Z[z], Z[1/N][z]/(z^n - 1) and Z[1/N][z]/(Phi_n).
 
-Elements carry a single shared denominator whose prime factors must divide
-the inverted integer N; normalization strips exactly those primes.  The
-n-th cyclotomic polynomial is computed by exact division of z^n - 1 by the
-product over proper divisors, and cached together with a table of the
+Elements of both quotient rings are integer coefficient vectors over a
+single shared denominator whose prime factors must divide the inverted
+integer N; normalization strips exactly those primes.  One private base
+class holds that representation (validation, normalization, sums, scalar
+multiples, the JSON round trip); CycPoly (n slots, product mod z^n - 1) and
+CycEltN (phi(n) slots, product mod Phi_n) add only their length and their
+product.  The maps z -> z^k behind evaluation, the Galois action,
+substitution and the CRT fold all go through `_spread`.
+
+The n-th cyclotomic polynomial is computed by exact division of z^n - 1 by
+the product over proper divisors, and cached together with a table of the
 powers z^t reduced modulo Phi_n (the workhorse for evaluation, Galois
 action and multiplication).  Cache fills are idempotent, so concurrent
 initialization is safe.
@@ -239,12 +246,23 @@ def _require_inverted(n: int, N: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# elements of Z[1/N][z]/(z^n - 1)
+# coefficient vectors over one shared denominator
+
+
+def _spread(num, k: int, m: int) -> list[int]:
+    """z -> z^k mod z^m - 1: slot i of num goes to slot i*k mod m."""
+    out = [0] * m
+    for i, c in enumerate(num):
+        if c:
+            out[(i * k) % m] += c
+    return out
 
 
 @dataclass(frozen=True)
-class CycPoly:
-    """Element of Z[1/N][z]/(z^n - 1): integer vector num over denominator den."""
+class _CoeffVector:
+    """Integer vector num over denominator den, one slot per basis power of
+    z.  A subclass supplies _length(n), the slot count, and _convolve, the
+    product of two numerators reduced to that many slots."""
 
     n: int
     N: int
@@ -254,75 +272,51 @@ class CycPoly:
     def __post_init__(self):
         if self.n < 1 or self.N < 1 or self.den < 1:
             raise ValueError("n, N, den must be positive")
-        if len(self.num) != self.n:
-            raise ValueError(f"expected {self.n} coefficients, got {len(self.num)}")
+        size = self._length(self.n)
+        if len(self.num) != size:
+            raise ValueError(f"expected {size} coefficients, got {len(self.num)}")
         num, den = _normalize([int(x) for x in self.num], self.den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         _check_supported(self.den, self.N)
 
     @classmethod
-    def zero(cls, n: int, N: int) -> "CycPoly":
-        return cls(n, N, (0,) * n)
+    def zero(cls, n: int, N: int):
+        return cls(n, N, (0,) * cls._length(n))
 
     @classmethod
-    def one(cls, n: int, N: int) -> "CycPoly":
-        return cls(n, N, (1,) + (0,) * (n - 1))
-
-    @classmethod
-    def monomial(cls, n: int, N: int, e: int, coeff: int = 1) -> "CycPoly":
-        num = [0] * n
-        num[e % n] = coeff
-        return cls(n, N, tuple(num))
+    def one(cls, n: int, N: int):
+        return cls(n, N, (1,) + (0,) * (cls._length(n) - 1))
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.num)
 
-    def _check_compatible(self, other: "CycPoly") -> None:
+    def _check_compatible(self, other) -> None:
         if self.n != other.n or self.N != other.N:
             raise ModulusMismatch(
                 f"(n={self.n}, N={self.N}) vs (n={other.n}, N={other.N})"
             )
 
-    def __add__(self, other: "CycPoly") -> "CycPoly":
+    def __add__(self, other):
         self._check_compatible(other)
         l = math.lcm(self.den, other.den)
         fa, fb = l // self.den, l // other.den
-        return CycPoly(self.n, self.N,
-                       tuple(fa * a + fb * b for a, b in zip(self.num, other.num)), l)
+        return type(self)(self.n, self.N,
+                          tuple(fa * a + fb * b for a, b in zip(self.num, other.num)), l)
 
-    def __neg__(self) -> "CycPoly":
-        return CycPoly(self.n, self.N, tuple(-x for x in self.num), self.den)
+    def __neg__(self):
+        return type(self)(self.n, self.N, tuple(-x for x in self.num), self.den)
 
-    def __sub__(self, other: "CycPoly") -> "CycPoly":
+    def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return CycPoly(self.n, self.N, tuple(other * x for x in self.num), self.den)
+            return type(self)(self.n, self.N, tuple(other * x for x in self.num), self.den)
         self._check_compatible(other)
-        out = [0] * self.n
-        n = self.n
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in enumerate(other.num):
-                    if b:
-                        out[(i + j) % n] += a * b
-        return CycPoly(self.n, self.N, tuple(out), self.den * other.den)
+        return type(self)(self.n, self.N, self._convolve(other.num), self.den * other.den)
 
     __rmul__ = __mul__
-
-    def substitute_power(self, k: int) -> "CycPoly":
-        """Ring map z -> z^k (well defined mod z^n - 1 for any integer k)."""
-        out = [0] * self.n
-        for i, a in enumerate(self.num):
-            if a:
-                out[(i * k) % self.n] += a
-        return CycPoly(self.n, self.N, tuple(out), self.den)
-
-    def with_inverted(self, N: int) -> "CycPoly":
-        """Reinterpret over Z[1/N]; the denominator must stay supported."""
-        return CycPoly(self.n, N, self.num, self.den)
 
     def to_json_dict(self) -> dict:
         """Coefficients as decimal strings, lowest degree first."""
@@ -330,9 +324,45 @@ class CycPoly:
                 "coeffs": [str(c) for c in self.num]}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "CycPoly":
+    def from_json_dict(cls, data: dict):
         return cls(int(data["n"]), int(data["N"]),
                    tuple(int(c) for c in data["coeffs"]), int(data["den"]))
+
+
+# ---------------------------------------------------------------------------
+# elements of Z[1/N][z]/(z^n - 1)
+
+
+class CycPoly(_CoeffVector):
+    """Element of Z[1/N][z]/(z^n - 1): integer vector num over denominator den."""
+
+    @staticmethod
+    def _length(n: int) -> int:
+        return n
+
+    def _convolve(self, other: tuple[int, ...]) -> tuple[int, ...]:
+        n = self.n
+        out = [0] * n
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in enumerate(other):
+                    if b:
+                        out[(i + j) % n] += a * b
+        return tuple(out)
+
+    @classmethod
+    def monomial(cls, n: int, N: int, e: int, coeff: int = 1) -> "CycPoly":
+        num = [0] * n
+        num[e % n] = coeff
+        return cls(n, N, tuple(num))
+
+    def substitute_power(self, k: int) -> "CycPoly":
+        """Ring map z -> z^k (well defined mod z^n - 1 for any integer k)."""
+        return CycPoly(self.n, self.N, tuple(_spread(self.num, k, self.n)), self.den)
+
+    def with_inverted(self, N: int) -> "CycPoly":
+        """Reinterpret over Z[1/N]; the denominator must stay supported."""
+        return CycPoly(self.n, N, self.num, self.den)
 
 
 def cyc_add(a: CycPoly, b: CycPoly) -> CycPoly:
@@ -370,107 +400,38 @@ def psi(n: int, k: int, N: int | None = None) -> CycPoly:
 # elements of Z[1/N][z]/(Phi_n)  (the ring Z[theta_n, 1/N])
 
 
-@dataclass(frozen=True)
-class CycEltN:
+class CycEltN(_CoeffVector):
     """Element of Z[theta_n, 1/N] as a vector of length deg(Phi_n)."""
 
-    n: int
-    N: int
-    num: tuple[int, ...]
-    den: int = 1
+    _length = staticmethod(totient)
 
-    def __post_init__(self):
-        if self.n < 1 or self.N < 1 or self.den < 1:
-            raise ValueError("n, N, den must be positive")
-        deg = totient(self.n)
-        if len(self.num) != deg:
-            raise ValueError(f"expected {deg} coefficients, got {len(self.num)}")
-        num, den = _normalize([int(x) for x in self.num], self.den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        _check_supported(self.den, self.N)
-
-    @classmethod
-    def zero(cls, n: int, N: int) -> "CycEltN":
-        return cls(n, N, (0,) * totient(n))
+    def _convolve(self, other: tuple[int, ...]) -> tuple[int, ...]:
+        out = [0] * (2 * len(self.num) - 1)
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in enumerate(other):
+                    if b:
+                        out[i + j] += a * b
+        return _reduce_mod_phi(self.n, out)
 
     @classmethod
     def from_int(cls, n: int, N: int, value: int, den: int = 1) -> "CycEltN":
-        num = [0] * totient(n)
-        if num:
-            num[0] = value
-        return cls(n, N, tuple(num), den)
-
-    @classmethod
-    def one(cls, n: int, N: int) -> "CycEltN":
-        return cls.from_int(n, N, 1)
+        return cls(n, N, (value,) + (0,) * (totient(n) - 1), den)
 
     @classmethod
     def root_power(cls, n: int, N: int, t: int) -> "CycEltN":
         """theta_n^t as a reduced element."""
         return cls(n, N, _tables(n).powers[t % n])
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.num)
-
     def is_rational(self) -> bool:
         return all(x == 0 for x in self.num[1:])
-
-    def _check_compatible(self, other: "CycEltN") -> None:
-        if self.n != other.n or self.N != other.N:
-            raise ModulusMismatch(
-                f"(n={self.n}, N={self.N}) vs (n={other.n}, N={other.N})"
-            )
-
-    def __add__(self, other: "CycEltN") -> "CycEltN":
-        self._check_compatible(other)
-        l = math.lcm(self.den, other.den)
-        fa, fb = l // self.den, l // other.den
-        return CycEltN(self.n, self.N,
-                       tuple(fa * a + fb * b for a, b in zip(self.num, other.num)), l)
-
-    def __neg__(self) -> "CycEltN":
-        return CycEltN(self.n, self.N, tuple(-x for x in self.num), self.den)
-
-    def __sub__(self, other: "CycEltN") -> "CycEltN":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CycEltN(self.n, self.N, tuple(other * x for x in self.num), self.den)
-        self._check_compatible(other)
-        deg = len(self.num)
-        out = [0] * max(2 * deg - 1, 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in enumerate(other.num):
-                    if b:
-                        out[i + j] += a * b
-        return CycEltN(self.n, self.N, _reduce_mod_phi(self.n, out),
-                       self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def to_json_dict(self) -> dict:
-        """Coefficients as decimal strings, lowest degree first."""
-        return {"n": self.n, "N": self.N, "den": str(self.den),
-                "coeffs": [str(c) for c in self.num]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CycEltN":
-        return cls(int(data["n"]), int(data["N"]),
-                   tuple(int(c) for c in data["coeffs"]), int(data["den"]))
 
 
 def evaluate_at_root(a: CycPoly, j: int) -> CycEltN:
     """Image of a under z -> theta_n^j: substitute z -> z^j mod z^n - 1,
     then reduce mod Phi_n.  The codomain is always Z[theta_n, 1/N]."""
     n = a.n
-    acc = [0] * n
-    for i, c in enumerate(a.num):
-        if c:
-            acc[(i * j) % n] += c
-    return CycEltN(n, a.N, _reduce_mod_phi(n, acc), a.den)
+    return CycEltN(n, a.N, _reduce_mod_phi(n, _spread(a.num, j, n)), a.den)
 
 
 def galois(a: CycEltN, k: int) -> CycEltN:
@@ -478,28 +439,15 @@ def galois(a: CycEltN, k: int) -> CycEltN:
     n = a.n
     if math.gcd(k, n) != 1:
         raise NotAUnit(f"k={k} is not a unit mod {n}")
-    acc = [0] * n
-    for i, c in enumerate(a.num):
-        if c:
-            acc[(i * k) % n] += c
-    return CycEltN(n, a.N, _reduce_mod_phi(n, acc), a.den)
+    return CycEltN(n, a.N, _reduce_mod_phi(n, _spread(a.num, k, n)), a.den)
 
 
 def crt_split(a: CycPoly) -> dict[int, CycEltN]:
     """Components of a in prod_{k | n} Z[theta_k, 1/N]; requires every prime
     of n to divide N."""
-    n = a.n
-    _require_inverted(n, a.N)
-    out: dict[int, CycEltN] = {}
-    for k in divisors(n):
-        folded = [0] * k
-        for i, c in enumerate(a.num):
-            if c:
-                folded[i % k] += c
-        out[k] = CycEltN(k, a.N, _reduce_mod_phi(k, folded), a.den)
-    return out
-
-
+    _require_inverted(a.n, a.N)
+    return {k: CycEltN(k, a.N, _reduce_mod_phi(k, _spread(a.num, 1, k)), a.den)
+            for k in divisors(a.n)}
 def crt_join(parts: dict[int, CycEltN]) -> CycPoly:
     """Two-sided inverse of crt_split, assembled with the psi idempotents."""
     if not parts:

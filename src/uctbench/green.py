@@ -26,7 +26,7 @@ from .cyclotomic import (
     CycEltN,
     CycPoly,
     _reduce_mod_phi,
-    _strip_supported,
+    _spread,
     _tables,
     divisors,
     evaluate_at_root,
@@ -38,6 +38,7 @@ from .errors import (
     DescentFailure,
     NotADivisor,
     NotAUnit,
+    PrimeNotInverted,
 )
 
 
@@ -145,12 +146,7 @@ def include(v: CycEltN, n: int) -> CycEltN:
         raise NotADivisor(f"{k} must divide {n}")
     if k == n:
         return v
-    w = n // k
-    acc = [0] * n
-    for s, c in enumerate(v.num):
-        if c:
-            acc[w * s] += c
-    return CycEltN(n, v.N, _reduce_mod_phi(n, acc), v.den)
+    return CycEltN(n, v.N, _reduce_mod_phi(n, _spread(v.num, n // k, n)), v.den)
 
 
 def char_solve(n: int, N: int, values: Sequence[CycEltN]) -> RepElt:
@@ -187,16 +183,10 @@ def char_solve(n: int, N: int, values: Sequence[CycEltN]) -> RepElt:
                 f"character system has no solution in the group ring (slot {e})"
             )
         raw.append(reduced[0])
-    total_den = n * den
-    g = math.gcd(total_den, math.gcd(*raw) if raw else 0)
-    if g > 1:
-        raw = [x // g for x in raw]
-        total_den //= g
-    if _strip_supported(total_den, N) != 1:
-        raise CharacterSolveError(
-            f"solution needs denominator {total_den} outside Z[1/{N}]"
-        )
-    return RepElt(CycPoly(n, N, tuple(raw), total_den))
+    try:
+        return RepElt(CycPoly(n, N, tuple(raw), n * den))
+    except PrimeNotInverted as exc:
+        raise CharacterSolveError(f"character system solution: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -33,16 +33,11 @@ class FiniteGroup:
     inv: tuple[int, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
+        # a right inverse in a group is two-sided; group_from_table has
+        # checked the table before any group is built from it
         if not self.inv:
             e = self.identity
-            inv = [-1] * self.order
-            for a in range(self.order):
-                row = self.mul[a]
-                for b in range(self.order):
-                    if row[b] == e and self.mul[b][a] == e:
-                        inv[a] = b
-                        break
-            object.__setattr__(self, "inv", tuple(inv))
+            object.__setattr__(self, "inv", tuple(row.index(e) for row in self.mul))
 
     def multiply(self, a: int, b: int) -> int:
         return self.mul[a][b]
@@ -169,23 +164,14 @@ def _dihedral_table(n: int) -> list[list[int]]:
 def _symmetric_table(n: int) -> list[list[int]]:
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    table = []
-    for p in perms:
-        table.append([index[tuple(p[q[x]] for x in range(n))] for q in perms])
-    return table
+    return [[index[tuple(map(p.__getitem__, q))] for q in perms] for p in perms]
 
 
 def _direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    order = a.order * b.order
-    mul = []
-    for x in range(order):
-        xa, xb = divmod(x, b.order)
-        row = []
-        for y in range(order):
-            ya, yb = divmod(y, b.order)
-            row.append(a.mul[xa][ya] * b.order + b.mul[xb][yb])
-        mul.append(tuple(row))
-    return FiniteGroup(order, tuple(mul), a.identity * b.order + b.identity)
+    # (x, y) has index x * |b| + y; its row pairs row x of a with row y of b
+    k = b.order
+    mul = tuple(tuple(p * k + q for p in ra for q in rb) for ra in a.mul for rb in b.mul)
+    return FiniteGroup(a.order * k, mul, a.identity * k + b.identity)
 
 
 def _split_call(spec: str) -> tuple[str, Optional[list[str]]]:

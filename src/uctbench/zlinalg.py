@@ -251,30 +251,9 @@ def snf(A, modulus: int = 0) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return IntMatrix.from_rows(M), IntMatrix.from_rows(U), IntMatrix.from_rows(V)
 
 
-def kernel_basis(A) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel {x : A x = 0}, canonical (HNF) rows."""
-    M = _as_lists(A)
-    r = len(M)
-    c = len(M[0]) if M else 0
-    if c == 0:
-        return []
-    # Rows of [A^T | I] span pairs (A u, u); echelon rows with zero head
-    # give a basis of the kernel.
-    stacked = [[M[i][j] for i in range(r)] + [1 if t == j else 0 for t in range(c)]
-               for j in range(c)]
-    H, _ = hnf(stacked)
-    out = []
-    for row in H.entries:
-        if any(row[:r]):
-            continue
-        tail = row[r:]
-        if any(tail):
-            out.append(tuple(tail))
-    return out
-
-
 def congruence_kernel(A, moduli: Sequence[int]) -> list[tuple[int, ...]]:
-    """Basis of the lattice {x in Z^cols : (A x)_i == 0 mod moduli[i]}.
+    """Basis of the lattice {x in Z^cols : (A x)_i == 0 mod moduli[i]}, in
+    Hermite form.
 
     A modulus of 0 demands exact vanishing of that row.
     """
@@ -283,19 +262,16 @@ def congruence_kernel(A, moduli: Sequence[int]) -> list[tuple[int, ...]]:
     c = len(M[0]) if M else 0
     if len(moduli) != r:
         raise ValueError("one modulus per row required")
-    aug = [list(row) for row in M]
-    extra = [i for i in range(r) if moduli[i]]
-    for k, i in enumerate(extra):
-        for i2 in range(r):
-            aug[i2].append(moduli[i] if i2 == i else 0)
     if c == 0:
         return []
-    sols = kernel_basis(aug)
-    proj = [s[:c] for s in sols]
-    if not proj:
-        return []
-    H, _ = hnf(proj)
-    return [tuple(row) for row in H.entries if any(row)]
+    # The rows (A e_j | e_j) and (m_i e_i | 0) span the pairs (A x + m k, x);
+    # the Hermite rows with zero head are the Hermite basis of the lattice.
+    rows = [[M[i][j] for i in range(r)] + [int(t == j) for t in range(c)]
+            for j in range(c)]
+    rows += [[m if t == i else 0 for t in range(r)] + [0] * c
+             for i, m in enumerate(moduli) if m]
+    H, _ = hnf(rows)
+    return [row[r:] for row in H.entries if not any(row[:r]) and any(row[r:])]
 
 
 def lattice_coordinates(A, moduli: Sequence[int], cols: int,

@@ -350,6 +350,29 @@ def termwise_crossed_mul(x: CrossedElt, y: CrossedElt) -> CrossedElt:
     return CrossedElt(ring, tuple(out))
 
 
+def brute_inverses(G: FiniteGroup) -> tuple:
+    """The two-sided inverse of every element, by search over the table."""
+    e = G.identity
+    return tuple(next(b for b in range(G.order) if G.mul[a][b] == e and G.mul[b][a] == e)
+                 for a in range(G.order))
+
+
+def reference_direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
+    """a x b built element by element: (xa, xb) has index xa * |b| + xb."""
+    k = b.order
+    order = a.order * k
+    mul = []
+    for x in range(order):
+        xa, xb = divmod(x, k)
+        row = []
+        for y in range(order):
+            ya, yb = divmod(y, k)
+            row.append(a.mul[xa][ya] * k + b.mul[xb][yb])
+        mul.append(tuple(row))
+    return FiniteGroup(order, tuple(mul), a.identity * k + b.identity, inv=tuple(
+        a.inv[x // k] * k + b.inv[x % k] for x in range(order)))
+
+
 def _generated_subgroup(G: FiniteGroup, g: int) -> frozenset:
     elems = {G.identity}
     cur = g

@@ -13,6 +13,7 @@ from uctbench.crossring import (
     build_crossed_ring,
     companion_matrix,
     crossed_mul,
+    crossed_relations,
     regular_representation,
     split_ring,
     splitting_idempotents,
@@ -373,3 +374,65 @@ def test_target_category_dihedral_four():
     group_ring = rep.entries[0]
     assert group_ring.ring.rank == 8
     assert group_ring.summands[0].kind == "unsplit_crossed"
+
+
+def _suite_rings(bound):
+    """The rings of the crossed-relations suite at this bound."""
+    for name in _crossed_preset_names(bound):
+        G = preset_group(name)
+        if G.order <= bound:
+            for C in cyclic_classes(G):
+                yield build_crossed_ring(C, G.order)
+
+
+def _relations(ring, z, cosets, orders=None):
+    orders = (0,) * z.rows if orders is None else orders
+    return list(crossed_relations(ring.n, ring.weyl_table, ring.weyl_units, z, cosets, orders))
+
+
+def _bumped(M, i, j, by=1):
+    rows = M.tolists()
+    rows[i][j] += by
+    return IntMatrix.from_rows(rows)
+
+
+def test_crossed_relations_one_result_per_relation():
+    rings = list(_suite_rings(12))
+    assert len(rings) == 59
+    for ring in rings:
+        rep = regular_representation(ring)
+        rels = _relations(ring, rep.z, rep.cosets)
+        m = ring.weyl_order
+        assert len(rels) == 1 + m * m + m
+        assert [r.kind for r in rels] == ["phi"] + (["table"] * m + ["twist"]) * m
+        assert [(r.a, r.b) for r in rels if r.kind == "table"] == [
+            (a, b) for a in range(m) for b in range(m)]
+        assert all(r.bad is None for r in rels)
+
+
+def _first_failure(rels):
+    return next((r.kind, r.a, r.b, r.bad) for r in rels if r.bad is not None)
+
+
+def test_crossed_relations_name_a_changed_entry():
+    ring = ring_for("symmetric(3)", 3)
+    rep = regular_representation(ring)
+    assert _first_failure(_relations(ring, _bumped(rep.z, 0, 0), rep.cosets))[0] == "phi"
+    cosets = (rep.cosets[0], _bumped(rep.cosets[1], 0, 0))
+    assert _first_failure(_relations(ring, rep.z, cosets))[:3] == ("table", 1, 1)
+    # (Z/7)^2 with z = diag(2, 4) and the coset swapping the factors
+    z, w0, w1 = (IntMatrix.from_rows(m) for m in
+                 ([[2, 0], [0, 4]], [[1, 0], [0, 1]], [[0, 1], [1, 0]]))
+    orders = (7, 7)
+    assert all(r.bad is None for r in _relations(ring, z, (w0, w1), orders))
+    # z = diag(3, 4): Phi_3(3) = 13 is nonzero mod 7
+    assert _first_failure(_relations(ring, _bumped(z, 0, 0), (w0, w1), orders)) == (
+        "phi", 0, 0, (0, 0))
+    # w1 = [[1, 1], [1, 0]] no longer squares to the identity
+    assert _first_failure(_relations(ring, z, (w0, _bumped(w1, 0, 0)), orders))[:3] == (
+        "table", 1, 1)
+    # z = diag(2, 2) still has Phi_3(z) = 0 and leaves the table alone, but
+    # w1 z = 2 w1 while z^2 w1 = 4 w1
+    rels = _relations(ring, _bumped(z, 1, 1, -2), (w0, w1), orders)
+    assert [r.kind for r in rels if r.bad is not None] == ["twist"]
+    assert _first_failure(rels) == ("twist", 1, 0, (0, 1))

@@ -185,3 +185,19 @@ def test_json_roundtrip():
     assert parsed["coeffs"][0] == str(10 ** 30 + 1)
     assert parsed["den"] == "4"
     assert CycEltN.from_json_dict(parsed) == big
+
+
+def test_shared_arithmetic_keeps_the_operand_type():
+    for cls, n in ((CycPoly, 6), (CycEltN, 6), (CycPoly, 1), (CycEltN, 1)):
+        size = n if cls is CycPoly else totient(n)
+        x = cls(n, 6, tuple(range(1, size + 1)), 2)
+        y = cls.one(n, 6)
+        results = [x + y, x - y, -x, x * y, x * 3, 3 * x, cls.zero(n, 6),
+                   cls.from_json_dict(x.to_json_dict())]
+        assert all(type(v) is cls for v in results), cls
+    # n = 1: both rings are Z[1/N] with one slot, yet the types stay apart
+    for N, num, den in ((1, (5,), 1), (6, (1,), 6), (1, (0,), 1)):
+        p, e = CycPoly(1, N, num, den), CycEltN(1, N, num, den)
+        assert (p.n, p.N, p.num, p.den) == (e.n, e.N, e.num, e.den)
+        assert p != e and e != p
+    assert CycPoly.one(1, 1) != CycEltN.one(1, 1)

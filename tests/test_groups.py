@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from helpers import brute_cyclic_subgroups, reference_cyclic_classes
+from helpers import (
+    brute_cyclic_subgroups,
+    brute_inverses,
+    reference_cyclic_classes,
+    reference_direct_product,
+)
 from uctbench import groups
 from uctbench.errors import (
     NonAssociative,
@@ -10,6 +15,7 @@ from uctbench.errors import (
     UnsupportedSize,
 )
 from uctbench.groups import (
+    _direct_product,
     _symmetric_table,
     cyclic_classes,
     group_from_table,
@@ -255,3 +261,44 @@ def test_cyclic_classes_match_reference_on_relabelled_table():
     classes = cyclic_classes(G)
     assert [c.n for c in classes] == [1, 2, 2, 3, 4, 5, 6]
     assert classes == reference_cyclic_classes(G)
+
+
+SMALL_PRESETS = [
+    "trivial", "klein_four", "cyclic(1)", "cyclic(2)", "cyclic(7)", "cyclic(12)",
+    "cyclic(60)", "dihedral(3)", "dihedral(4)", "dihedral(15)", "dihedral(30)",
+    "symmetric(3)", "symmetric(4)", "direct_product(symmetric(3),cyclic(4))",
+    "direct_product(klein_four,dihedral(5))", "direct_product(symmetric(4),cyclic(2))",
+]
+
+
+def _relabelled_s4():
+    rng = random.Random(11)
+    table = _symmetric_table(4)
+    sigma = list(range(len(table)))
+    rng.shuffle(sigma)
+    out = [[0] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, ab in enumerate(row):
+            out[sigma[a]][sigma[b]] = sigma[ab]
+    return group_from_table(out)
+
+
+def test_inverse_is_brute_force_two_sided_inverse():
+    groups_ = [preset_group(name) for name in SMALL_PRESETS] + [_relabelled_s4()]
+    assert groups_[-1].identity != 0
+    for G in groups_:
+        assert G.order <= 60
+        assert G.inv == brute_inverses(G)
+
+
+def test_direct_product_matches_element_by_element_reference():
+    small = [preset_group(name) for name in SMALL_PRESETS] + [_relabelled_s4()]
+    pairs = 0
+    for a in small:
+        for b in small:
+            if a.order * b.order <= 60:
+                got, want = _direct_product(a, b), reference_direct_product(a, b)
+                assert got == want
+                assert got.inv == want.inv == brute_inverses(got)
+                pairs += 1
+    assert pairs > 50
