@@ -26,6 +26,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .cyclotomic import (
     CycEltN,
+    _ramanujan_sum,
     _reduce_mod_phi,
     _tables,
     cyclotomic,
@@ -203,10 +204,8 @@ def regular_representation(ring: CrossedRing) -> RegularRep:
     for w in range(m):
         for i in range(deg):
             col = w * deg + i
-            vec = powers[i + 1]
-            for s in range(deg):
-                if vec[s]:
-                    zm[w * deg + s][col] = vec[s]
+            for s, c in powers[(i + 1) % n]:
+                zm[w * deg + s][col] = c
     cosets = []
     for v in range(m):
         u = ring.weyl_units[v]
@@ -215,10 +214,8 @@ def regular_representation(ring: CrossedRing) -> RegularRep:
             t = ring.weyl_table[v][w]
             for i in range(deg):
                 col = w * deg + i
-                vec = powers[(i * u) % n]
-                for s in range(deg):
-                    if vec[s]:
-                        cm[t * deg + s][col] = vec[s]
+                for s, c in powers[(i * u) % n]:
+                    cm[t * deg + s][col] = c
         cosets.append(IntMatrix.from_rows(cm))
     return RegularRep(ring, IntMatrix.from_rows(zm), tuple(cosets))
 
@@ -229,9 +226,8 @@ def companion_matrix(d: int) -> IntMatrix:
     powers = _tables(d).powers
     rows = [[0] * deg for _ in range(deg)]
     for i in range(deg):
-        vec = powers[i + 1]
-        for s in range(deg):
-            rows[s][i] = vec[s]
+        for s, c in powers[(i + 1) % d]:
+            rows[s][i] = c
     return IntMatrix.from_rows(rows)
 
 
@@ -401,11 +397,6 @@ def _abelian_characters(table) -> tuple[list[tuple[int, ...]], int, list[int]]:
     return chars, exponent, gens
 
 
-def _mobius(n: int) -> int:
-    ps = prime_factors(n)
-    return (-1) ** len(ps) if math.prod(ps) == n else 0
-
-
 def _merge_multiplicities(flat: list[RingSummand]) -> list[RingSummand]:
     out: list[RingSummand] = []
     for s in flat:
@@ -449,13 +440,13 @@ def _split_with_idempotents(
         k = d if n == 1 else n
         summands.append(RingSummand(_kind_for(k), k, N, provenance=f"character orbit of order {d}"))
         # The orbit's sum of chi'(w^-1) is the Ramanujan sum c_d at the
-        # order o of chi(w): mu(o) phi(d) / phi(o).
+        # order o of chi(w): c_d(d / o) = mu(o) phi(d) / phi(o).
         coeff: dict[int, CycEltN] = {}
         parts = []
         for w in range(m):
             o = e // math.gcd(e, chi[w])
             if o not in coeff:
-                coeff[o] = CycEltN.from_int(n, N, _mobius(o) * totient(d) // totient(o), den=m)
+                coeff[o] = CycEltN.from_int(n, N, _ramanujan_sum(d, d // o), den=m)
             parts.append(coeff[o])
         idems.append(CrossedElt(ring, tuple(parts)))
     return _merge_multiplicities(summands), idems

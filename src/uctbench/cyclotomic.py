@@ -6,13 +6,17 @@ integer N; normalization strips exactly those primes.  One private base
 class holds that representation (validation, normalization, sums, scalar
 multiples, the JSON round trip); CycPoly (n slots, product mod z^n - 1) and
 CycEltN (phi(n) slots, product mod Phi_n) add only their length and their
-product.  The maps z -> z^k behind evaluation, the Galois action,
-substitution and the CRT fold all go through `_spread`.
+product.  Products touch only nonzero terms: a CycPoly product adds one
+rotation of the denser factor per nonzero coefficient of the sparser one, and
+a CycEltN product convolves the nonzero terms, then reduces mod Phi_n.
 
 The n-th cyclotomic polynomial is computed by exact division of z^n - 1 by
 the product over proper divisors, and cached together with a table of the
-powers z^t reduced modulo Phi_n (the workhorse for evaluation, Galois
-action and multiplication).  Cache fills are idempotent, so concurrent
+powers z^t mod Phi_n for t in Z/n, each stored as (slot, coeff) pairs over
+its nonzero coefficients.  `_reduce_mod_phi` substitutes z -> z^k and
+reduces mod Phi_n in one pass over that table (z^n = 1 mod Phi_n); it is
+the workhorse for evaluation, the Galois action, inclusion, the CRT split
+and multiplication.  Cache fills are idempotent, so concurrent
 initialization is safe.
 """
 
@@ -21,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .errors import ModulusMismatch, NotADivisor, NotAUnit, PrimeNotInverted
 
@@ -156,7 +161,8 @@ def cyclotomic(k: int) -> IntPoly:
 
 
 class _RingTables:
-    """Per-n reduction data: Phi_n and the powers z^t mod Phi_n."""
+    """Per-n reduction data: Phi_n and, for t in Z/n, the power z^t mod Phi_n
+    as a tuple of (slot, coeff) pairs over its nonzero coefficients."""
 
     __slots__ = ("n", "deg", "phi", "powers")
 
@@ -167,20 +173,14 @@ class _RingTables:
         deg = phi.degree
         self.deg = deg
         top = [-c for c in phi.coeffs[:deg]]  # z^deg = top(z)
-        powers: list[tuple[int, ...]] = []
-        cur = [0] * deg
-        if deg:
-            cur[0] = 1
-        powers.append(tuple(cur))
-        limit = max(n, 2 * deg - 1, deg + 1)
-        for _ in range(1, limit):
-            carry = cur[deg - 1] if deg else 0
-            nxt = [0] + cur[: deg - 1]
+        cur = [1] + [0] * (deg - 1)
+        powers: list[tuple[tuple[int, int], ...]] = []
+        for _ in range(n):
+            powers.append(tuple([(s, c) for s, c in enumerate(cur) if c]))
+            carry = cur[-1]
+            cur = [0] + cur[:-1]
             if carry:
-                for s in range(deg):
-                    nxt[s] += carry * top[s]
-            cur = nxt
-            powers.append(tuple(cur))
+                cur = [x + carry * y for x, y in zip(cur, top)]
         self.powers = powers
 
 
@@ -195,18 +195,17 @@ def _tables(n: int) -> _RingTables:
     return got
 
 
-def _reduce_mod_phi(n: int, vec) -> tuple[int, ...]:
-    """Reduce a coefficient vector (deg < len(powers table)) mod Phi_n."""
+def _reduce_mod_phi(n: int, vec, k: int = 1) -> tuple[int, ...]:
+    """sum_i vec[i] * theta_n^(i*k) as a reduced vector: the substitution
+    z -> z^k and the reduction mod Phi_n in one pass, for a vector of any
+    length and any integer k (z^n = 1 mod Phi_n)."""
     t = _tables(n)
-    deg = t.deg
-    out = list(vec[:deg]) + [0] * max(0, deg - len(vec))
     powers = t.powers
-    for e in range(deg, len(vec)):
-        c = vec[e]
+    out = [0] * t.deg
+    for i, c in enumerate(vec):
         if c:
-            row = powers[e]
-            for s in range(deg):
-                out[s] += c * row[s]
+            for s, x in powers[(i * k) % n]:
+                out[s] += c * x
     return tuple(out)
 
 
@@ -230,8 +229,8 @@ def _check_supported(den: int, N: int) -> None:
 
 
 def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
-    if all(x == 0 for x in num):
-        return tuple(0 for _ in num), 1
+    if not any(num):
+        return (0,) * len(num), 1
     g = math.gcd(den, math.gcd(*num))
     if g > 1:
         num = [x // g for x in num]
@@ -247,15 +246,6 @@ def _require_inverted(n: int, N: int) -> None:
 
 # ---------------------------------------------------------------------------
 # coefficient vectors over one shared denominator
-
-
-def _spread(num, k: int, m: int) -> list[int]:
-    """z -> z^k mod z^m - 1: slot i of num goes to slot i*k mod m."""
-    out = [0] * m
-    for i, c in enumerate(num):
-        if c:
-            out[(i * k) % m] += c
-    return out
 
 
 @dataclass(frozen=True)
@@ -289,7 +279,7 @@ class _CoeffVector:
         return cls(n, N, (1,) + (0,) * (cls._length(n) - 1))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.num)
+        return not any(self.num)
 
     def _check_compatible(self, other) -> None:
         if self.n != other.n or self.N != other.N:
@@ -340,15 +330,22 @@ class CycPoly(_CoeffVector):
     def _length(n: int) -> int:
         return n
 
-    def _convolve(self, other: tuple[int, ...]) -> tuple[int, ...]:
+    def _convolve(self, other: tuple[int, ...]) -> Sequence[int]:
+        # Sum over the nonzero c at slot i of the sparser factor of c times
+        # the denser one rotated by i (slot j goes to slot i + j mod n).
         n = self.n
-        out = [0] * n
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in enumerate(other):
-                    if b:
-                        out[(i + j) % n] += a * b
-        return tuple(out)
+        a, b = self.num, other
+        if a.count(0) < b.count(0):
+            a, b = b, a
+        out = None
+        for i, c in enumerate(a):
+            if c:
+                rot = b[n - i:] + b[:n - i]
+                if out is None:
+                    out = rot if c == 1 else [c * y for y in rot]
+                else:
+                    out = [x + c * y for x, y in zip(out, rot)]
+        return (0,) * n if out is None else out
 
     @classmethod
     def monomial(cls, n: int, N: int, e: int, coeff: int = 1) -> "CycPoly":
@@ -358,7 +355,12 @@ class CycPoly(_CoeffVector):
 
     def substitute_power(self, k: int) -> "CycPoly":
         """Ring map z -> z^k (well defined mod z^n - 1 for any integer k)."""
-        return CycPoly(self.n, self.N, tuple(_spread(self.num, k, self.n)), self.den)
+        n = self.n
+        out = [0] * n
+        for i, c in enumerate(self.num):
+            if c:
+                out[(i * k) % n] += c
+        return CycPoly(n, self.N, tuple(out), self.den)
 
     def with_inverted(self, N: int) -> "CycPoly":
         """Reinterpret over Z[1/N]; the denominator must stay supported."""
@@ -377,23 +379,31 @@ def cyc_mul(a: CycPoly, b: CycPoly) -> CycPoly:
     return a * b
 
 
+def _mobius(n: int) -> int:
+    ps = prime_factors(n)
+    return (-1) ** len(ps) if math.prod(ps) == n else 0
+
+
+def _ramanujan_sum(k: int, e: int) -> int:
+    """c_k(e), the sum of the e-th powers of the primitive k-th roots of
+    unity: mu(o) phi(k) / phi(o) for o = k / gcd(k, e) (Hardy and Wright,
+    An Introduction to the Theory of Numbers, ch. 16)."""
+    o = k // math.gcd(k, e)
+    return _mobius(o) * totient(k) // totient(o)
+
+
 def psi(n: int, k: int, N: int | None = None) -> CycPoly:
-    """The idempotent (z/n) * dPhi_k/dz * prod_{k' | n, k' != k} Phi_{k'},
-    reduced mod z^n - 1, over Z[1/N] (N defaults to n)."""
+    """The idempotent psi_{n,k} = (1/n) sum_e c_k(e) z^e of Z[1/N][z]/(z^n - 1),
+    c_k the Ramanujan sum, over Z[1/N] (N defaults to n).  Its value at
+    theta_n^j is 1 when j has order k in Z/n and 0 otherwise.  It equals
+    (z/n) * dPhi_k/dz * prod_{k' | n, k' != k} Phi_{k'} mod z^n - 1, the
+    product formula the tests keep as its oracle."""
     if N is None:
         N = n
     if n < 1 or k < 1 or n % k:
         raise NotADivisor(f"k={k} must divide n={n}")
     _require_inverted(n, N)
-    prod = cyclotomic(k).derivative()
-    for kp in divisors(n):
-        if kp != k:
-            prod = prod * cyclotomic(kp)
-    out = [0] * n
-    for i, c in enumerate(prod.coeffs):
-        if c:
-            out[(i + 1) % n] += c  # the leading factor z
-    return CycPoly(n, N, tuple(out), n)
+    return CycPoly(n, N, tuple([_ramanujan_sum(k, e) for e in range(n)]), n)
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +416,12 @@ class CycEltN(_CoeffVector):
     _length = staticmethod(totient)
 
     def _convolve(self, other: tuple[int, ...]) -> tuple[int, ...]:
+        b_terms = [(j, b) for j, b in enumerate(other) if b]
         out = [0] * (2 * len(self.num) - 1)
         for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(other):
-                    if b:
-                        out[i + j] += a * b
+                for j, b in b_terms:
+                    out[i + j] += a * b
         return _reduce_mod_phi(self.n, out)
 
     @classmethod
@@ -420,18 +430,18 @@ class CycEltN(_CoeffVector):
 
     @classmethod
     def root_power(cls, n: int, N: int, t: int) -> "CycEltN":
-        """theta_n^t as a reduced element."""
-        return cls(n, N, _tables(n).powers[t % n])
+        """theta_n^t as a reduced element (z -> z^t applied to z)."""
+        return cls(n, N, _reduce_mod_phi(n, (0, 1), t))
 
     def is_rational(self) -> bool:
-        return all(x == 0 for x in self.num[1:])
+        return not any(self.num[1:])
 
 
 def evaluate_at_root(a: CycPoly, j: int) -> CycEltN:
-    """Image of a under z -> theta_n^j: substitute z -> z^j mod z^n - 1,
-    then reduce mod Phi_n.  The codomain is always Z[theta_n, 1/N]."""
+    """Image of a under z -> theta_n^j: substitute z -> z^j and reduce mod
+    Phi_n in one pass.  The codomain is always Z[theta_n, 1/N]."""
     n = a.n
-    return CycEltN(n, a.N, _reduce_mod_phi(n, _spread(a.num, j, n)), a.den)
+    return CycEltN(n, a.N, _reduce_mod_phi(n, a.num, j), a.den)
 
 
 def galois(a: CycEltN, k: int) -> CycEltN:
@@ -439,15 +449,17 @@ def galois(a: CycEltN, k: int) -> CycEltN:
     n = a.n
     if math.gcd(k, n) != 1:
         raise NotAUnit(f"k={k} is not a unit mod {n}")
-    return CycEltN(n, a.N, _reduce_mod_phi(n, _spread(a.num, k, n)), a.den)
+    return CycEltN(n, a.N, _reduce_mod_phi(n, a.num, k), a.den)
 
 
 def crt_split(a: CycPoly) -> dict[int, CycEltN]:
     """Components of a in prod_{k | n} Z[theta_k, 1/N]; requires every prime
     of n to divide N."""
     _require_inverted(a.n, a.N)
-    return {k: CycEltN(k, a.N, _reduce_mod_phi(k, _spread(a.num, 1, k)), a.den)
+    return {k: CycEltN(k, a.N, _reduce_mod_phi(k, a.num), a.den)
             for k in divisors(a.n)}
+
+
 def crt_join(parts: dict[int, CycEltN]) -> CycPoly:
     """Two-sided inverse of crt_split, assembled with the psi idempotents."""
     if not parts:

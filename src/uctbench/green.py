@@ -26,8 +26,6 @@ from .cyclotomic import (
     CycEltN,
     CycPoly,
     _reduce_mod_phi,
-    _spread,
-    _tables,
     divisors,
     evaluate_at_root,
     psi,
@@ -115,8 +113,8 @@ def _descent_solver(n: int, k: int) -> zlinalg.ExactSolver:
     got = _DESCENT_SOLVERS.get(key)
     if got is None:
         w = n // k
-        powers = _tables(n).powers
-        cols = [powers[w * s] for s in range(totient(k))]
+        # column s is theta_k^s = theta_n^(w s), z -> z^(w s) applied to z
+        cols = [_reduce_mod_phi(n, (0, 1), w * s) for s in range(totient(k))]
         rows = [[col[i] for col in cols] for i in range(totient(n))]
         got = zlinalg.ExactSolver(rows)
         _DESCENT_SOLVERS[key] = got
@@ -146,7 +144,7 @@ def include(v: CycEltN, n: int) -> CycEltN:
         raise NotADivisor(f"{k} must divide {n}")
     if k == n:
         return v
-    return CycEltN(n, v.N, _reduce_mod_phi(n, _spread(v.num, n // k, n)), v.den)
+    return CycEltN(n, v.N, _reduce_mod_phi(n, v.num, n // k), v.den)
 
 
 def char_solve(n: int, N: int, values: Sequence[CycEltN]) -> RepElt:

@@ -14,7 +14,13 @@ from uctbench.amod import (
     presentation_of,
 )
 from uctbench.crossring import CrossedElt, CrossedRing, RingSummand
-from uctbench.cyclotomic import CycEltN, _reduce_mod_phi, galois
+from uctbench.cyclotomic import (
+    CycEltN,
+    CycPoly,
+    cyclotomic,
+    divisors,
+    galois,
+)
 from uctbench.groups import CyclicClass, CyclicSubgroup, FiniteGroup
 from uctbench.zlinalg import (
     ExactSolver,
@@ -310,12 +316,72 @@ def root_sum_idempotent_coefficients(ring: CrossedRing) -> list[list[int]]:
             acc = [0] * e
             for chi in orbit:
                 acc[chi[w_inv]] += 1
-            reduced = _reduce_mod_phi(e, acc)
+            reduced = long_division_mod_phi(e, acc)
             if any(reduced[1:]):
                 raise AssertionError("an orbit sum of roots of unity is not rational")
             coeffs.append(reduced[0])
         out.append(coeffs)
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference versions of the cyclotomic kernels: dense double loops and long
+# division by Phi_n, independent of the sparse power table
+
+
+def long_division_mod_phi(n: int, vec: Sequence[int]) -> list[int]:
+    """vec(z) mod Phi_n by schoolbook long division (Phi_n is monic),
+    padded to phi(n) slots."""
+    phi = cyclotomic(n).coeffs
+    deg = len(phi) - 1
+    rem = list(vec) + [0] * max(0, deg - len(vec))
+    for top in range(len(rem) - 1, deg - 1, -1):
+        c = rem[top]
+        if c:
+            for j, p in enumerate(phi):
+                rem[top - deg + j] -= c * p
+    return rem[:deg]
+
+
+def spread_then_reduce(n: int, vec: Sequence[int], k: int) -> list[int]:
+    """sum_i vec[i] theta_n^(i*k): spread into Z[z]/(z^n - 1), slot i to
+    slot i*k mod n, then reduce by long division."""
+    out = [0] * n
+    for i, c in enumerate(vec):
+        out[(i * k) % n] += c
+    return long_division_mod_phi(n, out)
+
+
+def double_loop_cyclic(n: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a * b in Z[z]/(z^n - 1), one product per pair of slots."""
+    out = [0] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[(i + j) % n] += x * y
+    return out
+
+
+def double_loop_mod_phi(n: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a * b in Z[z]/(Phi_n): the linear product, one term per pair of
+    slots, then long division."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return long_division_mod_phi(n, out)
+
+
+def product_formula_psi(n: int, k: int) -> CycPoly:
+    """psi_{n,k} = (z/n) * dPhi_k/dz * prod_{k' | n, k' != k} Phi_{k'}
+    mod z^n - 1, over Z[1/n]."""
+    prod = cyclotomic(k).derivative()
+    for kp in divisors(n):
+        if kp != k:
+            prod = prod * cyclotomic(kp)
+    out = [0] * n
+    for i, c in enumerate(prod.coeffs):
+        out[(i + 1) % n] += c  # the leading factor z
+    return CycPoly(n, n, tuple(out), n)
 
 
 # ---------------------------------------------------------------------------

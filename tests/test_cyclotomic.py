@@ -2,10 +2,19 @@ import random
 
 import pytest
 
+from helpers import (
+    double_loop_cyclic,
+    double_loop_mod_phi,
+    long_division_mod_phi,
+    product_formula_psi,
+    spread_then_reduce,
+)
 from uctbench.cyclotomic import (
     CycEltN,
     CycPoly,
     IntPoly,
+    _reduce_mod_phi,
+    _tables,
     crt_join,
     crt_split,
     cyclotomic,
@@ -201,3 +210,84 @@ def test_shared_arithmetic_keeps_the_operand_type():
         assert (p.n, p.N, p.num, p.den) == (e.n, e.N, e.num, e.den)
         assert p != e and e != p
     assert CycPoly.one(1, 1) != CycEltN.one(1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernels against their dense references (tests/helpers.py)
+
+
+def _operands(rng, size):
+    """Seeded operands of every density: all zero, a monomial, entries in
+    {-1, 0, 1}, entries in {-10**30, 0, 10**30}, and a random density."""
+    mono = [0] * size
+    mono[rng.randrange(size)] = rng.choice((1, -1, 7))
+    density = rng.random()
+    return [
+        [0] * size,
+        mono,
+        [rng.choice((-1, 0, 1)) for _ in range(size)],
+        [rng.choice((-10 ** 30, 0, 10 ** 30)) for _ in range(size)],
+        [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(size)],
+    ]
+
+
+def test_psi_matches_product_formula():
+    for n in range(1, 121):
+        for k in divisors(n):
+            assert psi(n, k) == product_formula_psi(n, k), (n, k)
+
+
+def test_sparse_power_table_is_z_to_the_t_mod_phi():
+    for n in range(1, 101):
+        table = _tables(n)
+        assert len(table.powers) == n, n
+        for t, pairs in enumerate(table.powers):
+            slots = [s for s, _ in pairs]
+            assert slots == sorted(set(slots)), (n, t)
+            assert all(c != 0 for _, c in pairs), (n, t)
+            dense = [0] * totient(n)
+            for s, c in pairs:
+                dense[s] = c
+            assert dense == long_division_mod_phi(n, [0] * t + [1]), (n, t)
+
+
+def test_cycpoly_products_match_double_loop():
+    rng = random.Random(11)
+    for n in (1, 2, 3, 4, 5, 6, 12, 30, 37, 60, 97):
+        for _ in range(3):
+            ops = _operands(rng, n)
+            for a in ops:
+                for b in ops:
+                    got = CycPoly(n, 1, tuple(a)) * CycPoly(n, 1, tuple(b))
+                    assert got == CycPoly(n, 1, tuple(double_loop_cyclic(n, a, b))), (n, a, b)
+
+
+def test_cyceltn_products_match_double_loop():
+    rng = random.Random(12)
+    for n in (1, 2, 3, 4, 5, 7, 12, 15, 30, 37, 60, 97):
+        size = totient(n)
+        for _ in range(3):
+            ops = _operands(rng, size)
+            for a in ops:
+                for b in ops:
+                    got = CycEltN(n, 1, tuple(a)) * CycEltN(n, 1, tuple(b))
+                    assert got == CycEltN(n, 1, tuple(double_loop_mod_phi(n, a, b))), (n, a, b)
+
+
+def test_reduce_mod_phi_is_spread_then_dense_reduce():
+    rng = random.Random(13)
+    for n in range(1, 61):
+        for k in range(n + 1):  # non-units and k = n included
+            vec = [rng.randint(-5, 5) for _ in range(2 * totient(n) - 1)]
+            assert list(_reduce_mod_phi(n, vec, k)) == spread_then_reduce(n, vec, k), (n, k)
+
+
+def test_root_power_is_repeated_multiplication_by_theta():
+    for n in range(1, 61):
+        theta = long_division_mod_phi(n, [0, 1])
+        cur = long_division_mod_phi(n, [1])
+        for t in range(2 * n):
+            want = CycEltN(n, 1, tuple(cur))
+            assert CycEltN.root_power(n, 1, t) == want, (n, t)
+            assert CycEltN.root_power(n, 1, t - 2 * n) == want, (n, t)
+            cur = double_loop_mod_phi(n, cur, theta)
