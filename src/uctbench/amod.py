@@ -20,9 +20,11 @@ and Ext^2 is the same construction one step further on.  A kernel ker d is
 the congruence lattice, modulo Q's orders, of the y whose map vanishes on a
 set that generates the next kernel as an R-module: ker d0 tests the relators
 (the generators of the cover R^g1 ->> K, where d0 also evaluates) and ker d1
-a Z-basis of the kernel of that cover.  Quotients are Smith forms mod
-lcm(Q's orders); a Hom generator y becomes a matrix through a section of the
-cover.
+a Z-basis of the kernel of that cover.  Every such group is killed by
+L = lcm(Q's orders), so kernels are Hermite forms and quotients are Smith
+forms mod L, never exact ones: one Smith form per Hom group, both source
+parts' lattices side by side, and one per Ext block.  A Hom generator y
+becomes a matrix through a section of the cover.
 
 The free cover is irredundant: a coordinate vector becomes a cover generator
 only when it lies outside the R-span of those chosen before it.  So
@@ -76,12 +78,18 @@ ModuleRing = Union[RingSummand, CrossedRing]
 class RingPresentation:
     """Generators of the ring acting on modules, their left-regular matrices
     on the integral basis, and for every basis element the word (sequence of
-    generator indices) whose product realizes it."""
+    generator indices) whose product realizes it.  The ring is
+    Z[theta_n, 1/N] x| W with the Weyl coset table and units; a commutative
+    summand has no cosets."""
 
     rank: int
     gen_names: tuple[str, ...]
     gen_mats: tuple[IntMatrix, ...]
     basis_words: tuple[tuple[int, ...], ...]
+    n: int
+    N: int
+    weyl_table: tuple[tuple[int, ...], ...] = ()
+    weyl_units: tuple[int, ...] = ()
 
 
 _PRESENTATIONS: dict[tuple, RingPresentation] = {}
@@ -94,39 +102,31 @@ def presentation_of(ring: ModuleRing) -> RingPresentation:
         return got
     if isinstance(ring, RingSummand) and ring.kind != "unsplit_crossed":
         if ring.kind == "integral_local":
-            pres = RingPresentation(1, (), (), ((),))
+            pres = RingPresentation(1, (), (), ((),), 1, ring.N)
         else:
             deg = totient(ring.d)
             pres = RingPresentation(
                 deg, ("z",), (companion_matrix(ring.d),),
-                tuple((0,) * i for i in range(deg)),
+                tuple((0,) * i for i in range(deg)), ring.d, ring.N,
             )
     else:
         cr = ring.ring if isinstance(ring, RingSummand) else ring
         rep = regular_representation(cr)
         deg = totient(cr.n)
         m = cr.weyl_order
+        weyl = (cr.n, ring.N, cr.weyl_table, cr.weyl_units)
         if cr.n == 1:
             names = tuple(f"w{v}" for v in range(m))
             pres = RingPresentation(m, names, rep.cosets,
-                                    tuple((w,) for w in range(m)))
+                                    tuple((w,) for w in range(m)), *weyl)
         else:
             names = ("z",) + tuple(f"w{v}" for v in range(m))
             words = tuple(
                 (0,) * i + (1 + w,) for w in range(m) for i in range(deg)
             )
-            pres = RingPresentation(deg * m, names, (rep.z,) + rep.cosets, words)
+            pres = RingPresentation(deg * m, names, (rep.z,) + rep.cosets, words, *weyl)
     _PRESENTATIONS[key] = pres
     return pres
-
-
-def _ring_params(ring: ModuleRing) -> tuple[int, int]:
-    """(n-or-d, N) for coprimality and relation checks."""
-    if isinstance(ring, CrossedRing):
-        return ring.n, ring.N
-    if ring.kind == "unsplit_crossed":
-        return ring.ring.n, ring.N
-    return ring.d, ring.N
 
 
 def _ring_key(ring: ModuleRing):
@@ -278,15 +278,14 @@ def _word_matrix(mats: Sequence[IntMatrix], word: tuple[int, ...], r: int) -> In
 def validate(M: AModObject) -> ValidationReport:
     """Check all structural invariants; report the first violation."""
     pres = presentation_of(M.ring)
-    base, N = _ring_params(M.ring)
     for d, part in enumerate(M.parts):
         tag = f"degree {d}"
         for o in part.orders:
             if o < 0 or o == 1:
                 return ValidationReport(False, f"{tag}: cyclic order {o} invalid (need 0 or >= 2)")
-            if o and math.gcd(o, N) > 1:
+            if o and math.gcd(o, pres.N) > 1:
                 return ValidationReport(
-                    False, f"{tag}: order {o} is not coprime to the inverted N={N}")
+                    False, f"{tag}: order {o} is not coprime to the inverted N={pres.N}")
         r = part.rank
         if len(part.mats) != len(pres.gen_names):
             return ValidationReport(False, f"{tag}: wrong number of action matrices")
@@ -307,28 +306,21 @@ def validate(M: AModObject) -> ValidationReport:
         if r == 0:
             continue
         named = dict(zip(pres.gen_names, part.mats))
-        ring = M.ring.ring if isinstance(M.ring, RingSummand) else (
-            M.ring if isinstance(M.ring, CrossedRing) else None
-        )
-        if ring is not None:
-            wmats = [named[f"w{v}"] for v in range(ring.weyl_order)]
+        wmats = [named[f"w{v}"] for v in range(len(pres.weyl_units))]
+        if wmats:
             bad = _first_difference(wmats[0], IntMatrix.identity(r), part.orders)
             if bad is not None:
                 return ValidationReport(
                     False, f"{tag}: identity coset does not act as identity at {bad}"
                 )
-            table, units = ring.weyl_table, ring.weyl_units
-        elif "z" in named:
-            wmats, table, units = [], (), ()
-        else:
-            continue
-        # over n = 1 there is no z generator: theta_1 = 1 acts as the identity
+        # without a z generator (n = 1) theta_1 = 1 acts as the identity
         zmat = named.get("z", IntMatrix.identity(r))
-        for rel in crossed_relations(base, table, units, zmat, wmats, part.orders):
+        for rel in crossed_relations(pres.n, pres.weyl_table, pres.weyl_units, zmat, wmats,
+                                     part.orders):
             if rel.bad is None:
                 continue
             if rel.kind == "phi":
-                what = f"Phi_{base}(z-action) is nonzero mod orders"
+                what = f"Phi_{pres.n}(z-action) is nonzero mod orders"
             elif rel.kind == "table":
                 what = f"Weyl table relation w{rel.a}*w{rel.b} fails"
             else:
@@ -474,15 +466,17 @@ def _presented_hom(pres: RingPresentation, g: int, vectors: Sequence[Sequence[in
                                t, trivial + list(relations))
 
 
-def _smith_basis(X, n: int) -> list[tuple[int, list[int]]]:
-    """One Smith form U X V = D of the relations X on Z^n: each invariant
-    factor d > 1 of Z^n / X with the column of U^-1 that generates it."""
-    D, U, _ = snf(X)
-    diag = D.diagonal()
-    if len(diag) < n or 0 in diag:
-        raise RuntimeError("Hom of finite modules must be finite")
-    _, Uinv = hnf(U)  # U is unimodular: its Hermite form is I = Uinv U
-    return [(d, [Uinv[l, i] for l in range(n)]) for i, d in enumerate(diag) if d > 1]
+def _smith_basis(X, n: int, L: int) -> list[tuple[int, list[int]]]:
+    """One Smith form U X V == D (mod L) of relations X on Z^n whose span
+    holds L Z^n: each invariant factor d > 1 of Z^n / X with the column of
+    U^-1 (mod L) that generates it."""
+    D, U, _ = snf(X, L)
+    diag = [math.gcd(d, L) for d in D.diagonal()]
+    diag += [L] * (n - len(diag))
+    # U is invertible mod L, so the rows of U and of L I span Z^n: their
+    # Hermite form is I, and the top-left block of its transform is U^-1.
+    _, W = hnf(U.entries + tuple(tuple(L if i == j else 0 for j in range(n)) for i in range(n)))
+    return [(d, [W[l, i] % L for l in range(n)]) for i, d in enumerate(diag) if d > 1]
 
 
 def _section(cover: _CoverKernel, P: ModulePart) -> list[tuple[int, ...]]:
@@ -498,30 +492,6 @@ def _section(cover: _CoverKernel, P: ModulePart) -> list[tuple[int, ...]]:
     return [x[:n] for x in xs]
 
 
-def _hom_block(pres: RingPresentation, res: Optional[_Resolution], P: ModulePart,
-               Q: ModulePart) -> list[tuple[int, IntMatrix]]:
-    """Hom = ker d0 between two finite parts, P resolved by `res`:
-    (invariant factor, generating map) pairs."""
-    s = Q.rank
-    if res is None or s == 0:
-        return []
-    g = len(res.cover.gvecs)
-    t = g * s
-    basis, rel_cols = _presented_hom(pres, g, res.relators, Q)
-    chain = _smith_basis([[c[i] for c in rel_cols] for i in range(t)], t)
-    if not chain:
-        return []
-    # The map's column t is f_y at a preimage of P's coordinate vector e_t.
-    lift = _evaluations(pres, _section(res.cover, P), Q)
-    out = []
-    for d, col in chain:
-        y = [(x, v) for x in range(t) if (v := sum(basis[l][x] * col[l] for l in range(t)))]
-        out.append((d, IntMatrix.from_rows(
-            [[sum(lift[j * s + i][x] * v for x, v in y) % q for j in range(P.rank)]
-             for i, q in enumerate(Q.orders)])))
-    return out
-
-
 def hom_group(M: AModObject, N: AModObject, degree: int = 0, *,
               _resolved: Optional[Sequence[Optional[_Resolution]]] = None) -> HomResult:
     """The group of degree-shifting module maps M -> N commuting with all
@@ -532,25 +502,48 @@ def hom_group(M: AModObject, N: AModObject, degree: int = 0, *,
     pres = presentation_of(M.ring)
     degree %= 2
     res = _resolved or _resolve_parts(pres, M)
-    targets = [N.parts[(d + degree) % 2] for d in (0, 1)]
-    found = [(d, order, X) for d in (0, 1)
-             for order, X in _hom_block(pres, res[d], M.parts[d], targets[d])]
-    # The two blocks' factors need not form one divisibility chain (C3 and
-    # C5 make C15): recombine the maps along a Smith form of them.
-    n = len(found)
-    chain = _smith_basis([[found[i][1] if i == j else 0 for j in range(n)]
-                          for i in range(n)], n)
-    factors, gens = [order for order, _ in chain], []
+    # Hom = ker d0 per source part.  The two parts' lattices sit side by
+    # side, so one Smith form mod the lcm of both targets' orders gives the
+    # whole group, even where the parts' factors form no one chain (C3 and
+    # C5 make C15).
+    blocks, rel_cols, n = [], [], 0
+    for d, P in enumerate(M.parts):
+        Q = N.parts[(d + degree) % 2]
+        if res[d] is None or Q.rank == 0:
+            continue
+        g = len(res[d].cover.gvecs)
+        t = g * Q.rank
+        basis, coords = _presented_hom(pres, g, res[d].relators, Q)
+        # mod L a free part would read as Z/L, so finiteness is checked here
+        if len(basis) != t:
+            raise RuntimeError("Hom of finite modules must be finite")
+        blocks.append((d, n, basis, P, Q))
+        rel_cols += [[0] * n + list(c) for c in coords]
+        n += t
+    if not n:
+        return HomResult(FinAbGroup(), ())
+    L = math.lcm(*(o for *_, Q in blocks for o in Q.orders))
+    chain = _smith_basis(list(zip(*(c + [0] * (n - len(c)) for c in rel_cols))), n, L)
+    lifts, gens = {}, []
     for _, col in chain:
-        blocks = [None, None]
-        for d, Q in enumerate(targets):
-            terms = [(c, X) for c, (dd, _, X) in zip(col, found) if dd == d and c]
-            if terms:
-                blocks[d] = IntMatrix.from_rows(
-                    [[sum(c * X[i, j] for c, X in terms) % q for j in range(M.parts[d].rank)]
-                     for i, q in enumerate(Q.orders)])
-        gens.append(HomMap(degree, (blocks[0], blocks[1])))
-    return HomResult(FinAbGroup(tuple(factors)), tuple(gens))
+        maps = [None, None]
+        for d, offset, basis, P, Q in blocks:
+            s = Q.rank
+            part = col[offset:offset + len(basis)]
+            y = [(x, v) for x in range(len(basis))
+                 if (v := sum(b[x] * c for b, c in zip(basis, part)))]
+            if not y:
+                continue
+            # The map's column t is f_y at a preimage of P's coordinate
+            # vector e_t.
+            if d not in lifts:
+                lifts[d] = _evaluations(pres, _section(res[d].cover, P), Q)
+            lift = lifts[d]
+            maps[d] = IntMatrix.from_rows(
+                [[sum(lift[j * s + i][x] * v for x, v in y) % q for j in range(P.rank)]
+                 for i, q in enumerate(Q.orders)])
+        gens.append(HomMap(degree, (maps[0], maps[1])))
+    return HomResult(FinAbGroup(tuple(d for d, _ in chain)), tuple(gens))
 
 
 def _ext_block(pres: RingPresentation, res: Optional[_Resolution], Q: ModulePart) -> FinAbGroup:
@@ -620,12 +613,8 @@ class AModFamily:
                 f"family needs {len(flat)} modules, got {len(self.modules)}"
             )
         for i, (summand, module) in enumerate(zip(flat, self.modules)):
-            ours = module.ring
-            if isinstance(ours, RingSummand):
-                key = (ours.kind, ours.d, ours.N, ours.ring)
-                want = (summand.kind, summand.d, summand.N, summand.ring)
-                if key != want:
-                    raise FamilyMismatch(f"module {i} lives over the wrong summand")
+            if _ring_key(module.ring) != _ring_key(summand):
+                raise FamilyMismatch(f"module {i} lives over the wrong summand")
 
     @classmethod
     def zero(cls, report: TargetCategoryReport) -> "AModFamily":

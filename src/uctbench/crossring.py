@@ -407,10 +407,10 @@ def _merge_multiplicities(flat: list[RingSummand]) -> list[RingSummand]:
     return out
 
 
-def _split_with_idempotents(
-    ring: CrossedRing,
-) -> tuple[list[RingSummand], Optional[list[CrossedElt]]]:
-    """The character-orbit rule, where it applies (see the module doc)."""
+def _character_orbits(ring: CrossedRing) -> Optional[list[tuple[int, tuple[int, ...], int]]]:
+    """The character-orbit rule, where it applies (see the module doc): one
+    (order d, least character chi, exponent e) per Galois orbit of W's
+    characters, sorted; None where no rule applies."""
     n, N, m = ring.n, ring.N, ring.weyl_order
     table = ring.weyl_table
     # The exponent gate at n > 1 keeps the rule correct.  For n > 1 it
@@ -421,47 +421,56 @@ def _split_with_idempotents(
     if not (_is_abelian(table) and all(u == 1 or n == 1 for u in ring.weyl_units)
             and all(N % p == 0 for p in prime_factors(m))
             and (n == 1 or all(o <= 2 for o in _coset_orders(table)))):
-        return [RingSummand("unsplit_crossed", n, N, ring=ring,
-                            provenance="no splitting rule applies")], None
+        return None
     chars, e, gens = _abelian_characters(table)
     units = [u for u in range(1, e + 1) if math.gcd(u, e) == 1]
     # a character is fixed by its values on the generators, so its Galois
     # orbit is marked by those values alone
     seen: set[tuple[int, ...]] = set()
-    orbits: list[tuple[int, tuple[int, ...]]] = []
+    orbits = []
     for chi in sorted(chars):
         key = tuple(chi[g] for g in gens)
         if key not in seen:  # so chi is the least character of its orbit
             seen |= {tuple((u * v) % e for v in key) for u in units}
-            orbits.append((e // math.gcd(e, *key), chi))
-    orbits.sort()
-    summands, idems = [], []
-    for d, chi in orbits:
-        k = d if n == 1 else n
-        summands.append(RingSummand(_kind_for(k), k, N, provenance=f"character orbit of order {d}"))
-        # The orbit's sum of chi'(w^-1) is the Ramanujan sum c_d at the
-        # order o of chi(w): c_d(d / o) = mu(o) phi(d) / phi(o).
-        coeff: dict[int, CycEltN] = {}
-        parts = []
-        for w in range(m):
-            o = e // math.gcd(e, chi[w])
-            if o not in coeff:
-                coeff[o] = CycEltN.from_int(n, N, _ramanujan_sum(d, d // o), den=m)
-            parts.append(coeff[o])
-        idems.append(CrossedElt(ring, tuple(parts)))
-    return _merge_multiplicities(summands), idems
+            orbits.append((e // math.gcd(e, *key), chi, e))
+    return sorted(orbits)
 
 
 def split_ring(ring: CrossedRing) -> list[RingSummand]:
     """Split the ring into summands where an implemented rule applies;
     an unsplit crossed product is a valid outcome."""
-    return _split_with_idempotents(ring)[0]
+    orbits = _character_orbits(ring)
+    if orbits is None:
+        return [RingSummand("unsplit_crossed", ring.n, ring.N, ring=ring,
+                            provenance="no splitting rule applies")]
+    summands = []
+    for d, _, _ in orbits:
+        k = d if ring.n == 1 else ring.n
+        summands.append(RingSummand(_kind_for(k), k, ring.N,
+                                    provenance=f"character orbit of order {d}"))
+    return _merge_multiplicities(summands)
 
 
 def splitting_idempotents(ring: CrossedRing) -> Optional[list[CrossedElt]]:
     """The complete orthogonal idempotent family realizing split_ring, one
     idempotent per summand copy; None when the ring stays unsplit."""
-    return _split_with_idempotents(ring)[1]
+    orbits = _character_orbits(ring)
+    if orbits is None:
+        return None
+    idems = []
+    for d, chi, e in orbits:
+        # The orbit's sum of chi'(w^-1) is the Ramanujan sum c_d at the
+        # order o of chi(w): c_d(d / o) = mu(o) phi(d) / phi(o).
+        coeff: dict[int, CycEltN] = {}
+        parts = []
+        for w in range(ring.weyl_order):
+            o = e // math.gcd(e, chi[w])
+            if o not in coeff:
+                coeff[o] = CycEltN.from_int(ring.n, ring.N, _ramanujan_sum(d, d // o),
+                                            den=ring.weyl_order)
+            parts.append(coeff[o])
+        idems.append(CrossedElt(ring, tuple(parts)))
+    return idems
 
 
 # ---------------------------------------------------------------------------

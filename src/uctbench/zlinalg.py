@@ -325,32 +325,29 @@ def lattice_kernel_localized(A, m: int, N: int = 1) -> IntMatrix:
 
 
 class ExactSolver:
-    """Reusable exact solver for A x = b over Z (one SNF, many right sides)."""
+    """Reusable exact solver for A x = b over Z: one Hermite form W A^T = H,
+    then per right side the coordinates y of b in the nonzero rows of H and
+    x = sum_l y_l W_l, or None when b lies outside the column lattice of A."""
 
     def __init__(self, A):
         M = _as_lists(A)
         self.rows = len(M)
         self.cols = len(M[0]) if M else 0
-        self.D, self.U, self.V = snf(M)
-        self.diag = self.D.diagonal()
+        H, W = hnf([[row[j] for row in M] for j in range(self.cols)])
+        self.H = [row for row in H.entries if any(row)]
+        self.W = W.entries[:len(self.H)]
 
     def solve(self, b: Sequence[int]) -> Optional[tuple[int, ...]]:
         if len(b) != self.rows:
             raise ValueError("right-hand side length mismatch")
-        t = self.U.matvec(b)
-        y = [0] * self.cols
-        k = min(self.rows, self.cols)
-        for i in range(k):
-            d = self.diag[i]
-            if d:
-                if t[i] % d:
-                    return None
-                y[i] = t[i] // d
-            elif t[i]:
-                return None
-        if any(t[i] for i in range(k, self.rows)):
+        y = hermite_coordinates(self.H, [b])[0]
+        if y is None:
             return None
-        return self.V.matvec(y)
+        x = [0] * self.cols
+        for c, w in zip(y, self.W):
+            if c:
+                x = [a + c * v for a, v in zip(x, w)]
+        return tuple(x)
 
 
 @dataclass(frozen=True)
@@ -459,6 +456,6 @@ def solve_mod(A, moduli: Sequence[int]) -> SolutionGroup:
     # Quotient of the solution lattice by L * Z^c.
     basis, rel_cols = lattice_coordinates(
         M, moduli, c, ([L if i == j else 0 for i in range(c)] for j in range(c)))
-    group = cokernel(rel_cols, len(basis))
+    group = cokernel(rel_cols, len(basis), L)
     gens = tuple(tuple(x % L for x in row) for row in basis)
     return SolutionGroup(gens, group, L)

@@ -9,7 +9,6 @@ from uctbench.amod import (
     AModObject,
     ModulePart,
     RingPresentation,
-    _smith_basis,
     _word_matrix,
     presentation_of,
 )
@@ -23,7 +22,6 @@ from uctbench.cyclotomic import (
 )
 from uctbench.groups import CyclicClass, CyclicSubgroup, FiniteGroup
 from uctbench.zlinalg import (
-    ExactSolver,
     FinAbGroup,
     IntMatrix,
     cokernel,
@@ -554,6 +552,83 @@ def bfs_abelian_characters(table) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# exact Smith forms over Z: the solver and Hom basis the library replaced by
+# Hermite forms and Smith forms mod L.  Their entries can grow without bound
+# on larger dense inputs, so they serve small oracles only.
+
+
+def reference_smith(A):
+    """Exact Smith form (diagonal, U, V) with U A V = diag(diagonal), U and
+    V unimodular, as lists: Euclid on the smallest entry of the trailing
+    block, then one row added to enforce the divisibility chain."""
+    M = [list(row) for row in A]
+    r, c = len(M), len(M[0]) if M else 0
+    U = [[int(i == j) for j in range(r)] for i in range(r)]
+    V = [[int(i == j) for j in range(c)] for i in range(c)]
+    t = 0
+    while t < min(r, c):
+        nonzero = [(abs(M[i][j]), i, j) for i in range(t, r) for j in range(t, c) if M[i][j]]
+        if not nonzero:
+            break
+        _, i, j = min(nonzero)
+        M[t], M[i], U[t], U[i] = M[i], M[t], U[i], U[t]
+        for row in M + V:
+            row[t], row[j] = row[j], row[t]
+        p = M[t][t]
+        for i in range(t + 1, r):
+            q = M[i][t] // p
+            M[i] = [x - q * y for x, y in zip(M[i], M[t])]
+            U[i] = [x - q * y for x, y in zip(U[i], U[t])]
+        for j in range(t + 1, c):
+            q = M[t][j] // p
+            for row in M + V:
+                row[j] -= q * row[t]
+        if any(M[i][t] for i in range(t + 1, r)) or any(M[t][t + 1:]):
+            continue  # a smaller remainder: pivot again
+        bad = next((i for i in range(t + 1, r) if any(x % p for x in M[i][t + 1:])), None)
+        if bad is not None:
+            M[t] = [x + y for x, y in zip(M[t], M[bad])]
+            U[t] = [x + y for x, y in zip(U[t], U[bad])]
+            continue
+        if p < 0:
+            M[t], U[t] = [-x for x in M[t]], [-x for x in U[t]]
+        t += 1
+    return [M[i][i] for i in range(min(r, c))], U, V
+
+
+class ReferenceSolver:
+    """A x = b over Z through one exact Smith form U A V = D: y = D^-1 U b
+    where it is integral, then x = V y."""
+
+    def __init__(self, A):
+        self.rows = len(A)
+        self.diag, self.U, self.V = reference_smith(A)
+
+    def solve(self, b):
+        if len(b) != self.rows:
+            raise ValueError("right-hand side length mismatch")
+        t = [sum(u * x for u, x in zip(row, b)) for row in self.U]
+        y = []
+        for i, ti in enumerate(t):
+            d = self.diag[i] if i < len(self.diag) else 0
+            if (ti % d if d else ti) != 0:
+                return None
+            if i < len(self.diag):
+                y.append(ti // d if d else 0)
+        return tuple(sum(v * yi for v, yi in zip(row, y)) for row in self.V)
+
+
+def reference_smith_basis(X, n: int) -> list[tuple[int, list[int]]]:
+    """Each invariant factor d > 1 of Z^n / X, by one exact Smith form, with
+    the column of U^-1 that generates it."""
+    diag, U, _ = reference_smith(X)
+    if len(diag) < n or 0 in diag:
+        raise RuntimeError("Hom of finite modules must be finite")
+    _, Uinv = hnf(U)  # U is unimodular: its Hermite form is I = Uinv U
+    return [(d, [Uinv[l, i] for l in range(n)]) for i, d in enumerate(diag) if d > 1]
+
+
+# ---------------------------------------------------------------------------
 # reference versions of the module solver: Hom as the lattice of matrices
 # commuting with every generator, Ext^1 as that lattice on the cover's
 # kernel modulo the restrictions of the maps out of the cover
@@ -604,7 +679,7 @@ def _hom_block(P: ModulePart, Q: ModulePart) -> list[tuple[int, IntMatrix]]:
         return []
     basis, rel_cols = _hom_lattice(r, P.mats, Q, P.orders)
     out = []
-    for d, col in _smith_basis([[c[i] for c in rel_cols] for i in range(t)], t):
+    for d, col in reference_smith_basis([[c[i] for c in rel_cols] for i in range(t)], t):
         vec = [sum(basis[l][x] * col[l] for l in range(t)) for x in range(t)]
         out.append((d, IntMatrix.from_rows(
             [[vec[k * r + j] % q for j in range(r)] for k, q in enumerate(Q.orders)])))
@@ -648,7 +723,7 @@ def _free_cover_kernel(pres: RingPresentation, orders: Sequence[int],
     kernel = congruence_kernel([[col[i] for col in cols] for i in range(r)], list(orders))
     lam = len(kernel)
     B = tuple(tuple(kernel[l][x] for l in range(lam)) for x in range(n))
-    solver = ExactSolver([list(row) for row in B]) if lam else None
+    solver = ReferenceSolver([list(row) for row in B]) if lam else None
     actions = []
     for G in pres.gen_mats:
         # G acts on each cover slot's copy of R by its left-regular matrix.

@@ -1,9 +1,14 @@
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+from uctbench import green, zlinalg
 from uctbench.amod import (
     AModFamily,
     _free_cover_kernel,
@@ -19,6 +24,7 @@ from uctbench.amod import (
     validate,
 )
 from uctbench.crossring import CrossedRing, target_category
+from uctbench.cyclotomic import CycEltN
 from uctbench.errors import FamilyMismatch, FreePartError, RingMismatch
 from uctbench.groups import preset_group
 from uctbench.zlinalg import FinAbGroup, IntMatrix
@@ -43,6 +49,8 @@ S3_REPORT = target_category(preset_group("symmetric(3)"))
 S3_CROSSED = S3_REPORT.flat_summands()[2]      # Z[theta_3, 1/6] x| Z/2
 S3_UNSPLIT = S3_REPORT.flat_summands()[0]      # Z[1/6][S3], left unsplit
 THETA5 = target_category(preset_group("cyclic(5)")).flat_summands()[1]  # Z[theta_5, 1/5]
+THETA7 = target_category(preset_group("cyclic(7)")).flat_summands()[1]  # Z[theta_7, 1/7]
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def int_module(summand, *orders, degree=0):
@@ -527,6 +535,19 @@ def test_family_mismatch():
         AModFamily.from_modules(Z2_REPORT, {7: int_module(Z2_INT, 3)})
 
 
+def test_family_checks_the_ring_of_every_module():
+    # A module over a bare crossed ring has no summand kind, yet its ring
+    # must match the slot: unchecked, this one over Z[theta_5, 1/15] at the
+    # Z[theta_3, 1/3] slot gives uct_order a Hom of C2^4.
+    alien = AModObject.build(CrossedRing(5, 15, ((0,),), (1,)),
+                             degree0=((11,), ([[3]], [[1]])))
+    assert validate(alien).ok
+    with pytest.raises(FamilyMismatch, match="module 1"):
+        AModFamily.from_modules(Z3_REPORT, {1: alien})
+    with pytest.raises(FamilyMismatch, match="module 0"):
+        AModFamily.from_modules(Z3_REPORT, {0: cyc_module(Z3_CYC, 7, 2)})
+
+
 def test_family_from_json():
     data = {"modules": [{"summand": 0, "degree0": {"orders": [3]}}]}
     fam = family_from_json(Z2_REPORT, data)
@@ -553,3 +574,68 @@ def test_candidate_parts_are_valid():
         for _ in range(10):
             M = random_module(rng, summand)
             assert validate(M).ok, summand.kind
+
+
+# (summand, q, k, k'): Hom and Ext of densely conjugated (R/q)^k against
+# (R/q)^k' are both C_q^(rho k k').  Exact Smith forms grow without bound
+# on these: with them none finishes in 30 s, R/29 over Z[theta_7, 1/7] not
+# in 120 s.
+DENSE_CASES = ((THETA7, 29, 1, 1), (THETA5, 11, 2, 2), (THETA5, 31, 2, 2),
+               (THETA5, 11, 3, 3), (THETA5, 11, 2, 3), (S3_UNSPLIT, 7, 2, 2))
+
+
+def dense_pair(seed, summand, q, k, k2):
+    rng = random.Random(seed)
+    zero = AModObject.zero(summand).parts[1]
+    return tuple(AModObject(summand, (conjugated_part(rng, regular_power_part(summand, q, j), q),
+                                      zero)) for j in (k, k2))
+
+
+def test_dense_hom_ext_answer_quickly():
+    # Run in a child process so that a hang fails the test instead of the
+    # suite; the generators are checked in this process once it answered.
+    script = (
+        "import json\n"
+        "from test_amod import DENSE_CASES, dense_pair, hom_group, ext_group\n"
+        "print(json.dumps([[list(hom_group(M, N).group.factors), list(ext_group(M, N).factors)]\n"
+        "                  for seed in range(3) for case in DENSE_CASES\n"
+        "                  for M, N in [dense_pair(seed, *case)]]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    got = iter(json.loads(proc.stdout))
+    for seed in range(3):
+        for summand, q, k, k2 in DENSE_CASES:
+            want = [q] * (presentation_of(summand).rank * k * k2)
+            assert next(got) == [want, want], (seed, summand.describe(), q, k, k2)
+    for case in DENSE_CASES:
+        M, N = dense_pair(0, *case)
+        _check_hom_generators(M, N, 0, hom_group(M, N))
+
+
+def test_solver_path_takes_no_exact_smith_form(monkeypatch):
+    # Every group on the solver path is killed by a known L, so every Smith
+    # form runs mod L: an exact one can grow its entries without bound.
+    real, moduli = zlinalg.snf, []
+
+    def spy(A, modulus=0):
+        moduli.append(modulus)
+        return real(A, modulus)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("uctbench") and getattr(module, "snf", None) is real:
+            monkeypatch.setattr(module, "snf", spy)
+    monkeypatch.setattr(green, "_DESCENT_SOLVERS", {})
+    M, N = dense_pair(0, S3_UNSPLIT, 7, 1, 1)
+    C15 = AModObject.build(Z2_INT, degree0=((3,), ()), degree1=((5,), ()))
+    for X, Y in ((M, N), (C15, C15), (crossed_module_q7(), crossed_module_q7(1))):
+        for degree in (0, 1):
+            hom_group(X, Y, degree)
+            ext_group(X, Y, degree)
+    family = AModFamily.from_modules(S3_REPORT, {0: M, 2: crossed_module_q7()})
+    uct_order(family, family)
+    zlinalg.solve_mod([[2, 4, 6], [3, 0, 9]], [8, 27])
+    green.descend(CycEltN(6, 1, (1, 1)), 3)
+    assert moduli and 0 not in moduli

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -15,7 +18,9 @@ from uctbench.zlinalg import (
     solve_mod,
 )
 
-from helpers import dense_matmul, det_unimodular
+from helpers import ReferenceSolver, dense_matmul, det_unimodular
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -189,6 +194,22 @@ def test_solve_mod_examples():
     assert res.group.order() == 36
 
 
+def test_solve_mod_dense_system_answers_quickly():
+    # L, the lcm of the moduli, kills the quotient by L Z^c, so its Smith
+    # form runs mod L: an exact one takes more than 60 s on this 4 x 8
+    # system.  Run in a child process so that a hang fails the test instead
+    # of the suite.
+    script = (
+        "from uctbench.zlinalg import solve_mod\n"
+        "print(solve_mod([[29, -24, 7, 37, 20, 40, 34, -32], [37, -39, 20, -7, 30, -11, -16, 20],"
+        " [29, 30, 20, 10, -21, -11, -21, 26], [9, -39, -32, -20, 35, -35, -2, -37]],"
+        " [343, 60, 1001, 60]).group)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")), timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["C7007"] + ["x", "C2942940"] * 6
+
+
 def test_lattice_kernel_localized_examples():
     B = lattice_kernel_localized(IntMatrix.identity(3), 1)
     assert B == IntMatrix.identity(3)
@@ -228,6 +249,29 @@ def test_lattice_coordinates():
         assert coords == [tuple(y) for y in combos]
     with pytest.raises(RuntimeError, match="outside"):
         lattice_coordinates([[1, 0]], [2], 2, [[1, 0]])
+
+
+def test_exact_solver_matches_smith_oracle_seeded():
+    # The Hermite-form solver against the exact Smith-form solver it
+    # replaced: both find a solution exactly when one exists.
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(200):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        A = rand_matrix(rng, rows, cols, -6, 6)
+        if rng.random() < 0.5:
+            b = IntMatrix.from_rows(A).matvec([rng.randint(-4, 4) for _ in range(cols)])
+        else:
+            b = [rng.randint(-9, 9) for _ in range(rows)]
+        ours, theirs = ExactSolver(A).solve(b), ReferenceSolver(A).solve(b)
+        assert (ours is None) == (theirs is None), (A, b)
+        for x in (ours, theirs):
+            if x is not None:
+                assert IntMatrix.from_rows(A).matvec(x) == tuple(b), (A, b)
+        outcomes.add(ours is None)
+    assert outcomes == {True, False}
+    assert ExactSolver([[1, 2]]).solve([3]) is not None
+    assert ExactSolver([[0, 0]]).solve([1]) is None
 
 
 def test_invariant_factors_match_sympy():
