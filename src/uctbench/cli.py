@@ -5,6 +5,15 @@ Exit codes: 0 success, 1 verification failure, 2 input error.  Identical
 inputs produce byte-identical output (fixed orderings, recorded seed).
 Verification items run in order in one thread.  WORKBENCH_THREADS is still
 accepted: it must be an integer, and `verify --json` echoes it as "threads".
+
+Check protocol of the verification suites: a builder in SUITES maps
+(bound, seed) to one (key, run) pair per item, and run() returns
+(checks, counterexample).  An item's checks are a generator with one
+`yield` per check; the yielded value is falsy when the check holds and is
+the counterexample text when it fails (`bad and f"..."`), so a passing
+check formats no string.  `_item` counts the checks that held and stops at
+the first failure; `verify` runs every item, sums the counts and reports
+the first item that failed.
 """
 
 from __future__ import annotations
@@ -14,7 +23,9 @@ import json
 import os
 import random
 import sys
-from typing import Callable, Optional, Sequence
+from functools import partial
+from itertools import repeat
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import __version__
 from .amod import family_from_json, uct_order
@@ -55,13 +66,7 @@ def load_group(src: str) -> FiniteGroup:
     """Group source: 'preset:<name>' or a path to a JSON group file."""
     if src.startswith("preset:"):
         return preset_group(src[len("preset:"):])
-    try:
-        with open(src, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read group file {src!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{src}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    data = _load_json(src)
     if not isinstance(data, dict):
         raise InputError(f"{src}: group file must be a JSON object")
     if "preset" in data:
@@ -72,7 +77,12 @@ def load_group(src: str) -> FiniteGroup:
         raise InputError(f"{src}: need either 'preset' or 'table'")
     G = group_from_table(data["table"], data.get("labels"))
     declared = data.get("order")
-    if declared is not None and declared != G.order:
+    if declared is None:
+        return G
+    # JSON true loads as bool, a subclass of int equal to 1
+    if type(declared) is not int:
+        raise InputError(f"{src}: 'order' must be an integer, got {declared!r}")
+    if declared != G.order:
         raise InputError(f"{src}: declared order {declared} != table size {G.order}")
     return G
 
@@ -85,6 +95,8 @@ def _load_json(path: str):
         raise InputError(f"cannot read {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
 
 
 def _emit(obj, as_json: bool, text: str) -> None:
@@ -143,81 +155,85 @@ def cmd_target_category(args) -> int:
 CheckItem = tuple[str, Callable[[], tuple[int, Optional[str]]]]
 
 
-def _suite_psi(bound: int, seed: int) -> list[CheckItem]:
-    def item(n: int):
-        def run():
-            checks = 0
-            ds = divisors(n)
-            ps = {k: psi(n, k) for k in ds}
-            total = CycPoly.zero(n, n)
-            for k in ds:
-                if (ps[k] * n).den != 1:
-                    return checks, f"n*psi_{{{n},{k}}} is not integral"
-                checks += 1
-                if ps[k] * ps[k] != ps[k]:
-                    return checks, f"psi_{{{n},{k}}}^2 != psi_{{{n},{k}}}"
-                checks += 1
-                for l in ds:
-                    if l != k:
-                        if not (ps[k] * ps[l]).is_zero():
-                            return checks, f"psi_{{{n},{k}}}*psi_{{{n},{l}}} != 0"
-                        checks += 1
-                total = total + ps[k]
-            if total != CycPoly.one(n, n):
-                return checks, f"sum of psi_{{{n},k}} != 1"
-            return checks + 1, None
-        return run
+def _item(checks_of: Callable[..., Iterable[object]], *args) -> tuple[int, Optional[str]]:
+    """Run one suite item: the number of checks that held before the first
+    failure, and that failure's counterexample (None if every check held)."""
+    ran = 0
+    for ran, failure in enumerate(checks_of(*args), 1):
+        if failure:
+            return ran - 1, failure
+    return ran, None
 
-    return [(f"n={n}", item(n)) for n in range(1, bound + 1)]
+
+def _psi_checks(n: int):
+    ds = divisors(n)
+    ps = {k: psi(n, k) for k in ds}
+    for k in ds:
+        yield (ps[k] * n).den != 1 and f"n*psi_{{{n},{k}}} is not integral"
+        yield ps[k] * ps[k] != ps[k] and f"psi_{{{n},{k}}}^2 != psi_{{{n},{k}}}"
+        for l in ds:
+            if l != k:
+                yield not (ps[k] * ps[l]).is_zero() and f"psi_{{{n},{k}}}*psi_{{{n},{l}}} != 0"
+    yield (sum(ps.values(), CycPoly.zero(n, n)) != CycPoly.one(n, n)
+           and f"sum of psi_{{{n},k}} != 1")
+
+
+def _suite_psi(bound: int, seed: int) -> list[CheckItem]:
+    return [(f"n={n}", partial(_item, _psi_checks, n)) for n in range(1, bound + 1)]
+
+
+def _character_checks(n: int):
+    one = CycEltN.one(n, n)
+    zero = CycEltN.zero(n, n)
+    for k in divisors(n):
+        p = psi(n, k)
+        for j in range(n):
+            want = one if order_mod(j, n) == k else zero
+            yield (evaluate_at_root(p, j) != want
+                   and f"char(psi_{{{n},{k}}})({j}) != [ord({j})={k}]")
 
 
 def _suite_characters(bound: int, seed: int) -> list[CheckItem]:
-    def item(n: int):
-        def run():
-            checks = 0
-            one = CycEltN.one(n, n)
-            zero = CycEltN.zero(n, n)
-            for k in divisors(n):
-                p = psi(n, k)
-                for j in range(n):
-                    want = one if order_mod(j, n) == k else zero
-                    if evaluate_at_root(p, j) != want:
-                        return checks, f"char(psi_{{{n},{k}}})({j}) != [ord({j})={k}]"
-                    checks += 1
-            return checks, None
-        return run
+    return [(f"n={n}", partial(_item, _character_checks, n)) for n in range(1, bound + 1)]
 
-    return [(f"n={n}", item(n)) for n in range(1, bound + 1)]
+
+def _frobenius_checks(n: int, k: int):
+    # the closed forms and their character oracles count as one check
+    w = n // k
+    p_kk, p_nk = p_idempotent(k, k, n), p_idempotent(n, k, n)
+    ind = induce(p_kk, n)
+    yield (ind != p_nk * w and f"ind(p_{{{k},{k}}}) != {w} * p_{{{n},{k}}}"
+           or ind != _induce_via_characters(p_kk, n)
+           and f"ind(p_{{{k},{k}}}) differs from its character oracle"
+           or restrict(p_nk, k) != _restrict_via_characters(p_nk, k)
+           and f"res(p_{{{n},{k}}}) differs from its character oracle")
+    # the report's count includes a failing pair
+    rep = frobenius_check(n, k)
+    yield from repeat(False, rep.checked)
+    if not rep.passed:
+        a, b = rep.counterexample
+        yield f"ind(res(z^{b})*z^{a}) != z^{b}*ind(z^{a}) at (n,k)=({n},{k})"
 
 
 def _suite_frobenius(bound: int, seed: int) -> list[CheckItem]:
-    items: list[CheckItem] = []
+    return [(f"n={n},k={k}", partial(_item, _frobenius_checks, n, k))
+            for n in range(1, bound + 1) for k in divisors(n)]
 
-    def item(n: int, k: int):
-        def run():
-            checks = 0
-            w = n // k
-            p_kk, p_nk = p_idempotent(k, k, n), p_idempotent(n, k, n)
-            ind = induce(p_kk, n)
-            if ind != p_nk * w:
-                return checks, f"ind(p_{{{k},{k}}}) != {w} * p_{{{n},{k}}}"
-            if ind != _induce_via_characters(p_kk, n):
-                return checks, f"ind(p_{{{k},{k}}}) differs from its character oracle"
-            if restrict(p_nk, k) != _restrict_via_characters(p_nk, k):
-                return checks, f"res(p_{{{n},{k}}}) differs from its character oracle"
-            checks += 1
-            rep = frobenius_check(n, k)
-            checks += rep.checked
-            if not rep.passed:
-                a, b = rep.counterexample
-                return checks, f"ind(res(z^{b})*z^{a}) != z^{b}*ind(z^{a}) at (n,k)=({n},{k})"
-            return checks, None
-        return run
 
-    for n in range(1, bound + 1):
-        for k in divisors(n):
-            items.append((f"n={n},k={k}", item(n, k)))
-    return items
+def _roundtrip_checks(n: int):
+    for coeffs in ((1,) + (0,) * (n - 1), tuple(range(1, n + 1))):
+        a = CycPoly(n, n, coeffs)
+        yield crt_join(crt_split(a)) != a and f"crt_join(crt_split(.)) != id at n={n}"
+
+
+def _pair_checks(idx: int, n: int, xc, yc):
+    x = CycPoly(n, n, xc)
+    y = CycPoly(n, n, yc)
+    sx, sy, sxy = crt_split(x), crt_split(y), crt_split(x * y)
+    for k in divisors(n):
+        yield (sx[k] * sy[k] != sxy[k]
+               and f"crt_split not multiplicative at n={n}, k={k}, pair {idx}")
+    yield crt_join(sxy) != x * y and f"crt roundtrip failed on product, n={n}, pair {idx}"
 
 
 def _suite_crt(bound: int, seed: int) -> list[CheckItem]:
@@ -229,38 +245,10 @@ def _suite_crt(bound: int, seed: int) -> list[CheckItem]:
         x = tuple(rng.randint(-9, 9) for _ in range(n))
         y = tuple(rng.randint(-9, 9) for _ in range(n))
         pairs.append((n, x, y))
-
-    def roundtrip_item(n: int):
-        def run():
-            checks = 0
-            for coeffs in ((1,) + (0,) * (n - 1), tuple(range(1, n + 1))):
-                a = CycPoly(n, n, coeffs)
-                if crt_join(crt_split(a)) != a:
-                    return checks, f"crt_join(crt_split(.)) != id at n={n}"
-                checks += 1
-            return checks, None
-        return run
-
-    def pair_item(idx: int, n: int, xc, yc):
-        def run():
-            checks = 0
-            x = CycPoly(n, n, xc)
-            y = CycPoly(n, n, yc)
-            sx, sy, sxy = crt_split(x), crt_split(y), crt_split(x * y)
-            for k in divisors(n):
-                if sx[k] * sy[k] != sxy[k]:
-                    return checks, f"crt_split not multiplicative at n={n}, k={k}, pair {idx}"
-                checks += 1
-            if crt_join(sxy) != x * y:
-                return checks, f"crt roundtrip failed on product, n={n}, pair {idx}"
-            return checks + 1, None
-        return run
-
-    items: list[CheckItem] = [(f"roundtrip n={n}", roundtrip_item(n))
-                              for n in range(1, bound + 1)]
-    items += [(f"pair {i} (n={n})", pair_item(i, n, x, y))
-              for i, (n, x, y) in enumerate(pairs)]
-    return items
+    return ([(f"roundtrip n={n}", partial(_item, _roundtrip_checks, n))
+             for n in range(1, bound + 1)]
+            + [(f"pair {i} (n={n})", partial(_item, _pair_checks, i, n, x, y))
+               for i, (n, x, y) in enumerate(pairs)])
 
 
 def _crossed_preset_names(bound: int) -> list[str]:
@@ -275,73 +263,56 @@ def _crossed_preset_names(bound: int) -> list[str]:
     return names
 
 
+_RELATION_FAILURES = {
+    "phi": "Phi_n(Z) != 0",
+    "table": "coset table relation fails",
+    "twist": "twisted commutation fails",
+}
+
+
+def _crossed_checks(seed: int, name: str, class_index: int, ring: CrossedRing):
+    label = f"{name}[{class_index}]"
+    rep = regular_representation(ring)
+    for rel in crossed_relations(ring.n, ring.weyl_table, ring.weyl_units,
+                                 rep.z, rep.cosets, (0,) * ring.rank):
+        yield rel.bad is not None and f"{label}: {_RELATION_FAILURES[rel.kind]}"
+    # associativity and unit on seeded random triples
+    rng = random.Random(f"{seed}:{name}:{class_index}")
+
+    def rand_elt():
+        deg = totient(ring.n)
+        return CrossedElt(ring, tuple(
+            CycEltN(ring.n, ring.N, tuple(rng.randint(-3, 3) for _ in range(deg)))
+            for _ in range(ring.weyl_order)
+        ))
+
+    one = CrossedElt.one(ring)
+    for _ in range(4):
+        x, y, z = rand_elt(), rand_elt(), rand_elt()
+        yield (x * y) * z != x * (y * z) and f"{label}: associativity fails"
+        yield (x * one != x or one * x != x) and f"{label}: unit fails"
+    # splitting sanity
+    parts = split_ring(ring)
+    yield (sum(s.rank() * s.multiplicity for s in parts) != ring.rank
+           and f"{label}: summand ranks do not sum to rank")
+    idems = splitting_idempotents(ring)
+    if idems is not None:
+        for i, e in enumerate(idems):
+            yield e * e != e and f"{label}: idempotent {i} fails e^2=e"
+            # orthogonality stops the item when it fails but is not counted
+            for j, f in enumerate(idems):
+                if i != j and not (e * f).is_zero():
+                    yield f"{label}: idempotents {i},{j} not orthogonal"
+        yield (sum(idems, CrossedElt.zero(ring)) != one
+               and f"{label}: idempotents do not sum to 1")
+
+
 def _suite_crossed(bound: int, seed: int) -> list[CheckItem]:
-    items: list[CheckItem] = []
-    failures = {
-        "phi": "Phi_n(Z) != 0",
-        "table": "coset table relation fails",
-        "twist": "twisted commutation fails",
-    }
-
-    def item(name: str, class_index: int, ring: CrossedRing):
-        def run():
-            checks = 0
-            label = f"{name}[{class_index}]"
-            rep = regular_representation(ring)
-            for rel in crossed_relations(ring.n, ring.weyl_table, ring.weyl_units,
-                                         rep.z, rep.cosets, (0,) * ring.rank):
-                if rel.bad is not None:
-                    return checks, f"{label}: {failures[rel.kind]}"
-                checks += 1
-            # associativity and unit on seeded random triples
-            rng = random.Random(f"{seed}:{name}:{class_index}")
-
-            def rand_elt():
-                deg = totient(ring.n)
-                return CrossedElt(ring, tuple(
-                    CycEltN(ring.n, ring.N,
-                            tuple(rng.randint(-3, 3) for _ in range(deg)))
-                    for _ in range(ring.weyl_order)
-                ))
-
-            one = CrossedElt.one(ring)
-            for _ in range(4):
-                x, y, z = rand_elt(), rand_elt(), rand_elt()
-                if (x * y) * z != x * (y * z):
-                    return checks, f"{label}: associativity fails"
-                checks += 1
-                if x * one != x or one * x != x:
-                    return checks, f"{label}: unit fails"
-                checks += 1
-            # splitting sanity
-            parts = split_ring(ring)
-            if sum(s.rank() * s.multiplicity for s in parts) != ring.rank:
-                return checks, f"{label}: summand ranks do not sum to rank"
-            checks += 1
-            idems = splitting_idempotents(ring)
-            if idems is not None:
-                total = CrossedElt.zero(ring)
-                for i, e in enumerate(idems):
-                    total = total + e
-                    if e * e != e:
-                        return checks, f"{label}: idempotent {i} fails e^2=e"
-                    checks += 1
-                    for j, f in enumerate(idems):
-                        if i != j and not (e * f).is_zero():
-                            return checks, f"{label}: idempotents {i},{j} not orthogonal"
-                if total != one:
-                    return checks, f"{label}: idempotents do not sum to 1"
-                checks += 1
-            return checks, None
-        return run
-
-    for name in _crossed_preset_names(bound):
-        G = preset_group(name)
-        if G.order > bound:
-            continue
-        for ci, C in enumerate(cyclic_classes(G)):
-            items.append((f"{name}[{ci}]", item(name, ci, build_crossed_ring(C, G.order))))
-    return items
+    return [(f"{name}[{ci}]",
+             partial(_item, _crossed_checks, seed, name, ci, build_crossed_ring(C, G.order)))
+            for name in _crossed_preset_names(bound)
+            if (G := preset_group(name)).order <= bound
+            for ci, C in enumerate(cyclic_classes(G))]
 
 
 SUITES = {
@@ -370,13 +341,9 @@ def cmd_verify(args) -> int:
         raise InputError("--max-n must be >= 1")
     items = suite(args.max_n, args.seed)
     threads = _thread_count()
-    results = [fn() for _, fn in items]
-    checks = sum(c for c, _ in results)
-    failure = None
-    for (key, _), (_, err) in zip(items, results):
-        if err is not None:
-            failure = (key, err)
-            break
+    results = [(key, *fn()) for key, fn in items]
+    checks = sum(c for _, c, _ in results)
+    failure = next(((key, err) for key, _, err in results if err is not None), None)
     payload = {
         "suite": args.suite,
         "max_n": args.max_n,

@@ -202,11 +202,16 @@ def _split_call(spec: str) -> tuple[str, Optional[list[str]]]:
 # the order.
 MAX_PRESET_ORDER = 5040
 
+# Deepest nesting of presets inside direct_product: a product of 13
+# nontrivial factors already exceeds MAX_PRESET_ORDER, and parsing and
+# building recurse once per level.
+MAX_PRESET_DEPTH = 16
+
 
 def preset_group(name: str) -> FiniteGroup:
     """Build one of the named groups: cyclic(n), dihedral(n), symmetric(n),
     klein_four, or direct_product(a, b) of presets, of order at most
-    MAX_PRESET_ORDER."""
+    MAX_PRESET_ORDER and nested at most MAX_PRESET_DEPTH deep."""
     order, build = _parse_preset(name)
     if order > MAX_PRESET_ORDER:
         raise UnsupportedSize(
@@ -215,9 +220,11 @@ def preset_group(name: str) -> FiniteGroup:
     return build()
 
 
-def _parse_preset(name: str) -> tuple[int, Callable[[], FiniteGroup]]:
+def _parse_preset(name: str, depth: int = 0) -> tuple[int, Callable[[], FiniteGroup]]:
     """The order of a preset, worked out before any table is built, and a
     function that builds it."""
+    if depth > MAX_PRESET_DEPTH:
+        raise UnsupportedSize(f"presets nest at most {MAX_PRESET_DEPTH} deep")
     head, args = _split_call(name)
     if head == "klein_four":
         if args:
@@ -244,7 +251,7 @@ def _parse_preset(name: str) -> tuple[int, Callable[[], FiniteGroup]]:
     if head == "direct_product":
         if not args or len(args) != 2:
             raise UnknownPreset("direct_product takes two preset arguments")
-        (order_a, build_a), (order_b, build_b) = map(_parse_preset, args)
+        (order_a, build_a), (order_b, build_b) = (_parse_preset(a, depth + 1) for a in args)
         return order_a * order_b, lambda: _direct_product(build_a(), build_b())
     raise UnknownPreset(f"unknown preset {name!r}")
 
@@ -334,40 +341,18 @@ def cyclic_classes(G: FiniteGroup) -> list[CyclicClass]:
             if K is H:
                 normalizer.append(x)
         seen |= orbit
-        # left cosets of the representative inside its normalizer
-        coset_of: dict[int, int] = {}
-        cosets: list[tuple[int, ...]] = []
+        # left cosets of the representative inside its normalizer: scanned
+        # in index order, the first element of a coset not yet covered is
+        # its least element, so the cosets come out sorted by it
+        reps = [G.identity]
+        covered = set(H)
         for x in normalizer:
-            if x in coset_of:
-                continue
-            coset = tuple(sorted(G.mul[x][h] for h in H))
-            idx = len(cosets)
-            cosets.append(coset)
-            for y in coset:
-                coset_of[y] = idx
-        id_idx = coset_of[G.identity]
-        order_keys = sorted(range(len(cosets)),
-                            key=lambda i: (i != id_idx, cosets[i][0]))
-        relabel = {old: new for new, old in enumerate(order_keys)}
-        coset_of = {x: relabel[i] for x, i in coset_of.items()}
-        reps = [0] * len(cosets)
-        for old, new in relabel.items():
-            reps[new] = G.identity if new == 0 else cosets[old][0]
-        # discrete log table of the generator
-        dlog = {}
-        cur, t = G.identity, 0
-        while True:
-            dlog[cur] = t
-            cur = G.mul[cur][generator]
-            t += 1
-            if cur == G.identity:
-                break
-        units = []
-        for r in reps:
-            if n == 1:
-                units.append(1)
-            else:
-                units.append(dlog[G.conjugate(r, generator)])
+            if x not in covered:
+                reps.append(x)
+                covered.update(mul[x][h] for h in H)
+        coset_of = {mul[r][h]: i for i, r in enumerate(reps) for h in H}
+        dlog = {G.power(generator, t): t for t in range(n)}
+        units = [dlog[G.conjugate(r, generator)] if n > 1 else 1 for r in reps]
         table = tuple(
             tuple([coset_of[row[b]] for b in reps]) for row in [mul[a] for a in reps]
         )

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from uctbench import group_from_table
-from uctbench.errors import InvalidGroupTable
+from uctbench import amod, group_from_table, preset_group
+from uctbench.amod import MAX_LATTICE_WIDTH
+from uctbench.errors import InvalidGroupTable, UnsupportedSize
+from uctbench.groups import MAX_PRESET_DEPTH
 from uctbench.cli import main
 
 
@@ -67,3 +69,78 @@ def test_null_or_empty_degree_is_zero(tmp_path, capsys, degree1):
     code = main(["uct", "preset:cyclic(2)", "--a", str(path), "--b", str(path), "--json"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["degree0"]["hom"]["factors"] == [3]
+
+
+DEEP = 100_000
+
+
+def _deep_preset(depth):
+    name = "cyclic(1)"
+    for _ in range(depth):
+        name = f"direct_product(cyclic(1),{name})"
+    return name
+
+
+def _exit_2(capsys, argv, message):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_deep_group_file_exits_2(tmp_path, capsys):
+    # json.load raises RecursionError on this file
+    path = tmp_path / "g.json"
+    path.write_text("[" * DEEP + "]" * DEEP)
+    _exit_2(capsys, ["group-info", str(path)], "JSON nested too deeply")
+
+
+def test_deep_module_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    path.write_text('{"modules": ' + "[" * DEEP + "]" * DEEP + "}")
+    _exit_2(capsys, ["uct", "preset:cyclic(2)", "--a", str(path), "--b", str(path)],
+            "JSON nested too deeply")
+
+
+def test_deep_preset_exits_2(capsys):
+    # 2000 levels used to raise RecursionError while parsing
+    _exit_2(capsys, ["group-info", f"preset:{_deep_preset(2000)}"],
+            f"presets nest at most {MAX_PRESET_DEPTH} deep")
+
+
+def test_preset_at_depth_bound_builds():
+    assert preset_group(_deep_preset(MAX_PRESET_DEPTH)).order == 1
+    with pytest.raises(UnsupportedSize):
+        preset_group(_deep_preset(MAX_PRESET_DEPTH + 1))
+
+
+@pytest.mark.parametrize("order", [True, "1", 1.0])
+def test_declared_order_must_be_int(tmp_path, capsys, order):
+    # True == 1 used to pass as the order of a one-element table
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"table": [[0]], "order": order}))
+    _exit_2(capsys, ["group-info", str(path)], "'order' must be an integer")
+
+
+def _z3_family(tmp_path, k):
+    path = tmp_path / f"z3_{k}.json"
+    path.write_text(json.dumps({"modules": [{"summand": 0, "degree0": {"orders": [3] * k}}]}))
+    return str(path)
+
+
+def test_uct_above_size_bound_exits_2(tmp_path, capsys):
+    # (Z/3)^41 over Z[1/2]: 41 * 41 * 1 > MAX_LATTICE_WIDTH, refused before
+    # the resolution (its Hom lattice alone would be 1681 wide)
+    path = _z3_family(tmp_path, 41)
+    _exit_2(capsys, ["uct", "preset:cyclic(2)", "--a", path, "--b", path],
+            f"1681, above {MAX_LATTICE_WIDTH}")
+
+
+def test_uct_size_bound_is_inclusive(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(amod, "MAX_LATTICE_WIDTH", 4)
+    path = _z3_family(tmp_path, 2)
+    assert main(["uct", "preset:cyclic(2)", "--a", path, "--b", path]) == 0
+    path = _z3_family(tmp_path, 3)
+    _exit_2(capsys, ["uct", "preset:cyclic(2)", "--a", path, "--b", path], "9, above 4")
