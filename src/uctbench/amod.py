@@ -3,7 +3,11 @@ the Hom / Ext computations behind the UCT order bookkeeping.
 
 A module is stored per degree as the cyclic orders of its underlying finite
 abelian group plus one integer action matrix per ring generator, entries
-read modulo the cyclic orders (row modulus).
+read modulo the cyclic orders (row modulus).  Every module ring is presented
+the same way, by the regular representation of its crossed ring
+Z[theta_n, 1/N] x| W: a generator z when n > 1, then one generator w per
+Weyl coset.  A split summand Z[theta_d, 1/N] is the crossed ring with
+trivial W and has no w generator.
 
 Hom and Ext are the cohomology of one complex.  Resolve a part P by free
 covers, 0 <- P <- R^g0 <- R^g1 <- R^g2, each the irredundant cover of the
@@ -11,8 +15,8 @@ kernel before it (after the first step the kernels are lattices, orders 0).
 A map R^g -> Q is its tuple y in Q^g of generator images, so Hom_R(-, Q)
 turns the resolution into Q^g0 -d0-> Q^g1 -d1-> Q^g2, where d evaluates the
 map at the next kernel's generators: sum_{j, beta} c_{j beta} W_Q[beta] y_j
-for a kernel vector c in cover coordinates and W_Q[beta] the action of the
-basis word beta on Q.  Then
+for a kernel vector c in cover coordinates and W_Q[beta] the action on Q of
+the basis element beta = theta^i w, as z^i w.  Then
 
     Hom(P, Q) = ker d0,   Ext^1(P, Q) = ker d1 / im d0,
 
@@ -44,7 +48,6 @@ from .crossring import (
     RingSummand,
     TargetCategoryReport,
     _first_difference,
-    companion_matrix,
     crossed_relations,
     regular_representation,
 )
@@ -77,69 +80,66 @@ ModuleRing = Union[RingSummand, CrossedRing]
 
 @dataclass(frozen=True)
 class RingPresentation:
-    """Generators of the ring acting on modules, their left-regular matrices
-    on the integral basis, and for every basis element the word (sequence of
-    generator indices) whose product realizes it.  The ring is
-    Z[theta_n, 1/N] x| W with the Weyl coset table and units; a commutative
-    summand has no cosets."""
+    """The ring acting on modules, Z[theta_n, 1/N] x| W, as the regular
+    representation of its crossed ring on the basis theta^i w (w-major): the
+    generators z (when n > 1), then w0 .. w(m-1) for a crossed product, with
+    their left-regular matrices.  A split summand Z[theta_d, 1/N] is the
+    crossed ring with trivial W and has no w generator."""
 
-    rank: int
+    ring: CrossedRing
     gen_names: tuple[str, ...]
     gen_mats: tuple[IntMatrix, ...]
-    basis_words: tuple[tuple[int, ...], ...]
-    n: int
-    N: int
-    weyl_table: tuple[tuple[int, ...], ...] = ()
-    weyl_units: tuple[int, ...] = ()
+
+    @property
+    def rank(self) -> int:
+        return self.ring.rank
 
 
-_PRESENTATIONS: dict[tuple, RingPresentation] = {}
+# Keyed by the module ring passed in, so a hit builds nothing.
+_PRESENTATIONS: dict[ModuleRing, RingPresentation] = {}
 
 
 def presentation_of(ring: ModuleRing) -> RingPresentation:
-    key = _ring_key(ring)
-    got = _PRESENTATIONS.get(key)
+    got = _PRESENTATIONS.get(ring)
     if got is not None:
         return got
-    if isinstance(ring, RingSummand) and ring.kind != "unsplit_crossed":
-        if ring.kind == "integral_local":
-            pres = RingPresentation(1, (), (), ((),), 1, ring.N)
-        else:
-            deg = totient(ring.d)
-            pres = RingPresentation(
-                deg, ("z",), (companion_matrix(ring.d),),
-                tuple((0,) * i for i in range(deg)), ring.d, ring.N,
-            )
-    else:
-        cr = ring.ring if isinstance(ring, RingSummand) else ring
-        rep = regular_representation(cr)
-        deg = totient(cr.n)
-        m = cr.weyl_order
-        weyl = (cr.n, ring.N, cr.weyl_table, cr.weyl_units)
-        if cr.n == 1:
-            names = tuple(f"w{v}" for v in range(m))
-            pres = RingPresentation(m, names, rep.cosets,
-                                    tuple((w,) for w in range(m)), *weyl)
-        else:
-            names = ("z",) + tuple(f"w{v}" for v in range(m))
-            words = tuple(
-                (0,) * i + (1 + w,) for w in range(m) for i in range(deg)
-            )
-            pres = RingPresentation(deg * m, names, (rep.z,) + rep.cosets, words, *weyl)
-    _PRESENTATIONS[key] = pres
-    return pres
-
-
-def _ring_key(ring: ModuleRing):
-    """Structural identity of a module ring; ignores summand provenance."""
-    if isinstance(ring, CrossedRing):
-        return ("crossed", ring)
-    return (ring.kind, ring.d, ring.N, ring.ring)
+    cr = ring if isinstance(ring, CrossedRing) else ring.ring
+    crossed = cr is not None
+    if not crossed:
+        # a split summand Z[theta_d, 1/N] is the crossed ring with trivial W
+        d = 1 if ring.kind == "integral_local" else ring.d
+        cr = CrossedRing(d, ring.N, ((0,),), (1,))
+    rep = regular_representation(cr)
+    names, mats = (("z",), (rep.z,)) if cr.n > 1 else ((), ())
+    if crossed:
+        names += tuple(f"w{v}" for v in range(cr.weyl_order))
+        mats += rep.cosets
+    got = _PRESENTATIONS[ring] = RingPresentation(cr, names, mats)
+    return got
 
 
 def _check_same_ring(a: ModuleRing, b: ModuleRing, what: str) -> None:
-    if _ring_key(a) != _ring_key(b):
+    if presentation_of(a) != presentation_of(b):
         raise RingMismatch(f"{what} across different ring summands")
+
+
+def _z_and_cosets(pres: RingPresentation, mats: Sequence[IntMatrix],
+                  r: int) -> tuple[IntMatrix, tuple[IntMatrix, ...]]:
+    """A part's generator matrices as its z-action (the identity when
+    n = 1) and its coset actions (none for a split summand)."""
+    if pres.ring.n > 1:
+        return mats[0], tuple(mats[1:])
+    return IntMatrix.identity(r), tuple(mats)
+
+
+def _basis_actions(pres: RingPresentation, mats: Sequence[IntMatrix],
+                   r: int) -> list[IntMatrix]:
+    """The action of each basis element theta^i w as z^i w, w-major."""
+    z, cosets = _z_and_cosets(pres, mats, r)
+    powers = [IntMatrix.identity(r)]
+    for _ in range(totient(pres.ring.n) - 1):
+        powers.append(z @ powers[-1])
+    return [p @ w for w in cosets for p in powers] if cosets else powers
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +269,6 @@ class ValidationReport:
     message: Optional[str] = None
 
 
-def _word_matrix(mats: Sequence[IntMatrix], word: tuple[int, ...], r: int) -> IntMatrix:
-    out = IntMatrix.identity(r)
-    for g in word:
-        out = out @ mats[g]
-    return out
-
-
 def validate(M: AModObject) -> ValidationReport:
     """Check all structural invariants; report the first violation."""
     pres = presentation_of(M.ring)
@@ -284,9 +277,9 @@ def validate(M: AModObject) -> ValidationReport:
         for o in part.orders:
             if o < 0 or o == 1:
                 return ValidationReport(False, f"{tag}: cyclic order {o} invalid (need 0 or >= 2)")
-            if o and math.gcd(o, pres.N) > 1:
+            if o and math.gcd(o, pres.ring.N) > 1:
                 return ValidationReport(
-                    False, f"{tag}: order {o} is not coprime to the inverted N={pres.N}")
+                    False, f"{tag}: order {o} is not coprime to the inverted N={pres.ring.N}")
         r = part.rank
         if len(part.mats) != len(pres.gen_names):
             return ValidationReport(False, f"{tag}: wrong number of action matrices")
@@ -306,22 +299,18 @@ def validate(M: AModObject) -> ValidationReport:
                         )
         if r == 0:
             continue
-        named = dict(zip(pres.gen_names, part.mats))
-        wmats = [named[f"w{v}"] for v in range(len(pres.weyl_units))]
-        if wmats:
-            bad = _first_difference(wmats[0], IntMatrix.identity(r), part.orders)
+        z, cosets = _z_and_cosets(pres, part.mats, r)
+        if cosets:
+            bad = _first_difference(cosets[0], IntMatrix.identity(r), part.orders)
             if bad is not None:
                 return ValidationReport(
                     False, f"{tag}: identity coset does not act as identity at {bad}"
                 )
-        # without a z generator (n = 1) theta_1 = 1 acts as the identity
-        zmat = named.get("z", IntMatrix.identity(r))
-        for rel in crossed_relations(pres.n, pres.weyl_table, pres.weyl_units, zmat, wmats,
-                                     part.orders):
+        for rel in crossed_relations(pres.ring, z, cosets, part.orders):
             if rel.bad is None:
                 continue
             if rel.kind == "phi":
-                what = f"Phi_{pres.n}(z-action) is nonzero mod orders"
+                what = f"Phi_{pres.ring.n}(z-action) is nonzero mod orders"
             elif rel.kind == "table":
                 what = f"Weyl table relation w{rel.a}*w{rel.b} fails"
             else:
@@ -376,7 +365,7 @@ def _free_cover_kernel(pres: RingPresentation, orders: Sequence[int],
                        extra_generators: Sequence[Sequence[int]] = ()) -> _CoverKernel:
     r = len(orders)
     rho = pres.rank
-    word_mats = [_word_matrix(mats, w, r) for w in pres.basis_words]
+    word_mats = _basis_actions(pres, mats, r)
     # Irredundant cover: e_j becomes a generator only when it lies outside
     # the Z-span of the order rows o_i e_i and of the R-span of the
     # generators before it (order 0 marks a free lattice); `span` holds the
@@ -439,7 +428,7 @@ def _evaluations(pres: RingPresentation, vectors: Sequence[Sequence[int]],
     c of Z^(g * rho), where f_y: R^g -> Q sends slot j's 1 to y_j.  Rows are
     indexed (vector, coordinate of Q), columns (slot j, coordinate of Q)."""
     s, rho = Q.rank, pres.rank
-    words = [_word_matrix(Q.mats, w, s).entries for w in pres.basis_words]
+    words = [w.entries for w in _basis_actions(pres, Q.mats, s)]
     rows = []
     for c in vectors:
         block = [[0] * (len(c) // rho * s) for _ in range(s)]
@@ -618,7 +607,7 @@ class AModFamily:
                 f"family needs {len(flat)} modules, got {len(self.modules)}"
             )
         for i, (summand, module) in enumerate(zip(flat, self.modules)):
-            if _ring_key(module.ring) != _ring_key(summand):
+            if presentation_of(module.ring) != presentation_of(summand):
                 raise FamilyMismatch(f"module {i} lives over the wrong summand")
 
     @classmethod
@@ -722,22 +711,20 @@ def _part_from_json(ring: ModuleRing, data: dict) -> tuple[Sequence[int], Sequen
         raise InputError("'orders' must be a list of integers")
     r = len(orders)
     mats = []
-    for name in pres.gen_names:
-        if name == "z":
-            raw = data.get("z")
-            if raw is None:
-                raise InputError("missing 'z' action matrix")
-        else:
-            wlist = data.get("w")
-            if wlist is None:
-                raise InputError("missing 'w' action matrices")
-            idx = int(name[1:])
-            if not isinstance(wlist, list) or len(wlist) <= idx:
-                raise InputError(
-                    f"'w' must list one matrix per Weyl coset (need {idx + 1})"
-                )
-            raw = wlist[idx]
-        mats.append(_action_matrix(name, raw))
+    if pres.ring.n > 1:
+        raw = data.get("z")
+        if raw is None:
+            raise InputError("missing 'z' action matrix")
+        mats.append(_action_matrix("z", raw))
+    # a crossed product lists one coset matrix per remaining generator
+    m = len(pres.gen_names) - len(mats)
+    if m:
+        wlist = data.get("w")
+        if wlist is None:
+            raise InputError("missing 'w' action matrices")
+        if not isinstance(wlist, list) or len(wlist) != m:
+            raise InputError(f"'w' must list exactly {m} matrices, one per Weyl coset")
+        mats += (_action_matrix(f"w{v}", raw) for v, raw in enumerate(wlist))
     if r == 0:
         mats = [IntMatrix.zero(0, 0) for _ in pres.gen_names]
     return orders, mats

@@ -273,8 +273,7 @@ _RELATION_FAILURES = {
 def _crossed_checks(seed: int, name: str, class_index: int, ring: CrossedRing):
     label = f"{name}[{class_index}]"
     rep = regular_representation(ring)
-    for rel in crossed_relations(ring.n, ring.weyl_table, ring.weyl_units,
-                                 rep.z, rep.cosets, (0,) * ring.rank):
+    for rel in crossed_relations(ring, rep.z, rep.cosets, (0,) * ring.rank):
         yield rel.bad is not None and f"{label}: {_RELATION_FAILURES[rel.kind]}"
     # associativity and unit on seeded random triples
     rng = random.Random(f"{seed}:{name}:{class_index}")

@@ -220,17 +220,6 @@ def regular_representation(ring: CrossedRing) -> RegularRep:
     return RegularRep(ring, IntMatrix.from_rows(zm), tuple(cosets))
 
 
-def companion_matrix(d: int) -> IntMatrix:
-    """Multiplication by theta_d on the basis of Z[theta_d]."""
-    deg = totient(d)
-    powers = _tables(d).powers
-    rows = [[0] * deg for _ in range(deg)]
-    for i in range(deg):
-        for s, c in powers[(i + 1) % d]:
-            rows[s][i] = c
-    return IntMatrix.from_rows(rows)
-
-
 # ---------------------------------------------------------------------------
 # defining relations on action matrices
 
@@ -259,16 +248,17 @@ def _first_difference(A: IntMatrix, B: IntMatrix,
     return None
 
 
-def crossed_relations(n: int, weyl_table, weyl_units: Sequence[int], z: IntMatrix,
-                      cosets: Sequence[IntMatrix], orders: Sequence[int]):
-    """The defining relations of Z[theta_n] x| W on action matrices (z for
-    theta_n, one per Weyl coset), entries of row i read modulo orders[i].
+def crossed_relations(ring: CrossedRing, z: IntMatrix, cosets: Sequence[IntMatrix],
+                      orders: Sequence[int]):
+    """The defining relations of the ring Z[theta_n, 1/N] x| W on action
+    matrices (z for theta_n, one per Weyl coset given), entries of row i
+    read modulo orders[i].
 
     Yields 1 + m^2 + m Relations for m cosets: Phi_n(z) = 0, then for each
     coset a the relations w_a w_b = w_{ab} for every b and w_a z = z^{u_a} w_a."""
-    phi = cyclotomic(n).coeffs
+    phi = cyclotomic(ring.n).coeffs
     powers = [IntMatrix.identity(z.rows)]
-    for _ in range(max([len(phi) - 1, *weyl_units])):
+    for _ in range(max([len(phi) - 1, *ring.weyl_units])):
         powers.append(z @ powers[-1])
     value = IntMatrix.from_rows(
         [sum(c * x for c, x in zip(phi, col)) for col in zip(*rows)]
@@ -277,9 +267,9 @@ def crossed_relations(n: int, weyl_table, weyl_units: Sequence[int], z: IntMatri
     for a, wa in enumerate(cosets):
         for b, wb in enumerate(cosets):
             yield Relation("table", a, b,
-                           _first_difference(wa @ wb, cosets[weyl_table[a][b]], orders))
+                           _first_difference(wa @ wb, cosets[ring.weyl_table[a][b]], orders))
         yield Relation("twist", a, 0,
-                       _first_difference(wa @ z, powers[weyl_units[a]] @ wa, orders))
+                       _first_difference(wa @ z, powers[ring.weyl_units[a]] @ wa, orders))
 
 
 # ---------------------------------------------------------------------------

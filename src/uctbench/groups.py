@@ -226,9 +226,9 @@ def _parse_preset(name: str, depth: int = 0) -> tuple[int, Callable[[], FiniteGr
     if depth > MAX_PRESET_DEPTH:
         raise UnsupportedSize(f"presets nest at most {MAX_PRESET_DEPTH} deep")
     head, args = _split_call(name)
+    if head in ("klein_four", "trivial") and args:
+        raise UnknownPreset(f"{head} takes no arguments")
     if head == "klein_four":
-        if args:
-            raise UnknownPreset("klein_four takes no arguments")
         return 4, lambda: FiniteGroup(
             4, preset_group("direct_product(cyclic(2),cyclic(2))").mul, 0,
             ("1", "a", "b", "ab"))

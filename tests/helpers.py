@@ -5,20 +5,16 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from uctbench.amod import (
-    AModObject,
-    ModulePart,
-    RingPresentation,
-    _word_matrix,
-    presentation_of,
-)
-from uctbench.crossring import CrossedElt, CrossedRing, RingSummand
+from uctbench.amod import AModObject, ModulePart, presentation_of
+from uctbench.crossring import CrossedElt, CrossedRing, RingSummand, regular_representation
 from uctbench.cyclotomic import (
     CycEltN,
     CycPoly,
+    _tables,
     cyclotomic,
     divisors,
     galois,
+    totient,
 )
 from uctbench.groups import CyclicClass, CyclicSubgroup, FiniteGroup
 from uctbench.zlinalg import (
@@ -687,6 +683,57 @@ def _hom_block(P: ModulePart, Q: ModulePart) -> list[tuple[int, IntMatrix]]:
 
 
 @dataclass(frozen=True)
+class ReferencePresentation:
+    """A module ring's generators, their left-regular matrices, and for
+    every basis element the word (sequence of generator indices) whose
+    product realizes it."""
+
+    rank: int
+    gen_names: tuple[str, ...]
+    gen_mats: tuple[IntMatrix, ...]
+    basis_words: tuple[tuple[int, ...], ...]
+
+
+def companion_matrix(d: int) -> IntMatrix:
+    """Multiplication by theta_d on the basis of Z[theta_d]."""
+    deg = totient(d)
+    powers = _tables(d).powers
+    rows = [[0] * deg for _ in range(deg)]
+    for i in range(deg):
+        for s, c in powers[(i + 1) % d]:
+            rows[s][i] = c
+    return IntMatrix.from_rows(rows)
+
+
+def word_matrix(mats: Sequence[IntMatrix], word: tuple[int, ...], r: int) -> IntMatrix:
+    out = IntMatrix.identity(r)
+    for g in word:
+        out = out @ mats[g]
+    return out
+
+
+def reference_presentation(ring) -> ReferencePresentation:
+    """The module ring built three ways: Z[1/N] with no generator,
+    Z[theta_d, 1/N] by its companion matrix, and a crossed product by its
+    regular representation (no z generator at n = 1)."""
+    if isinstance(ring, RingSummand) and ring.kind == "integral_local":
+        return ReferencePresentation(1, (), (), ((),))
+    if isinstance(ring, RingSummand) and ring.kind == "cyclotomic_local":
+        deg = totient(ring.d)
+        return ReferencePresentation(deg, ("z",), (companion_matrix(ring.d),),
+                                     tuple((0,) * i for i in range(deg)))
+    cr = ring.ring if isinstance(ring, RingSummand) else ring
+    rep = regular_representation(cr)
+    deg, m = totient(cr.n), cr.weyl_order
+    if cr.n == 1:
+        return ReferencePresentation(m, tuple(f"w{v}" for v in range(m)), rep.cosets,
+                                     tuple((w,) for w in range(m)))
+    return ReferencePresentation(
+        deg * m, ("z",) + tuple(f"w{v}" for v in range(m)), (rep.z,) + rep.cosets,
+        tuple((0,) * i + (1 + w,) for w in range(m) for i in range(deg)))
+
+
+@dataclass(frozen=True)
 class _CoverKernel:
     """Kernel lattice of a free cover R^{r2} ->> module part: its rank, its
     basis as columns of B (rows indexed by cover coordinates), the generator
@@ -698,12 +745,12 @@ class _CoverKernel:
     gvecs: tuple[tuple[int, ...], ...]
 
 
-def _free_cover_kernel(pres: RingPresentation, orders: Sequence[int],
+def _free_cover_kernel(pres: ReferencePresentation, orders: Sequence[int],
                        mats: Sequence[IntMatrix],
                        extra_generators: Sequence[Sequence[int]] = ()) -> _CoverKernel:
     r = len(orders)
     rho = pres.rank
-    word_mats = [_word_matrix(mats, w, r) for w in pres.basis_words]
+    word_mats = [word_matrix(mats, w, r) for w in pres.basis_words]
     # Irredundant cover: e_j becomes a generator only when it lies outside
     # the Z-span of the order rows o_i e_i and of the R-span of the
     # generators before it (order 0 marks a free lattice); `span` holds the
@@ -752,14 +799,14 @@ def _lattice_hom_quotient(lam: int, K_actions: Sequence[IntMatrix],
     return group
 
 
-def _restriction_images(pres: RingPresentation, cover: _CoverKernel,
+def _restriction_images(pres: ReferencePresentation, cover: _CoverKernel,
                         Q: ModulePart):
     """Integer matrices (s x lam): the R-maps R^{r2} -> Q sending one cover
     slot to one coordinate generator of Q, restricted to the kernel lattice."""
     rho = pres.rank
     s = Q.rank
     lam = cover.lam
-    word_mats_Q = [_word_matrix(Q.mats, w, s) for w in pres.basis_words]
+    word_mats_Q = [word_matrix(Q.mats, w, s) for w in pres.basis_words]
     for j2 in range(len(cover.gvecs)):
         for i in range(s):
             mat = [[0] * lam for _ in range(s)]
@@ -773,7 +820,7 @@ def _restriction_images(pres: RingPresentation, cover: _CoverKernel,
             yield mat
 
 
-def _reference_ext_block(P: ModulePart, Q: ModulePart, pres: RingPresentation) -> FinAbGroup:
+def _reference_ext_block(P: ModulePart, Q: ModulePart, pres: ReferencePresentation) -> FinAbGroup:
     if Q.rank == 0 or P.rank == 0:
         return FinAbGroup.trivial()
     cover = _free_cover_kernel(pres, P.orders, P.mats)
@@ -790,6 +837,6 @@ def reference_hom_group(M: AModObject, N: AModObject, degree: int = 0) -> FinAbG
 
 def reference_ext_group(M: AModObject, N: AModObject, degree: int = 0) -> FinAbGroup:
     """Ext^1(M, N) as Hom of the cover kernel modulo the restriction images."""
-    pres = presentation_of(M.ring)
+    pres = reference_presentation(M.ring)
     return FinAbGroup.trivial().direct_sum(*(
         _reference_ext_block(M.parts[s], N.parts[(s + degree) % 2], pres) for s in (0, 1)))

@@ -11,6 +11,7 @@ import pytest
 from uctbench import green, zlinalg
 from uctbench.amod import (
     AModFamily,
+    _basis_actions,
     _free_cover_kernel,
     AModObject,
     direct_sum,
@@ -23,6 +24,7 @@ from uctbench.amod import (
     uct_order,
     validate,
 )
+from uctbench.cli import _crossed_preset_names
 from uctbench.crossring import CrossedRing, target_category
 from uctbench.cyclotomic import CycEltN
 from uctbench.errors import FamilyMismatch, FreePartError, RingMismatch
@@ -32,13 +34,16 @@ from uctbench.zlinalg import FinAbGroup, IntMatrix
 from helpers import (
     brute_hom_count,
     conjugated_part,
+    coprime_primes,
     random_module,
     rank_mod_prime,
     reference_ext_group,
     reference_hom_group,
+    reference_presentation,
     regular_module_part,
     regular_power_part,
     signed_permuted_part,
+    word_matrix,
 )
 
 Z2_REPORT = target_category(preset_group("cyclic(2)"))
@@ -546,6 +551,54 @@ def test_family_checks_the_ring_of_every_module():
         AModFamily.from_modules(Z3_REPORT, {1: alien})
     with pytest.raises(FamilyMismatch, match="module 0"):
         AModFamily.from_modules(Z3_REPORT, {0: cyc_module(Z3_CYC, 7, 2)})
+
+
+def _presentation_rings():
+    """Every flat summand of every preset up to order 24, then bare crossed
+    rings: trivial W at n = 1 and n = 5, and the unsplit S3 ring."""
+    for name in _crossed_preset_names(24):
+        yield from target_category(preset_group(name)).flat_summands()
+    yield CrossedRing(1, 5, ((0,),), (1,))
+    yield CrossedRing(5, 5, ((0,),), (1,))
+    yield S3_UNSPLIT.ring
+
+
+def test_presentation_matches_reference():
+    # the one regular-representation path against the builder that treats
+    # integral, cyclotomic and crossed rings apart, with basis words
+    rng = random.Random(12)
+    kinds = set()
+    for ring in _presentation_rings():
+        pres, ref = presentation_of(ring), reference_presentation(ring)
+        assert (pres.gen_names, pres.gen_mats, pres.rank) == (
+            ref.gen_names, ref.gen_mats, ref.rank)
+        q = coprime_primes(pres.ring.N)[0]
+        P = signed_permuted_part(rng, regular_module_part(ring, q))
+        assert _basis_actions(pres, P.mats, P.rank) == [
+            word_matrix(P.mats, w, P.rank) for w in ref.basis_words]
+        kinds.add(getattr(ring, "kind", "bare"))
+    assert kinds == {"integral_local", "cyclotomic_local", "unsplit_crossed", "bare"}
+
+
+def test_ring_identity_is_presentation_equality():
+    # Z[1/2] of cyclic(2) at d = 1 and d = 2 is one ring
+    d1, d2 = Z2_REPORT.flat_summands()[:2]
+    assert (d1.d, d2.d) == (1, 2)
+    M = direct_sum(int_module(d1, 3), int_module(d2, 5))
+    assert M.parts[0].orders == (3, 5)
+    assert AModFamily.from_modules(Z2_REPORT, {1: int_module(d1, 3)}).validate().ok
+    # and so are a bare crossed ring and the unsplit summand over it
+    bare = S3_UNSPLIT.ring
+    trivial = AModObject.build(bare, degree0=((7,), ([[1]],) * 6))
+    assert validate(direct_sum(trivial, AModObject.zero(S3_UNSPLIT))).ok
+    fam = AModFamily.from_modules(S3_REPORT, {0: trivial})
+    assert uct_order(fam, fam).kk_order(0) == 7
+    # a bare ring with trivial W keeps its w0 generator, so it is not the
+    # split summand Z[1/2]
+    with pytest.raises(RingMismatch):
+        direct_sum(int_module(d1, 3), AModObject.zero(CrossedRing(1, 2, ((0,),), (1,))))
+    with pytest.raises(FamilyMismatch, match="module 0"):
+        AModFamily.from_modules(Z2_REPORT, {0: int_module(Z3_REPORT.flat_summands()[0], 5)})
 
 
 def test_family_from_json():

@@ -90,6 +90,28 @@ def _exit_2(capsys, argv, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("preset", [
+    "trivial(foo)", "trivial(cyclic(99999))", "direct_product(trivial(x),cyclic(2))",
+])
+def test_trivial_takes_no_arguments(capsys, preset):
+    _exit_2(capsys, ["group-info", f"preset:{preset}"], "trivial takes no arguments")
+
+
+@pytest.mark.parametrize("w", [
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, 1]]],
+    [[[1, 0], [0, 1]]],
+    "x",
+])
+def test_w_lists_one_matrix_per_weyl_coset(tmp_path, capsys, w):
+    # symmetric(3) summand 2 is Z[theta_3, 1/6] x| W with |W| = 2; a third
+    # matrix used to be dropped and a non-list asked for 1
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"modules": [{"summand": 2, "degree0": {
+        "orders": [7, 7], "z": [[2, 0], [0, 4]], "w": w}}]}))
+    _exit_2(capsys, ["uct", "preset:symmetric(3)", "--a", str(path), "--b", str(path)],
+            "'w' must list exactly 2 matrices, one per Weyl coset")
+
+
 def test_deep_group_file_exits_2(tmp_path, capsys):
     # json.load raises RecursionError on this file
     path = tmp_path / "g.json"
