@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .crossring import (
@@ -66,6 +67,7 @@ from .zlinalg import (
     cokernel,
     congruence_kernel,
     hermite_coordinates,
+    hermite_rows,
     hnf,
     lattice_coordinates,
     snf,
@@ -96,13 +98,8 @@ class RingPresentation:
 
 
 # Keyed by the module ring passed in, so a hit builds nothing.
-_PRESENTATIONS: dict[ModuleRing, RingPresentation] = {}
-
-
+@lru_cache(maxsize=None)
 def presentation_of(ring: ModuleRing) -> RingPresentation:
-    got = _PRESENTATIONS.get(ring)
-    if got is not None:
-        return got
     cr = ring if isinstance(ring, CrossedRing) else ring.ring
     crossed = cr is not None
     if not crossed:
@@ -114,8 +111,7 @@ def presentation_of(ring: ModuleRing) -> RingPresentation:
     if crossed:
         names += tuple(f"w{v}" for v in range(cr.weyl_order))
         mats += rep.cosets
-    got = _PRESENTATIONS[ring] = RingPresentation(cr, names, mats)
-    return got
+    return RingPresentation(cr, names, mats)
 
 
 def _check_same_ring(a: ModuleRing, b: ModuleRing, what: str) -> None:
@@ -377,7 +373,7 @@ def _free_cover_kernel(pres: RingPresentation, orders: Sequence[int],
             gvecs.append(e)
             new = [wm.matvec(e) for wm in word_mats]
             cols += new
-            span = [row for row in hnf(span + new)[0].entries if any(row)]
+            span = hermite_rows(span + new)
     for v in extra_generators:
         gvecs.append(tuple(v))
         cols += [wm.matvec(v) for wm in word_mats]
@@ -702,22 +698,32 @@ def uct_order(A: AModFamily, B: AModFamily) -> UCTOrderResult:
 # JSON module files
 
 
+def _reject_unknown_keys(what: str, data: dict, allowed: Sequence[str]) -> None:
+    for key in data:
+        if key not in allowed:
+            raise InputError(f"{what} has unknown key {key!r};"
+                             f" allowed keys: {', '.join(allowed)}")
+
+
 def _part_from_json(ring: ModuleRing, data: dict) -> tuple[Sequence[int], Sequence]:
     pres = presentation_of(ring)
     if not isinstance(data, dict):
         raise InputError("each degree must be an object with 'orders' and action matrices")
+    has_z = pres.ring.n > 1
+    # a crossed product lists one coset matrix per remaining generator
+    m = len(pres.gen_names) - int(has_z)
+    allowed = ["orders"] + (["z"] if has_z else []) + (["w"] if m else [])
+    _reject_unknown_keys("degree object", data, allowed)
     orders = data.get("orders", [])
     if not isinstance(orders, list):
         raise InputError("'orders' must be a list of integers")
     r = len(orders)
     mats = []
-    if pres.ring.n > 1:
+    if has_z:
         raw = data.get("z")
         if raw is None:
             raise InputError("missing 'z' action matrix")
         mats.append(_action_matrix("z", raw))
-    # a crossed product lists one coset matrix per remaining generator
-    m = len(pres.gen_names) - len(mats)
     if m:
         wlist = data.get("w")
         if wlist is None:
@@ -748,6 +754,7 @@ def family_from_json(report: TargetCategoryReport, data) -> AModFamily:
     for e in entries:
         if not isinstance(e, dict) or "summand" not in e:
             raise InputError("each module entry needs a 'summand' index")
+        _reject_unknown_keys("module entry", e, ("summand", "degree0", "degree1"))
         idx = e["summand"]
         if not _is_int(idx):
             raise InputError(f"'summand' must be an integer index, got {idx!r}")

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .cyclotomic import (
@@ -486,18 +487,22 @@ class TargetCategoryReport:
     def total_summands(self) -> int:
         return sum(s.multiplicity for e in self.entries for s in e.summands)
 
+    @cached_property
+    def _flat(self) -> tuple[RingSummand, ...]:
+        # Built once per report, so every lookup keyed by a flat summand
+        # meets the same object and never compares fields.
+        return tuple(
+            replace(s, multiplicity=1,
+                    provenance=f"class {ci} (n={e.cyclic_class.n}): "
+                               f"{s.provenance} copy {copy}")
+            for ci, e in enumerate(self.entries)
+            for s in e.summands
+            for copy in range(s.multiplicity)
+        )
+
     def flat_summands(self) -> list[RingSummand]:
         """Multiplicity-expanded summand list; module families index into it."""
-        out = []
-        for ci, e in enumerate(self.entries):
-            for s in e.summands:
-                for copy in range(s.multiplicity):
-                    out.append(
-                        replace(s, multiplicity=1,
-                                provenance=f"class {ci} (n={e.cyclic_class.n}): "
-                                           f"{s.provenance} copy {copy}")
-                    )
-        return out
+        return list(self._flat)
 
     def to_json_dict(self) -> dict:
         return {

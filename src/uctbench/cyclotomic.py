@@ -16,8 +16,7 @@ powers z^t mod Phi_n for t in Z/n, each stored as (slot, coeff) pairs over
 its nonzero coefficients.  `_reduce_mod_phi` substitutes z -> z^k and
 reduces mod Phi_n in one pass over that table (z^n = 1 mod Phi_n); it is
 the workhorse for evaluation, the Galois action, inclusion, the CRT split
-and multiplication.  Cache fills are idempotent, so concurrent
-initialization is safe.
+and multiplication.
 """
 
 from __future__ import annotations
@@ -140,24 +139,17 @@ def order_mod(j: int, n: int) -> int:
     return n // math.gcd(n, j % n)
 
 
-_CYCLO: dict[int, IntPoly] = {}
-
-
+@lru_cache(maxsize=None)
 def cyclotomic(k: int) -> IntPoly:
     """The k-th cyclotomic polynomial (exact division of z^k - 1 by the
     product of the lower cyclotomic polynomials)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    got = _CYCLO.get(k)
-    if got is not None:
-        return got
     num = IntPoly((-1,) + (0,) * (k - 1) + (1,))
     den = IntPoly((1,))
     for d in divisors(k)[:-1]:
         den = den * cyclotomic(d)
-    phi = num.divexact(den)
-    _CYCLO[k] = phi
-    return phi
+    return num.divexact(den)
 
 
 class _RingTables:
@@ -184,15 +176,9 @@ class _RingTables:
         self.powers = powers
 
 
-_TABLES: dict[int, _RingTables] = {}
-
-
+@lru_cache(maxsize=None)
 def _tables(n: int) -> _RingTables:
-    got = _TABLES.get(n)
-    if got is None:
-        got = _RingTables(n)
-        _TABLES[n] = got  # idempotent fill
-    return got
+    return _RingTables(n)
 
 
 def _reduce_mod_phi(n: int, vec, k: int = 1) -> tuple[int, ...]:

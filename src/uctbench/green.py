@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import zlinalg
@@ -105,20 +106,13 @@ def p_idempotent(n: int, k: int, N: Optional[int] = None) -> RepElt:
 # moving between cyclotomic rings
 
 # Only the character-route oracle descends, so only it needs zlinalg.ExactSolver.
-_DESCENT_SOLVERS: dict[tuple[int, int], zlinalg.ExactSolver] = {}
-
-
+@lru_cache(maxsize=None)
 def _descent_solver(n: int, k: int) -> zlinalg.ExactSolver:
-    key = (n, k)
-    got = _DESCENT_SOLVERS.get(key)
-    if got is None:
-        w = n // k
-        # column s is theta_k^s = theta_n^(w s), z -> z^(w s) applied to z
-        cols = [_reduce_mod_phi(n, (0, 1), w * s) for s in range(totient(k))]
-        rows = [[col[i] for col in cols] for i in range(totient(n))]
-        got = zlinalg.ExactSolver(rows)
-        _DESCENT_SOLVERS[key] = got
-    return got
+    w = n // k
+    # column s is theta_k^s = theta_n^(w s), z -> z^(w s) applied to z
+    cols = [_reduce_mod_phi(n, (0, 1), w * s) for s in range(totient(k))]
+    rows = [[col[i] for col in cols] for i in range(totient(n))]
+    return zlinalg.ExactSolver(rows)
 
 
 def descend(v: CycEltN, k: int) -> CycEltN:

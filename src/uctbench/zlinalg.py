@@ -4,6 +4,11 @@ kernels, and structure of finitely generated abelian groups.
 Everything operates on arbitrary-precision Python ints; no floating point.
 Pivot choices are deterministic (smallest absolute value, then first
 position) so outputs are stable across runs.
+
+Each normal form is one elimination over one matrix (`_echelon`, `_smith`).
+A transform is an identity block beside or below the matrix that the row or
+column operations carry along, and only `hnf` and `snf` add one:
+`hermite_rows`, `congruence_kernel` and `cokernel` eliminate the bare matrix.
 """
 
 from __future__ import annotations
@@ -104,26 +109,17 @@ def _row_neg(M: list[list[int]], i: int) -> None:
     M[i] = [-x for x in M[i]]
 
 
-def _col_sub(M: list[list[int]], j: int, k: int, q: int) -> None:
-    for row in M:
-        row[j] -= q * row[k]
-
-
 def _col_swap(M: list[list[int]], j: int, k: int) -> None:
     for row in M:
         row[j], row[k] = row[k], row[j]
 
 
-def hnf(A) -> tuple[IntMatrix, IntMatrix]:
-    """Row Hermite normal form: returns (H, U) with U unimodular and U*A = H.
-
-    H is in row echelon form with positive pivots; entries above each pivot
-    are reduced into [0, pivot).
+def _echelon(M: list[list[int]], c: int) -> None:
+    """Row Hermite form of the first c columns of M, in place: echelon with
+    positive pivots, entries above each pivot reduced into [0, pivot).  Each
+    row operation acts on the whole row, so columns past c carry a transform.
     """
-    M = _as_lists(A)
     r = len(M)
-    c = len(M[0]) if M else 0
-    U = IntMatrix.identity(r).tolists()
     row = 0
     for col in range(c):
         if row == r:
@@ -134,9 +130,7 @@ def hnf(A) -> tuple[IntMatrix, IntMatrix]:
             if not nz:
                 break
             p = min(nz, key=lambda i: (abs(M[i][col]), i))
-            if p != row:
-                M[row], M[p] = M[p], M[row]
-                U[row], U[p] = U[p], U[row]
+            M[row], M[p] = M[p], M[row]
             rest = [i for i in range(row + 1, r) if M[i][col]]
             if not rest:
                 break
@@ -145,20 +139,99 @@ def hnf(A) -> tuple[IntMatrix, IntMatrix]:
                 q = M[i][col] // piv
                 if q:
                     _row_sub(M, i, row, q)
-                    _row_sub(U, i, row, q)
-        if not M[row][col] and not any(M[i][col] for i in range(row, r)):
+        if not M[row][col]:
             continue
         if M[row][col] < 0:
             _row_neg(M, row)
-            _row_neg(U, row)
         piv = M[row][col]
         for i in range(row):
             q = M[i][col] // piv
             if q:
                 _row_sub(M, i, row, q)
-                _row_sub(U, i, row, q)
         row += 1
-    return IntMatrix.from_rows(M), IntMatrix.from_rows(U)
+
+
+def hnf(A) -> tuple[IntMatrix, IntMatrix]:
+    """Row Hermite normal form: returns (H, U) with U unimodular and U*A = H.
+
+    H is in row echelon form with positive pivots; entries above each pivot
+    are reduced into [0, pivot).
+    """
+    M = _as_lists(A)
+    c = len(M[0]) if M else 0
+    M = [row + [int(i == k) for k in range(len(M))] for i, row in enumerate(M)]
+    _echelon(M, c)
+    return IntMatrix.from_rows(row[:c] for row in M), IntMatrix.from_rows(row[c:] for row in M)
+
+
+def hermite_rows(A) -> list[tuple[int, ...]]:
+    """The nonzero rows of the row Hermite normal form of A, with no
+    transform."""
+    M = _as_lists(A)
+    _echelon(M, len(M[0]) if M else 0)
+    return [tuple(row) for row in M if any(row)]
+
+
+def _smith(M: list[list[int]], r: int, c: int, modulus: int = 0) -> None:
+    """Smith form of the top-left r x c block of M, in place: diagonal,
+    nonnegative, d_i | d_{i+1}.  Row operations act on whole rows among the
+    first r rows and column operations on whole columns among the first c,
+    so identity blocks beside and below the block carry the transforms.
+    With modulus L > 0 the block is reduced mod L first, and each touched
+    row or column after that."""
+
+    def row_sub(i: int, k: int, q: int) -> None:
+        _row_sub(M, i, k, q)
+        if modulus:
+            M[i] = [x % modulus for x in M[i]]
+
+    def col_sub(j: int, k: int, q: int) -> None:
+        for row in M:
+            row[j] -= q * row[k]
+        if modulus:
+            for row in M:
+                row[j] %= modulus
+
+    if modulus:
+        for i in range(r):
+            M[i][:c] = [x % modulus for x in M[i][:c]]
+    t = 0
+    while t < min(r, c):
+        # Locate the smallest nonzero entry of the trailing block.
+        best = min(((abs(M[i][j]), i, j) for i in range(t, r) for j in range(t, c) if M[i][j]),
+                   default=None)
+        if best is None:
+            break
+        _, bi, bj = best
+        M[t], M[bi] = M[bi], M[t]
+        if bj != t:
+            _col_swap(M, t, bj)
+        # Clear row and column t.
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, r):
+                if M[i][t]:
+                    row_sub(i, t, M[i][t] // M[t][t])
+                    if M[i][t]:
+                        M[t], M[i] = M[i], M[t]
+                        dirty = True
+            for j in range(t + 1, c):
+                if M[t][j]:
+                    col_sub(j, t, M[t][j] // M[t][t])
+                    if M[t][j]:
+                        _col_swap(M, t, j)
+                        dirty = True
+        if M[t][t] < 0:
+            _row_neg(M, t)
+        # Enforce the divisibility chain before moving on.
+        d = M[t][t]
+        bad_row = next((i for i in range(t + 1, r) if any(M[i][j] % d for j in range(t + 1, c))),
+                       None)
+        if bad_row is not None:
+            row_sub(t, bad_row, -1)
+            continue
+        t += 1
 
 
 def snf(A, modulus: int = 0) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -173,82 +246,12 @@ def snf(A, modulus: int = 0) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     M = _as_lists(A)
     r = len(M)
     c = len(M[0]) if M else 0
-    U = IntMatrix.identity(r).tolists()
-    V = IntMatrix.identity(c).tolists()
-
-    def row_sub(i: int, k: int, q: int) -> None:
-        _row_sub(M, i, k, q)
-        _row_sub(U, i, k, q)
-        if modulus:
-            M[i] = [x % modulus for x in M[i]]
-            U[i] = [x % modulus for x in U[i]]
-
-    def col_sub(j: int, k: int, q: int) -> None:
-        _col_sub(M, j, k, q)
-        _col_sub(V, j, k, q)
-        if modulus:
-            for row in M:
-                row[j] %= modulus
-            for row in V:
-                row[j] %= modulus
-
-    if modulus:
-        M = [[x % modulus for x in row] for row in M]
-    t = 0
-    while t < min(r, c):
-        # Locate the smallest nonzero entry of the trailing block.
-        best: Optional[tuple[tuple[int, int, int], int, int]] = None
-        for i in range(t, r):
-            Mi = M[i]
-            for j in range(t, c):
-                v = Mi[j]
-                if v:
-                    key = (abs(v), i, j)
-                    if best is None or key < best[0]:
-                        best = (key, i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != t:
-            M[t], M[bi] = M[bi], M[t]
-            U[t], U[bi] = U[bi], U[t]
-        if bj != t:
-            _col_swap(M, t, bj)
-            _col_swap(V, t, bj)
-        # Clear row and column t.
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, r):
-                if M[i][t]:
-                    row_sub(i, t, M[i][t] // M[t][t])
-                    if M[i][t]:
-                        M[t], M[i] = M[i], M[t]
-                        U[t], U[i] = U[i], U[t]
-                        dirty = True
-            for j in range(t + 1, c):
-                if M[t][j]:
-                    col_sub(j, t, M[t][j] // M[t][t])
-                    if M[t][j]:
-                        _col_swap(M, t, j)
-                        _col_swap(V, t, j)
-                        dirty = True
-        if M[t][t] < 0:
-            _row_neg(M, t)
-            _row_neg(U, t)
-        # Enforce the divisibility chain before moving on.
-        d = M[t][t]
-        bad_row = None
-        for i in range(t + 1, r):
-            Mi = M[i]
-            if any(Mi[j] % d for j in range(t + 1, c)):
-                bad_row = i
-                break
-        if bad_row is not None:
-            row_sub(t, bad_row, -1)
-            continue
-        t += 1
-    return IntMatrix.from_rows(M), IntMatrix.from_rows(U), IntMatrix.from_rows(V)
+    M = [row + [int(i == k) for k in range(r)] for i, row in enumerate(M)]
+    M += [[int(j == k) for k in range(c)] + [0] * r for j in range(c)]
+    _smith(M, r, c, modulus)
+    return (IntMatrix.from_rows(row[:c] for row in M[:r]),
+            IntMatrix.from_rows(row[c:] for row in M[:r]),
+            IntMatrix.from_rows(row[:c] for row in M[r:]))
 
 
 def congruence_kernel(A, moduli: Sequence[int]) -> list[tuple[int, ...]]:
@@ -270,8 +273,7 @@ def congruence_kernel(A, moduli: Sequence[int]) -> list[tuple[int, ...]]:
             for j in range(c)]
     rows += [[m if t == i else 0 for t in range(r)] + [0] * c
              for i, m in enumerate(moduli) if m]
-    H, _ = hnf(rows)
-    return [row[r:] for row in H.entries if not any(row[:r]) and any(row[r:])]
+    return [row[r:] for row in hermite_rows(rows) if not any(row[:r])]
 
 
 def lattice_coordinates(A, moduli: Sequence[int], cols: int,
@@ -423,8 +425,8 @@ def cokernel(columns: Sequence[Sequence[int]], ambient_rank: int,
     if not columns:
         return FinAbGroup(free_rank=ambient_rank)
     X = [[col[i] for col in columns] for i in range(ambient_rank)]
-    D, _, _ = snf(X, exponent)
-    diag = D.diagonal()
+    _smith(X, ambient_rank, len(columns), exponent)
+    diag = [X[i][i] for i in range(min(ambient_rank, len(columns)))]
     if exponent:
         diag = [math.gcd(d, exponent) for d in diag] + [exponent] * (ambient_rank - len(diag))
     nonzero = [d for d in diag if d]

@@ -548,6 +548,146 @@ def bfs_abelian_characters(table) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Hermite and Smith forms that repeat each operation on separate transform
+# matrices: oracles for the library's one elimination per normal form, whose
+# transforms are identity blocks carried along.
+
+
+def _ref_row_sub(M, i, k, q):
+    M[i] = [x - q * y for x, y in zip(M[i], M[k])]
+
+
+def _ref_col_sub(M, j, k, q):
+    for row in M:
+        row[j] -= q * row[k]
+
+
+def _ref_col_swap(M, j, k):
+    for row in M:
+        row[j], row[k] = row[k], row[j]
+
+
+def reference_hnf(A):
+    """Row Hermite form (H, U), U A = H, with every row operation repeated
+    on a separate transform matrix U: the two-matrix elimination that the
+    library's one elimination over [A | I] must match entry for entry."""
+    M = [list(row) for row in (A.entries if isinstance(A, IntMatrix) else A)]
+    r = len(M)
+    c = len(M[0]) if M else 0
+    U = [[int(i == j) for j in range(r)] for i in range(r)]
+    row = 0
+    for col in range(c):
+        if row == r:
+            break
+        while True:
+            nz = [i for i in range(row, r) if M[i][col]]
+            if not nz:
+                break
+            p = min(nz, key=lambda i: (abs(M[i][col]), i))
+            if p != row:
+                M[row], M[p] = M[p], M[row]
+                U[row], U[p] = U[p], U[row]
+            rest = [i for i in range(row + 1, r) if M[i][col]]
+            if not rest:
+                break
+            piv = M[row][col]
+            for i in rest:
+                q = M[i][col] // piv
+                if q:
+                    _ref_row_sub(M, i, row, q)
+                    _ref_row_sub(U, i, row, q)
+        if not M[row][col] and not any(M[i][col] for i in range(row, r)):
+            continue
+        if M[row][col] < 0:
+            M[row] = [-x for x in M[row]]
+            U[row] = [-x for x in U[row]]
+        piv = M[row][col]
+        for i in range(row):
+            q = M[i][col] // piv
+            if q:
+                _ref_row_sub(M, i, row, q)
+                _ref_row_sub(U, i, row, q)
+        row += 1
+    return IntMatrix.from_rows(M), IntMatrix.from_rows(U)
+
+
+def reference_snf(A, modulus: int = 0):
+    """Smith form (D, U, V), U A V = D (mod L when modulus L > 0), with every
+    row operation repeated on U and every column operation on V: the
+    three-matrix elimination that the library's one elimination over
+    [[A, I], [I, 0]] must match entry for entry."""
+    M = [list(row) for row in (A.entries if isinstance(A, IntMatrix) else A)]
+    r = len(M)
+    c = len(M[0]) if M else 0
+    U = [[int(i == j) for j in range(r)] for i in range(r)]
+    V = [[int(i == j) for j in range(c)] for i in range(c)]
+
+    def row_sub(i, k, q):
+        _ref_row_sub(M, i, k, q)
+        _ref_row_sub(U, i, k, q)
+        if modulus:
+            M[i] = [x % modulus for x in M[i]]
+            U[i] = [x % modulus for x in U[i]]
+
+    def col_sub(j, k, q):
+        _ref_col_sub(M, j, k, q)
+        _ref_col_sub(V, j, k, q)
+        if modulus:
+            for row in M:
+                row[j] %= modulus
+            for row in V:
+                row[j] %= modulus
+
+    if modulus:
+        M = [[x % modulus for x in row] for row in M]
+    t = 0
+    while t < min(r, c):
+        best = None
+        for i in range(t, r):
+            for j in range(t, c):
+                v = M[i][j]
+                if v and (best is None or (abs(v), i, j) < best):
+                    best = (abs(v), i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        if bi != t:
+            M[t], M[bi] = M[bi], M[t]
+            U[t], U[bi] = U[bi], U[t]
+        if bj != t:
+            _ref_col_swap(M, t, bj)
+            _ref_col_swap(V, t, bj)
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, r):
+                if M[i][t]:
+                    row_sub(i, t, M[i][t] // M[t][t])
+                    if M[i][t]:
+                        M[t], M[i] = M[i], M[t]
+                        U[t], U[i] = U[i], U[t]
+                        dirty = True
+            for j in range(t + 1, c):
+                if M[t][j]:
+                    col_sub(j, t, M[t][j] // M[t][t])
+                    if M[t][j]:
+                        _ref_col_swap(M, t, j)
+                        _ref_col_swap(V, t, j)
+                        dirty = True
+        if M[t][t] < 0:
+            M[t] = [-x for x in M[t]]
+            U[t] = [-x for x in U[t]]
+        d = M[t][t]
+        bad_row = next((i for i in range(t + 1, r)
+                        if any(M[i][j] % d for j in range(t + 1, c))), None)
+        if bad_row is not None:
+            row_sub(t, bad_row, -1)
+            continue
+        t += 1
+    return IntMatrix.from_rows(M), IntMatrix.from_rows(U), IntMatrix.from_rows(V)
+
+
+# ---------------------------------------------------------------------------
 # exact Smith forms over Z: the solver and Hom basis the library replaced by
 # Hermite forms and Smith forms mod L.  Their entries can grow without bound
 # on larger dense inputs, so they serve small oracles only.

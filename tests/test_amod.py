@@ -671,16 +671,16 @@ def test_dense_hom_ext_answer_quickly():
 def test_solver_path_takes_no_exact_smith_form(monkeypatch):
     # Every group on the solver path is killed by a known L, so every Smith
     # form runs mod L: an exact one can grow its entries without bound.
-    real, moduli = zlinalg.snf, []
+    # The spy sits on the one Smith elimination, so both snf and cokernel
+    # forms are recorded.
+    real, moduli = zlinalg._smith, []
 
-    def spy(A, modulus=0):
+    def spy(M, r, c, modulus=0):
         moduli.append(modulus)
-        return real(A, modulus)
+        return real(M, r, c, modulus)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("uctbench") and getattr(module, "snf", None) is real:
-            monkeypatch.setattr(module, "snf", spy)
-    monkeypatch.setattr(green, "_DESCENT_SOLVERS", {})
+    monkeypatch.setattr(zlinalg, "_smith", spy)
+    green._descent_solver.cache_clear()
     M, N = dense_pair(0, S3_UNSPLIT, 7, 1, 1)
     C15 = AModObject.build(Z2_INT, degree0=((3,), ()), degree1=((5,), ()))
     for X, Y in ((M, N), (C15, C15), (crossed_module_q7(), crossed_module_q7(1))):

@@ -306,6 +306,19 @@ def test_target_category_klein_four():
     assert rep.inverted == 4
 
 
+def test_flat_summands_hands_out_the_same_summands():
+    rep = target_category(preset_group("klein_four"))
+    first, second = rep.flat_summands(), rep.flat_summands()
+    assert first == second
+    assert all(a is b for a, b in zip(first, second))
+    first.pop()
+    first[0] = None
+    assert rep.flat_summands() == second and len(second) == 10
+    # the cache is no field: equality and hashing still read the fields only
+    again = target_category(preset_group("klein_four"))
+    assert again == rep and hash(again) == hash(rep)
+
+
 def test_target_category_cyclic_p():
     for p in (2, 3, 5, 7):
         rep = target_category(preset_group(f"cyclic({p})"))

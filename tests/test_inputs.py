@@ -112,6 +112,26 @@ def test_w_lists_one_matrix_per_weyl_coset(tmp_path, capsys, w):
             "'w' must list exactly 2 matrices, one per Weyl coset")
 
 
+@pytest.mark.parametrize("preset, entry, message", [
+    # a misspelt degree used to make the module zero and exit 0
+    ("cyclic(2)", {"summand": 0, "degre0": {"orders": [3]}},
+     "module entry has unknown key 'degre0'; allowed keys: summand, degree0, degree1"),
+    # Z[1/2] has no z generator: its z matrix used to be dropped
+    ("cyclic(2)", {"summand": 0, "degree0": {"orders": [3], "z": [[1]]}},
+     "degree object has unknown key 'z'; allowed keys: orders"),
+    ("cyclic(3)", {"summand": 1, "degree1": {"orders": [7], "z": [[2]], "w": []}},
+     "degree object has unknown key 'w'; allowed keys: orders, z"),
+    ("symmetric(3)", {"summand": 2, "degree0": {
+        "orders": [7, 7], "z": [[2, 0], [0, 4]], "w": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+        "w0": [[1, 0], [0, 1]]}},
+     "degree object has unknown key 'w0'; allowed keys: orders, z, w"),
+])
+def test_module_file_unknown_key_exits_2(tmp_path, capsys, preset, entry, message):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"modules": [entry]}))
+    _exit_2(capsys, ["uct", f"preset:{preset}", "--a", str(path), "--b", str(path)], message)
+
+
 def test_deep_group_file_exits_2(tmp_path, capsys):
     # json.load raises RecursionError on this file
     path = tmp_path / "g.json"

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -11,6 +12,7 @@ from uctbench.zlinalg import (
     IntMatrix,
     cokernel,
     congruence_kernel,
+    hermite_rows,
     hnf,
     lattice_coordinates,
     lattice_kernel_localized,
@@ -18,7 +20,13 @@ from uctbench.zlinalg import (
     solve_mod,
 )
 
-from helpers import ReferenceSolver, dense_matmul, det_unimodular
+from helpers import (
+    ReferenceSolver,
+    dense_matmul,
+    det_unimodular,
+    reference_hnf,
+    reference_snf,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -92,6 +100,43 @@ def test_hnf_transform_identity_random():
             assert row[p] > 0
             for above in range(k):
                 assert 0 <= H.entries[above][p] < row[p]
+
+
+def test_eliminations_match_two_and_three_matrix_references_seeded():
+    # One elimination over [A | I] or [[A, I], [I, 0]] against the versions
+    # that repeat each operation on separate U and V, entry for entry; then
+    # the transform-free callers against the same references.
+    rng = random.Random(13)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1)]
+    shapes += [(rng.randint(0, 7), rng.randint(0, 7)) for _ in range(150)]
+    for r, c in shapes:
+        A = rand_matrix(rng, r, c)
+        for row in A:
+            for j in range(c):
+                if rng.random() < 0.3:
+                    row[j] = 0
+        cols = [[row[j] for row in A] for j in range(c)]
+        H, U = reference_hnf(A)
+        assert hnf(A) == (H, U), A
+        assert hermite_rows(A) == [row for row in H.entries if any(row)], A
+        for L in (1, 2, 6, 12, 49, 360) + ((0,) if r <= 4 and c <= 4 else ()):
+            D, U, V = reference_snf(A, L)
+            assert snf(A, L) == (D, U, V), (A, L)
+            diag = D.diagonal()
+            if L:
+                orders = [math.gcd(d, L) for d in diag] + [L] * (r - len(diag))
+            else:
+                orders = list(diag) + [0] * (r - len(diag))
+            want = FinAbGroup.from_orders(orders) if cols else FinAbGroup(free_rank=r)
+            assert cokernel(cols, r, L) == want, (A, L)
+        if r and c:  # a list of no rows has no width
+            moduli = [rng.choice((0, 1, 2, 6, 12, 49)) for _ in range(r)]
+            rows = [col + [int(t == j) for t in range(c)] for j, col in enumerate(cols)]
+            rows += [[m if t == i else 0 for t in range(r)] + [0] * c
+                     for i, m in enumerate(moduli) if m]
+            want = [row[r:] for row in reference_hnf(rows)[0].entries
+                    if not any(row[:r]) and any(row[r:])]
+            assert congruence_kernel(A, moduli) == want, (A, moduli)
 
 
 def test_snf_coprime_diagonal():
