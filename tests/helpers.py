@@ -417,6 +417,30 @@ def brute_inverses(G: FiniteGroup) -> tuple:
                  for a in range(G.order))
 
 
+def reference_cyclic_table(n: int) -> list[list[int]]:
+    """Z/n, one sum per entry."""
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def reference_dihedral_table(n: int) -> list[list[int]]:
+    """The dihedral group of order 2n, one product per entry: r^i s^j has
+    index i + n*j, and s r s^-1 = r^-1."""
+    def mul(a, b):
+        i1, j1 = a % n, a // n
+        i2, j2 = b % n, b // n
+        i = (i1 + i2) % n if j1 == 0 else (i1 - i2) % n
+        return i + n * ((j1 + j2) % 2)
+
+    return [[mul(a, b) for b in range(2 * n)] for a in range(2 * n)]
+
+
+def reference_symmetric_table(n: int) -> list[list[int]]:
+    """S_n in itertools.permutations order, one composition per entry."""
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(map(p.__getitem__, q))] for q in perms] for p in perms]
+
+
 def reference_direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """a x b built element by element: (xa, xb) has index xa * |b| + xb."""
     k = b.order

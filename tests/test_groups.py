@@ -6,7 +6,10 @@ from helpers import (
     brute_cyclic_subgroups,
     brute_inverses,
     reference_cyclic_classes,
+    reference_cyclic_table,
+    reference_dihedral_table,
     reference_direct_product,
+    reference_symmetric_table,
 )
 from uctbench import groups
 from uctbench.errors import (
@@ -15,8 +18,10 @@ from uctbench.errors import (
     UnsupportedSize,
 )
 from uctbench.groups import (
+    FiniteGroup,
+    _cayley,
     _direct_product,
-    _symmetric_table,
+    _split_call,
     cyclic_classes,
     group_from_table,
     preset_group,
@@ -133,7 +138,7 @@ def test_preset_order_bound_before_any_table(name, monkeypatch):
     def no_table(*args):
         raise AssertionError(f"{name}: a table was built")
 
-    for builder in ("_cyclic_table", "_dihedral_table", "_symmetric_table",
+    for builder in ("_cayley", "_cyclic_table", "_dihedral_table", "_symmetric_table",
                     "_direct_product"):
         monkeypatch.setattr(groups, builder, no_table)
     with pytest.raises(UnsupportedSize, match=str(groups.MAX_PRESET_ORDER)):
@@ -249,7 +254,7 @@ def test_cyclic_classes_match_reference():
 
 def test_cyclic_classes_match_reference_on_relabelled_table():
     rng = random.Random(5)
-    table = _symmetric_table(5)
+    table = reference_symmetric_table(5)
     sigma = list(range(len(table)))
     rng.shuffle(sigma)
     relabelled = [[0] * len(table) for _ in table]
@@ -263,6 +268,51 @@ def test_cyclic_classes_match_reference_on_relabelled_table():
     assert classes == reference_cyclic_classes(G)
 
 
+# the order-720 presets of the benchmark's target-category ladder
+LADDER_PRESETS = [
+    "cyclic(720)", "dihedral(360)", "symmetric(6)",
+    "direct_product(symmetric(4),cyclic(30))", "direct_product(symmetric(5),cyclic(6))",
+    "direct_product(klein_four,dihedral(30))",
+]
+
+REFERENCE_TABLES = {
+    "cyclic": reference_cyclic_table,
+    "dihedral": reference_dihedral_table,
+    "symmetric": reference_symmetric_table,
+}
+
+
+def _reference_preset(name: str) -> FiniteGroup:
+    head, args = _split_call(name)
+    if head == "trivial":
+        return FiniteGroup(1, ((0,),), 0)
+    if head == "klein_four":
+        return _reference_preset("direct_product(cyclic(2),cyclic(2))")
+    if head == "direct_product":
+        return reference_direct_product(*map(_reference_preset, args))
+    table = REFERENCE_TABLES[head](int(args[0]))
+    return FiniteGroup(len(table), tuple(map(tuple, table)), 0)
+
+
+def test_preset_tables_match_entrywise_reference():
+    # the breadth-first walk from generator rows against one product per entry
+    for name in REFERENCE_CLASS_PRESETS + LADDER_PRESETS:
+        got, want = preset_group(name), _reference_preset(name)
+        assert got.mul == want.mul, name
+        assert got.inv == want.inv, name
+        assert got.identity == want.identity, name
+
+
+@pytest.mark.parametrize("order, identity, gen_rows", [
+    (2, 0, []),
+    (4, 0, [(1, 0, 3, 2)]),
+    (4, 3, [(0, 1, 3, 2)]),
+])
+def test_cayley_rejects_rows_that_do_not_generate(order, identity, gen_rows):
+    with pytest.raises(RuntimeError, match=f"of {order} elements"):
+        _cayley(order, identity, gen_rows)
+
+
 SMALL_PRESETS = [
     "trivial", "klein_four", "cyclic(1)", "cyclic(2)", "cyclic(7)", "cyclic(12)",
     "cyclic(60)", "dihedral(3)", "dihedral(4)", "dihedral(15)", "dihedral(30)",
@@ -273,7 +323,7 @@ SMALL_PRESETS = [
 
 def _relabelled_s4():
     rng = random.Random(11)
-    table = _symmetric_table(4)
+    table = reference_symmetric_table(4)
     sigma = list(range(len(table)))
     rng.shuffle(sigma)
     out = [[0] * len(table) for _ in table]

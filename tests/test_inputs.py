@@ -18,6 +18,7 @@ from uctbench.cli import main
     ({"table": [[True]]}, "table must be a list of rows"),
     ({"table": [[0]], "labels": 5}, "labels must be a list of strings"),
     ({"preset": 5}, "'preset' must be a preset name string"),
+    ({"table": [[0, 1], [1, 0]], "labels": ["e", "e"]}, "label 'e' names more than one element"),
 ])
 def test_group_file_type_errors(tmp_path, capsys, payload, message):
     path = tmp_path / "g.json"
