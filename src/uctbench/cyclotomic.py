@@ -6,9 +6,14 @@ integer N; normalization strips exactly those primes.  One private base
 class holds that representation (validation, normalization, sums, scalar
 multiples, the JSON round trip); CycPoly (n slots, product mod z^n - 1) and
 CycEltN (phi(n) slots, product mod Phi_n) add only their length and their
-product.  Products touch only nonzero terms: a CycPoly product adds one
-rotation of the denser factor per nonzero coefficient of the sparser one, and
-a CycEltN product convolves the nonzero terms, then reduces mod Phi_n.
+product.  A CycPoly product adds one rotation of the denser factor per
+nonzero coefficient of the sparser one while the sparser factor has at most
+_ROTATIONS_UP_TO nonzero terms; denser products go through Kronecker
+substitution (one big-integer multiply, `_kronecker`), then fold slot i + n
+onto slot i.  A CycEltN product convolves the nonzero terms, then reduces mod
+Phi_n.  Only the public constructors validate: sums and products of valid
+values are valid, so arithmetic results come from `_CoeffVector._make`,
+which normalises and checks nothing.
 
 The n-th cyclotomic polynomial is computed by exact division of z^n - 1 by
 the product over proper divisors, and cached together with a table of the
@@ -195,6 +200,38 @@ def _reduce_mod_phi(n: int, vec, k: int = 1) -> tuple[int, ...]:
     return tuple(out)
 
 
+# A CycPoly product takes one rotation per nonzero term of its sparser
+# factor up to this many terms, and Kronecker substitution above it: against
+# a dense factor, the two cost the same at 10-16 terms for n from 12 to 150.
+_ROTATIONS_UP_TO = 12
+
+
+def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The linear product of integer vectors a and b, len(a) + len(b) - 1
+    slots, by Kronecker substitution (von zur Gathen and Gerhard, Modern
+    Computer Algebra; Harvey, J. Symbolic Comput. 44, 2009): pack each
+    factor into one integer at radix 2^bits, first entry most significant,
+    multiply once, and read the signed slots off the hex digits of the
+    product.  Every slot is bounded by max|a| * max|b| * min(len a, len b),
+    so bits, a multiple of 4, leaves a sign bit above that bound; adding
+    2^(bits - 1) to every slot makes each one a whole, nonnegative run of
+    hex digits."""
+    size = len(a) + len(b) - 1
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    if not bound:
+        return [0] * size
+    w = (bound.bit_length() + 4) // 4  # hex digits per slot
+    bits = 4 * w
+    x = y = 0
+    for c in a:
+        x = (x << bits) + c
+    for c in b:
+        y = (y << bits) + c
+    h = format(x * y + int(("8" + "0" * (w - 1)) * size, 16), "x").zfill(w * size)
+    half = 1 << (bits - 1)
+    return [int(h[j:j + w], 16) - half for j in range(0, w * size, w)]
+
+
 # ---------------------------------------------------------------------------
 # denominator bookkeeping
 
@@ -257,6 +294,15 @@ class _CoeffVector:
         _check_supported(self.den, self.N)
 
     @classmethod
+    def _make(cls, n: int, N: int, num: Sequence[int], den: int):
+        """An arithmetic result: num has the right length, its entries are
+        ints and N supports den, so normalising is all that is left."""
+        self = object.__new__(cls)
+        num, den = _normalize(num, den)
+        self.__dict__.update(n=n, N=N, num=num, den=den)
+        return self
+
+    @classmethod
     def zero(cls, n: int, N: int):
         return cls(n, N, (0,) * cls._length(n))
 
@@ -277,20 +323,20 @@ class _CoeffVector:
         self._check_compatible(other)
         l = math.lcm(self.den, other.den)
         fa, fb = l // self.den, l // other.den
-        return type(self)(self.n, self.N,
-                          tuple(fa * a + fb * b for a, b in zip(self.num, other.num)), l)
+        return self._make(self.n, self.N,
+                          [fa * a + fb * b for a, b in zip(self.num, other.num)], l)
 
     def __neg__(self):
-        return type(self)(self.n, self.N, tuple(-x for x in self.num), self.den)
+        return self._make(self.n, self.N, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return type(self)(self.n, self.N, tuple(other * x for x in self.num), self.den)
+            return self._make(self.n, self.N, [other * x for x in self.num], self.den)
         self._check_compatible(other)
-        return type(self)(self.n, self.N, self._convolve(other.num), self.den * other.den)
+        return self._make(self.n, self.N, self._convolve(other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -317,12 +363,17 @@ class CycPoly(_CoeffVector):
         return n
 
     def _convolve(self, other: tuple[int, ...]) -> Sequence[int]:
-        # Sum over the nonzero c at slot i of the sparser factor of c times
-        # the denser one rotated by i (slot j goes to slot i + j mod n).
         n = self.n
         a, b = self.num, other
-        if a.count(0) < b.count(0):
-            a, b = b, a
+        zeros_a, zeros_b = a.count(0), b.count(0)
+        if zeros_a < zeros_b:
+            a, b, zeros_a = b, a, zeros_b
+        if n - zeros_a > _ROTATIONS_UP_TO:
+            # the linear product mod z^n - 1: slot i + n folds onto slot i
+            full = _kronecker(a, b)
+            return [x + y for x, y in zip(full, full[n:])] + full[n - 1:n]
+        # Sum over the nonzero c at slot i of the sparser factor of c times
+        # the denser one rotated by i (slot j goes to slot i + j mod n).
         out = None
         for i, c in enumerate(a):
             if c:
@@ -427,7 +478,7 @@ def evaluate_at_root(a: CycPoly, j: int) -> CycEltN:
     """Image of a under z -> theta_n^j: substitute z -> z^j and reduce mod
     Phi_n in one pass.  The codomain is always Z[theta_n, 1/N]."""
     n = a.n
-    return CycEltN(n, a.N, _reduce_mod_phi(n, a.num, j), a.den)
+    return CycEltN._make(n, a.N, _reduce_mod_phi(n, a.num, j), a.den)
 
 
 def galois(a: CycEltN, k: int) -> CycEltN:
@@ -435,14 +486,14 @@ def galois(a: CycEltN, k: int) -> CycEltN:
     n = a.n
     if math.gcd(k, n) != 1:
         raise NotAUnit(f"k={k} is not a unit mod {n}")
-    return CycEltN(n, a.N, _reduce_mod_phi(n, a.num, k), a.den)
+    return CycEltN._make(n, a.N, _reduce_mod_phi(n, a.num, k), a.den)
 
 
 def crt_split(a: CycPoly) -> dict[int, CycEltN]:
     """Components of a in prod_{k | n} Z[theta_k, 1/N]; requires every prime
     of n to divide N."""
     _require_inverted(a.n, a.N)
-    return {k: CycEltN(k, a.N, _reduce_mod_phi(k, a.num), a.den)
+    return {k: CycEltN._make(k, a.N, _reduce_mod_phi(k, a.num), a.den)
             for k in divisors(a.n)}
 
 

@@ -402,9 +402,14 @@ def cyclic_classes(G: FiniteGroup) -> list[CyclicClass]:
         coset_of = {mul[r][h]: i for i, r in enumerate(reps) for h in H}
         dlog = {G.power(generator, t): t for t in range(n)}
         units = [dlog[G.conjugate(r, generator)] if n > 1 else 1 for r in reps]
-        table = tuple(
-            tuple([coset_of[row[b]] for b in reps]) for row in [mul[a] for a in reps]
-        )
+        if n == 1 and G.identity == 0:
+            # the cosets of the trivial subgroup are the elements in index
+            # order, so its Weyl table is the Cayley table, shared
+            table = mul
+        else:
+            table = tuple(
+                tuple([coset_of[row[b]] for b in reps]) for row in [mul[a] for a in reps]
+            )
         classes.append(
             CyclicClass(
                 representative=CyclicSubgroup(generator, n, tuple(sorted(H))),

@@ -355,14 +355,19 @@ def double_loop_cyclic(n: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def double_loop_mod_phi(n: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """a * b in Z[z]/(Phi_n): the linear product, one term per pair of
-    slots, then long division."""
+def double_loop_linear(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a * b in Z[z], len(a) + len(b) - 1 slots, one product per pair of
+    slots."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return long_division_mod_phi(n, out)
+    return out
+
+
+def double_loop_mod_phi(n: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a * b in Z[z]/(Phi_n): the linear product, then long division."""
+    return long_division_mod_phi(n, double_loop_linear(a, b))
 
 
 def product_formula_psi(n: int, k: int) -> CycPoly:

@@ -1,9 +1,11 @@
+import math
 import random
 
 import pytest
 
 from helpers import (
     double_loop_cyclic,
+    double_loop_linear,
     double_loop_mod_phi,
     long_division_mod_phi,
     product_formula_psi,
@@ -13,6 +15,8 @@ from uctbench.cyclotomic import (
     CycEltN,
     CycPoly,
     IntPoly,
+    _ROTATIONS_UP_TO,
+    _kronecker,
     _reduce_mod_phi,
     _tables,
     crt_join,
@@ -22,6 +26,7 @@ from uctbench.cyclotomic import (
     evaluate_at_root,
     galois,
     order_mod,
+    prime_factors,
     psi,
     totient,
 )
@@ -212,23 +217,83 @@ def test_shared_arithmetic_keeps_the_operand_type():
     assert CycPoly.one(1, 1) != CycEltN.one(1, 1)
 
 
+def test_from_json_dict_still_validates_the_denominator():
+    with pytest.raises(PrimeNotInverted):
+        CycPoly.from_json_dict({"n": 3, "N": 3, "den": "2", "coeffs": ["1", "0", "0"]})
+    with pytest.raises(PrimeNotInverted):
+        CycEltN.from_json_dict({"n": 5, "N": 5, "den": "6", "coeffs": ["1", "1", "0", "0"]})
+
+
+def _check_rebuilds(r):
+    assert type(r.num) is tuple, r
+    assert all(type(c) is int for c in r.num), r
+    assert type(r)(r.n, r.N, r.num, r.den) == r, r
+
+
+def test_arithmetic_results_equal_their_validated_rebuild():
+    # arithmetic builds its results without validation; each must equal what
+    # the validating constructor builds from the result's own fields
+    rng = random.Random(15)
+    for _ in range(40):
+        n = rng.randint(1, 40)
+        N = math.prod(prime_factors(n)) * rng.choice((1, 5, 7 * 11))
+        units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
+
+        def draw(cls):
+            den = math.prod(p ** rng.randint(0, 2) for p in prime_factors(N))
+            size = n if cls is CycPoly else totient(n)
+            return cls(n, N, tuple(rng.randint(-6, 6) * rng.choice((1, 2, 3))
+                                   for _ in range(size)), den)
+
+        pools = {cls: [draw(cls) for _ in range(3)] for cls in (CycPoly, CycEltN)}
+        for _ in range(12):
+            cls = rng.choice((CycPoly, CycEltN))
+            x, y = rng.choice(pools[cls]), rng.choice(pools[cls])
+            c = rng.randint(-4, 4)
+            results = [x + y, x - y, -x, c * x, x * c, x * y]
+            if cls is CycPoly:
+                results.append(evaluate_at_root(x, rng.randrange(n)))
+                results.extend(crt_split(x).values())
+            else:
+                results.append(galois(x, rng.choice(units)))
+            for r in results:
+                _check_rebuilds(r)
+                if r.n == n:
+                    pools[type(r)].append(r)
+
+
 # ---------------------------------------------------------------------------
 # the sparse kernels against their dense references (tests/helpers.py)
 
 
 def _operands(rng, size):
     """Seeded operands of every density: all zero, a monomial, entries in
-    {-1, 0, 1}, entries in {-10**30, 0, 10**30}, and a random density."""
+    {-1, 0, 1}, entries in {-10**30, 0, 10**30}, a random density; for two
+    widths b, a constant +-2^b vector and one of entries +-(2^b - 1) and
+    +-2^b, whose products reach the slot bound of `_kronecker` and sit on
+    its hex-digit borders; and exactly _ROTATIONS_UP_TO and one more nonzero
+    terms, either side of the CycPoly switch from rotations to Kronecker
+    substitution."""
     mono = [0] * size
     mono[rng.randrange(size)] = rng.choice((1, -1, 7))
     density = rng.random()
-    return [
+    ops = [
         [0] * size,
         mono,
         [rng.choice((-1, 0, 1)) for _ in range(size)],
         [rng.choice((-10 ** 30, 0, 10 ** 30)) for _ in range(size)],
         [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(size)],
     ]
+    for b in rng.sample((3, 4, 7, 8, 31, 32, 63, 64), 2):
+        ops.append([rng.choice((2 ** b, -2 ** b))] * size)
+        ops.append([rng.choice((2 ** b - 1, 1 - 2 ** b, 2 ** b, -2 ** b)) for _ in range(size)])
+    for terms in (_ROTATIONS_UP_TO, _ROTATIONS_UP_TO + 1):
+        if terms <= size:
+            op = [0] * size
+            for i in rng.sample(range(size), terms):
+                op[i] = rng.choice((-5, -1, 1, 2))
+            ops.append(op)
+    return ops
 
 
 def test_psi_matches_product_formula():
@@ -253,8 +318,9 @@ def test_sparse_power_table_is_z_to_the_t_mod_phi():
 
 def test_cycpoly_products_match_double_loop():
     rng = random.Random(11)
-    for n in (1, 2, 3, 4, 5, 6, 12, 30, 37, 60, 97):
-        for _ in range(3):
+    # 100-150: the widths of psi-identities at its benchmark and CI bounds
+    for n in (1, 2, 3, 4, 5, 6, 12, 13, 30, 37, 60, 97, 100, 120, 150):
+        for _ in range(3 if n < 100 else 1):
             ops = _operands(rng, n)
             for a in ops:
                 for b in ops:
@@ -272,6 +338,17 @@ def test_cyceltn_products_match_double_loop():
                 for b in ops:
                     got = CycEltN(n, 1, tuple(a)) * CycEltN(n, 1, tuple(b))
                     assert got == CycEltN(n, 1, tuple(double_loop_mod_phi(n, a, b))), (n, a, b)
+
+
+def test_kronecker_is_the_linear_double_loop():
+    rng = random.Random(14)
+    for la, lb in ((1, 1), (1, 9), (9, 1), (5, 17), (30, 30), (64, 33), (150, 150)):
+        for a in _operands(rng, la):
+            b = rng.choice(_operands(rng, lb))
+            assert _kronecker(a, b) == double_loop_linear(a, b), (a, b)
+            assert _kronecker(b, a) == double_loop_linear(b, a), (a, b)
+    assert _kronecker([0, 0, 0], [5, -7]) == [0, 0, 0, 0]
+    assert _kronecker([-3], [0] * 4) == [0] * 4
 
 
 def test_reduce_mod_phi_is_spread_then_dense_reduce():

@@ -266,6 +266,7 @@ def test_cyclic_classes_match_reference_on_relabelled_table():
     classes = cyclic_classes(G)
     assert [c.n for c in classes] == [1, 2, 2, 3, 4, 5, 6]
     assert classes == reference_cyclic_classes(G)
+    assert classes[0].weyl_table is not G.mul
 
 
 # the order-720 presets of the benchmark's target-category ladder
@@ -274,6 +275,17 @@ LADDER_PRESETS = [
     "direct_product(symmetric(4),cyclic(30))", "direct_product(symmetric(5),cyclic(6))",
     "direct_product(klein_four,dihedral(30))",
 ]
+
+
+def test_trivial_class_shares_the_cayley_table():
+    # identity 0: the trivial class's cosets are the elements in index order;
+    # the relabelled table (identity not 0) is rebuilt entry by entry in
+    # test_cyclic_classes_match_reference_on_relabelled_table
+    for name in LADDER_PRESETS:
+        G = preset_group(name)
+        trivial = cyclic_classes(G)[0]
+        assert trivial.n == 1 and trivial.weyl_table is G.mul, name
+
 
 REFERENCE_TABLES = {
     "cyclic": reference_cyclic_table,
