@@ -377,7 +377,8 @@ def _free_cover_kernel(pres: RingPresentation, orders: Sequence[int],
     for v in extra_generators:
         gvecs.append(tuple(v))
         cols += [wm.matvec(v) for wm in word_mats]
-    kernel = congruence_kernel([[col[i] for col in cols] for i in range(r)], list(orders))
+    rows = [[col[i] for col in cols] for i in range(r)]
+    kernel = congruence_kernel(rows or IntMatrix.zero(0, len(cols)), list(orders))
     actions = []
     for G in pres.gen_mats:
         # G acts on each cover slot's copy of R by its left-regular matrix.

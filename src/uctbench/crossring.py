@@ -169,7 +169,7 @@ class CrossedElt:
                         acc[i + j] += x * y
         zero = CycEltN.zero(n, ring.N)
         return CrossedElt(ring, tuple(
-            zero if acc is None else CycEltN(n, ring.N, _reduce_mod_phi(n, acc), da * db)
+            zero if acc is None else CycEltN._make(n, ring.N, _reduce_mod_phi(n, acc), da * db)
             for acc in raw))
 
     __rmul__ = __mul__

@@ -10,18 +10,23 @@ product.  A CycPoly product adds one rotation of the denser factor per
 nonzero coefficient of the sparser one while the sparser factor has at most
 _ROTATIONS_UP_TO nonzero terms; denser products go through Kronecker
 substitution (one big-integer multiply, `_kronecker`), then fold slot i + n
-onto slot i.  A CycEltN product convolves the nonzero terms, then reduces mod
-Phi_n.  Only the public constructors validate: sums and products of valid
-values are valid, so arithmetic results come from `_CoeffVector._make`,
-which normalises and checks nothing.
+onto slot i.  A product by a monomial z^e is a rotation of the coefficient
+tuple, `CycPoly.shift(e)`.  A CycEltN product convolves the nonzero terms,
+then reduces mod Phi_n.  Only the public constructors validate: sums and
+products of valid values are valid, so arithmetic results come from
+`_CoeffVector._make`, which normalises and checks nothing (and returns at
+once over denominator 1).
 
 The n-th cyclotomic polynomial is computed by exact division of z^n - 1 by
 the product over proper divisors, and cached together with a table of the
 powers z^t mod Phi_n for t in Z/n, each stored as (slot, coeff) pairs over
 its nonzero coefficients.  `_reduce_mod_phi` substitutes z -> z^k and
-reduces mod Phi_n in one pass over that table (z^n = 1 mod Phi_n); it is
-the workhorse for evaluation, the Galois action, inclusion, the CRT split
-and multiplication.
+reduces mod Phi_n in one spread-then-reduce pass (z^n = 1 mod Phi_n): it
+adds slot i of the input into slot i*k mod n of an n-slot vector, keeps the
+slots below deg(Phi_n) as they stand, and walks the table only for the
+nonzero slots at or above deg(Phi_n).  It is the workhorse for evaluation,
+the Galois action, inclusion, the CRT split and multiplication in
+Z[theta_n, 1/N] and in the crossed rings.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Sequence
 
 from .errors import ModulusMismatch, NotADivisor, NotAUnit, PrimeNotInverted
@@ -187,16 +193,21 @@ def _tables(n: int) -> _RingTables:
 
 
 def _reduce_mod_phi(n: int, vec, k: int = 1) -> tuple[int, ...]:
-    """sum_i vec[i] * theta_n^(i*k) as a reduced vector: the substitution
-    z -> z^k and the reduction mod Phi_n in one pass, for a vector of any
-    length and any integer k (z^n = 1 mod Phi_n)."""
+    """sum_i vec[i] * theta_n^(i*k) as a reduced vector, for a vector of any
+    length and any integer k (z^n = 1 mod Phi_n): spread vec into n slots
+    under z -> z^k, keep the slots below deg(Phi_n) as they are, and add the
+    table's z^e mod Phi_n for each nonzero slot e above them."""
     t = _tables(n)
+    w = [0] * n
+    for i in compress(range(len(vec)), vec):
+        w[(i * k) % n] += vec[i]
+    deg = t.deg
+    out = w[:deg]
     powers = t.powers
-    out = [0] * t.deg
-    for i, c in enumerate(vec):
-        if c:
-            for s, x in powers[(i * k) % n]:
-                out[s] += c * x
+    for e in compress(range(deg, n), w[deg:]):
+        c = w[e]
+        for s, x in powers[e]:
+            out[s] += c * x
     return tuple(out)
 
 
@@ -251,7 +262,9 @@ def _check_supported(den: int, N: int) -> None:
         raise PrimeNotInverted(f"denominator {den} needs primes outside N={N}")
 
 
-def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
+def _normalize(num: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    if den == 1:  # gcd(1, .) = 1: nothing to strip
+        return tuple(num), 1
     if not any(num):
         return (0,) * len(num), 1
     g = math.gcd(den, math.gcd(*num))
@@ -390,6 +403,12 @@ class CycPoly(_CoeffVector):
         num[e % n] = coeff
         return cls(n, N, tuple(num))
 
+    def shift(self, e: int) -> "CycPoly":
+        """z^e * self, for any integer e: slot j moves to slot j + e mod n."""
+        n = self.n
+        r = n - e % n
+        return self._make(n, self.N, self.num[r:] + self.num[:r], self.den)
+
     def substitute_power(self, k: int) -> "CycPoly":
         """Ring map z -> z^k (well defined mod z^n - 1 for any integer k)."""
         n = self.n
@@ -397,7 +416,7 @@ class CycPoly(_CoeffVector):
         for i, c in enumerate(self.num):
             if c:
                 out[(i * k) % n] += c
-        return CycPoly(n, self.N, tuple(out), self.den)
+        return self._make(n, self.N, out, self.den)
 
     def with_inverted(self, N: int) -> "CycPoly":
         """Reinterpret over Z[1/N]; the denominator must stay supported."""
@@ -513,7 +532,6 @@ def crt_join(parts: dict[int, CycEltN]) -> CycPoly:
         part = parts[k]
         if part.n != k:
             raise ModulusMismatch(f"component at {k} has n={part.n}")
-        lift = [0] * n
-        lift[: len(part.num)] = part.num
-        total = total + CycPoly(n, N, tuple(lift), part.den) * psi(n, k, N)
+        lift = part.num + (0,) * (n - len(part.num))
+        total = total + CycPoly._make(n, N, lift, part.den) * psi(n, k, N)
     return total

@@ -5,7 +5,9 @@ An element of R(H) for cyclic H of order n is a CycPoly over
 Z[1/N][z]/(z^n - 1).  Restriction to the order-k subgroup and induction from
 it are closed forms on coefficients (Serre, Linear Representations of Finite
 Groups, section 7): restriction folds z^e to z^(e mod k), induction lifts z^a
-to the sum of z^e over e = a (mod k).
+to the sum of z^e over e = a (mod k).  `frobenius_check` verifies
+ind(res(y) * x) = y * ind(x) over monomials by these two maps alone: a
+product by a monomial is a rotation, `CycPoly.shift`.
 
 The character route is kept as the independent oracle.  Characters take
 values in Z[theta_n, 1/N]; the character map is injective, and its inverse is
@@ -194,14 +196,14 @@ def restrict(x: RepElt, k: int) -> RepElt:
     """Restriction to the order-k subgroup: z^e -> z^(e mod k)."""
     _check_divisor(x.n, k)
     num = x.value.num
-    return RepElt(CycPoly(k, x.N, tuple(sum(num[r::k]) for r in range(k)), x.value.den))
+    return RepElt(CycPoly._make(k, x.N, [sum(num[r::k]) for r in range(k)], x.value.den))
 
 
 def induce(x: RepElt, n: int) -> RepElt:
     """Induction from the order-k subgroup: z^a -> sum of z^e, e = a (mod k)."""
     k = x.n
     _check_divisor(n, k)
-    return RepElt(CycPoly(n, x.N, x.value.num * (n // k), x.value.den))
+    return RepElt(CycPoly._make(n, x.N, x.value.num * (n // k), x.value.den))
 
 
 def _restrict_via_characters(x: RepElt, k: int) -> RepElt:
@@ -247,31 +249,31 @@ class FrobeniusReport:
 
 def frobenius_check(n: int, k: int, N: Optional[int] = None) -> FrobeniusReport:
     """Verify the Frobenius identity for all monomials x = z^a of R(K) and
-    y = z^b of R(H), K the order-k subgroup of the cyclic group H of order n."""
+    y = z^b of R(H), K the order-k subgroup of the cyclic group H of order n.
+
+    Multiplying by a monomial is a rotation, so each pair (a, b), b outer,
+    checks ind(res(z^b).shift(a)) == ind(z^a).shift(b): `restrict` and
+    `induce` do the work, `CycPoly.shift` the two products."""
     _check_divisor(n, k)
     if N is None:
         N = n
-    ind_cache: dict[tuple, RepElt] = {}
+    ind_cache: dict[tuple, CycPoly] = {}
 
-    def cached_induce(u: RepElt) -> RepElt:
-        key = (u.value.num, u.value.den)
+    def cached_induce(u: CycPoly) -> CycPoly:
+        key = (u.num, u.den)
         got = ind_cache.get(key)
         if got is None:
-            got = induce(u, n)
+            got = induce(RepElt(u), n).value
             ind_cache[key] = got
         return got
 
-    monos_k = [RepElt.monomial(k, N, a) for a in range(k)]
-    ind_monos = [cached_induce(m) for m in monos_k]
+    ind_monos = [cached_induce(CycPoly.monomial(k, N, a)) for a in range(k)]
     checked = 0
     for b in range(n):
-        y = RepElt.monomial(n, N, b)
-        res_y = restrict(y, k)
+        res_y = restrict(RepElt.monomial(n, N, b), k).value
         for a in range(k):
-            lhs = cached_induce(res_y * monos_k[a])
-            rhs = y * ind_monos[a]
             checked += 1
-            if lhs != rhs:
+            if cached_induce(res_y.shift(a)) != ind_monos[a].shift(b):
                 return FrobeniusReport(n, k, False, checked, (a, b))
     return FrobeniusReport(n, k, True, checked)
 

@@ -14,7 +14,7 @@ column operations carry along, and only `hnf` and `snf` add one:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 
@@ -23,9 +23,12 @@ Row = Sequence[int]
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix stored as a tuple of row tuples."""
+    """Immutable integer matrix stored as a tuple of row tuples.  A matrix
+    with no rows cannot read its column count off its entries, so `zero`
+    records it in `width`; equality and hashing read the entries only."""
 
     entries: tuple[tuple[int, ...], ...]
+    width: Optional[int] = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Row]) -> "IntMatrix":
@@ -40,7 +43,7 @@ class IntMatrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(tuple((0,) * cols for _ in range(rows)))
+        return cls(tuple((0,) * cols for _ in range(rows)), cols)
 
     @property
     def rows(self) -> int:
@@ -48,7 +51,7 @@ class IntMatrix:
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return len(self.entries[0]) if self.entries else self.width or 0
 
     def tolists(self) -> list[list[int]]:
         return [list(r) for r in self.entries]
@@ -258,13 +261,20 @@ def congruence_kernel(A, moduli: Sequence[int]) -> list[tuple[int, ...]]:
     """Basis of the lattice {x in Z^cols : (A x)_i == 0 mod moduli[i]}, in
     Hermite form.
 
-    A modulus of 0 demands exact vanishing of that row.
+    A modulus of 0 demands exact vanishing of that row.  A matrix with no
+    rows constrains nothing, so its kernel is all of Z^cols; it must be an
+    IntMatrix that records its width (`IntMatrix.zero(0, cols)`).
     """
     M = _as_lists(A)
     r = len(M)
-    c = len(M[0]) if M else 0
     if len(moduli) != r:
         raise ValueError("one modulus per row required")
+    if not M:
+        if isinstance(A, IntMatrix) and A.width is not None:
+            return list(IntMatrix.identity(A.width).entries)
+        raise ValueError("a matrix with no rows needs its width: "
+                         "give it as IntMatrix.zero(0, cols)")
+    c = len(M[0])
     if c == 0:
         return []
     # The rows (A e_j | e_j) and (m_i e_i | 0) span the pairs (A x + m k, x);
@@ -283,7 +293,7 @@ def lattice_coordinates(A, moduli: Sequence[int], cols: int,
     A has no rows, and the coordinates of each of `vectors` in that basis.
     Raises RuntimeError for a vector outside the lattice."""
     M = _as_lists(A)
-    basis = congruence_kernel(M, moduli) if M else list(IntMatrix.identity(cols).entries)
+    basis = congruence_kernel(M or IntMatrix.zero(0, cols), moduli)
     coords = hermite_coordinates(basis, vectors)
     if None in coords:
         raise RuntimeError("a vector lies outside the congruence lattice")
@@ -321,9 +331,8 @@ def lattice_kernel_localized(A, m: int, N: int = 1) -> IntMatrix:
     if m < 1:
         raise ValueError("modulus must be >= 1")
     M = _as_lists(A)
-    r = len(M)
-    rows = congruence_kernel(M, [m] * r)
-    return IntMatrix.from_rows(rows)
+    # with no rows, only A itself can say how wide it is
+    return IntMatrix.from_rows(congruence_kernel(M or A, [m] * len(M)))
 
 
 class ExactSolver:

@@ -5,6 +5,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from uctbench import green
 from uctbench.amod import AModObject, ModulePart, presentation_of
 from uctbench.crossring import CrossedElt, CrossedRing, RingSummand, regular_representation
 from uctbench.cyclotomic import (
@@ -381,6 +382,44 @@ def product_formula_psi(n: int, k: int) -> CycPoly:
     for i, c in enumerate(prod.coeffs):
         out[(i + 1) % n] += c  # the leading factor z
     return CycPoly(n, n, tuple(out), n)
+
+
+# ---------------------------------------------------------------------------
+# the Frobenius check with every product taken in full: the oracle for the
+# monomial shifts of green.frobenius_check
+
+
+def reference_frobenius_check(n: int, k: int, N=None) -> green.FrobeniusReport:
+    """green.frobenius_check with both sides of every pair taken as full
+    CycPoly products: ind(res(z^b) * z^a) against z^b * ind(z^a), b outer.
+    It calls `green.restrict` and `green.induce` through the module, so a
+    test that patches either one patches both checks."""
+    RepElt = green.RepElt
+    if N is None:
+        N = n
+    ind_cache = {}
+
+    def cached_induce(u):
+        key = (u.value.num, u.value.den)
+        got = ind_cache.get(key)
+        if got is None:
+            got = green.induce(u, n)
+            ind_cache[key] = got
+        return got
+
+    monos_k = [RepElt.monomial(k, N, a) for a in range(k)]
+    ind_monos = [cached_induce(m) for m in monos_k]
+    checked = 0
+    for b in range(n):
+        y = RepElt.monomial(n, N, b)
+        res_y = green.restrict(y, k)
+        for a in range(k):
+            lhs = cached_induce(res_y * monos_k[a])
+            rhs = y * ind_monos[a]
+            checked += 1
+            if lhs != rhs:
+                return green.FrobeniusReport(n, k, False, checked, (a, b))
+    return green.FrobeniusReport(n, k, True, checked)
 
 
 # ---------------------------------------------------------------------------
@@ -936,7 +975,8 @@ def _free_cover_kernel(pres: ReferencePresentation, orders: Sequence[int],
         gvecs.append(tuple(map(int, v)))
         cols += [wm.matvec(gvecs[-1]) for wm in word_mats]
     n = len(cols)
-    kernel = congruence_kernel([[col[i] for col in cols] for i in range(r)], list(orders))
+    rows = [[col[i] for col in cols] for i in range(r)]
+    kernel = congruence_kernel(rows or IntMatrix.zero(0, n), list(orders))
     lam = len(kernel)
     B = tuple(tuple(kernel[l][x] for l in range(lam)) for x in range(n))
     solver = ReferenceSolver([list(row) for row in B]) if lam else None

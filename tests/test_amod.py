@@ -380,6 +380,14 @@ def test_ext_dense_conjugation_over_unsplit_s3():
         assert ext_group(trivial, N) == hom_group(trivial, N).group == FinAbGroup((7,))
 
 
+def test_cover_of_rank_zero_has_no_kernel():
+    # r = 0 and no columns: the congruence kernel is Z^0, with no rows
+    for summand in target_category(preset_group("symmetric(3)")).flat_summands():
+        pres = presentation_of(summand)
+        cover = _free_cover_kernel(pres, (), [IntMatrix.zero(0, 0) for _ in pres.gen_names])
+        assert (cover.gvecs, cover.cols, cover.kernel) == ((), (), ())
+
+
 def test_ext_rank_four_summand_cube():
     # Ext^1((R/11)^3, (R/11)^3) over Z[theta_5, 1/5] is C11^(4*3*3).  The
     # cover needs 3 generators, not all 12 Z-coordinates; with all 12 this

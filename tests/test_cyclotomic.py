@@ -30,7 +30,10 @@ from uctbench.cyclotomic import (
     psi,
     totient,
 )
+from uctbench.crossring import CrossedElt, build_crossed_ring
 from uctbench.errors import ModulusMismatch, NotADivisor, NotAUnit, PrimeNotInverted
+from uctbench.green import RepElt, induce, restrict
+from uctbench.groups import cyclic_classes, preset_group
 
 
 def test_cyclotomic_small():
@@ -252,7 +255,12 @@ def test_arithmetic_results_equal_their_validated_rebuild():
             c = rng.randint(-4, 4)
             results = [x + y, x - y, -x, c * x, x * c, x * y]
             if cls is CycPoly:
-                results.append(evaluate_at_root(x, rng.randrange(n)))
+                k = rng.choice(divisors(n))
+                res = restrict(RepElt(x), k).value
+                results += [evaluate_at_root(x, rng.randrange(n)),
+                            x.shift(rng.randint(-2 * n, 2 * n)),
+                            x.substitute_power(rng.randint(-2 * n, 2 * n)),
+                            crt_join(crt_split(x)), res, induce(RepElt(res), n).value]
                 results.extend(crt_split(x).values())
             else:
                 results.append(galois(x, rng.choice(units)))
@@ -260,6 +268,22 @@ def test_arithmetic_results_equal_their_validated_rebuild():
                 _check_rebuilds(r)
                 if r.n == n:
                     pools[type(r)].append(r)
+    # crossed products, twisted Weyl units included, over N with an extra prime
+    for name in ("cyclic(5)", "symmetric(3)", "dihedral(4)", "dihedral(5)"):
+        G = preset_group(name)
+        for C in cyclic_classes(G):
+            ring = build_crossed_ring(C, 7 * G.order)
+            dens = [p ** e for p in prime_factors(ring.N) for e in (0, 2)]
+
+            def crossed():
+                return CrossedElt(ring, tuple(
+                    CycEltN(ring.n, ring.N, tuple(rng.randint(-5, 5) for _ in range(totient(ring.n))),
+                            rng.choice(dens))
+                    for _ in range(ring.weyl_order)))
+
+            for _ in range(3):
+                for r in (crossed() * crossed()).coeffs:
+                    _check_rebuilds(r)
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +376,35 @@ def test_kronecker_is_the_linear_double_loop():
 
 
 def test_reduce_mod_phi_is_spread_then_dense_reduce():
+    # the lengths of a CycEltN product, a CycPoly and a vector past 2n, each
+    # sparse and dense, spread by every k from -n to n (non-units included)
     rng = random.Random(13)
     for n in range(1, 61):
-        for k in range(n + 1):  # non-units and k = n included
-            vec = [rng.randint(-5, 5) for _ in range(2 * totient(n) - 1)]
-            assert list(_reduce_mod_phi(n, vec, k)) == spread_then_reduce(n, vec, k), (n, k)
+        for length in (2 * totient(n) - 1, n, 2 * n + 3):
+            for k in range(-n, n + 1):
+                density = rng.choice((0.2, 1.0))
+                vec = [rng.randint(-5, 5) if rng.random() < density else 0
+                       for _ in range(length)]
+                assert list(_reduce_mod_phi(n, vec, k)) == spread_then_reduce(n, vec, k), \
+                    (n, length, k)
+
+
+def test_shift_is_multiplication_by_a_monomial():
+    rng = random.Random(16)
+    dens_seen = set()
+    for n in (1, 2, 5, 6, 12, 30, 49, 60):
+        for N in (n, 35 * n):
+            dens = [p ** e for p in prime_factors(N) for e in (0, 2)] or [1]
+            xs = [CycPoly.zero(n, N)] + [
+                CycPoly(n, N, tuple(rng.randint(-6, 6) for _ in range(n)), rng.choice(dens))
+                for _ in range(3)]
+            for x in xs:
+                dens_seen.add(x.den > 1)
+                for e in (0, 1, n - 1, n, n + 3, 3 * n + 1, -1, -n, -2 * n - 5):
+                    got = x.shift(e)
+                    assert got == CycPoly.monomial(n, N, e) * x, (n, N, x, e)
+                    _check_rebuilds(got)
+    assert dens_seen == {False, True}
 
 
 def test_root_power_is_repeated_multiplication_by_theta():

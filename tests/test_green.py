@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from helpers import reference_frobenius_check
+from uctbench import green
 from uctbench.cyclotomic import (
     CycEltN,
     CycPoly,
@@ -129,6 +131,34 @@ def test_frobenius_identity():
         report = frobenius_check(n, k)
         assert report.passed, (n, k, report.counterexample)
         assert report.checked == n * k
+
+
+def test_frobenius_check_matches_full_products():
+    for n in range(1, 31):
+        for k in divisors(n):
+            assert frobenius_check(n, k) == reference_frobenius_check(n, k), (n, k)
+    for n, k in [(6, 3), (12, 4), (20, 10)]:
+        assert frobenius_check(n, k, 5 * n) == reference_frobenius_check(n, k, 5 * n)
+
+
+@pytest.mark.parametrize("broken", ["restrict", "induce"])
+def test_frobenius_check_failure_matches_full_products(monkeypatch, broken):
+    # a map that is wrong on one input: both checks stop at the same pair
+    # after the same number of checks
+    real = getattr(green, broken)
+    for n, k, e in [(2, 2, 1), (6, 3, 0), (6, 3, 4), (8, 4, 3), (12, 6, 5), (12, 12, 7),
+                    (30, 5, 2), (30, 15, 29)]:
+        m = n if broken == "restrict" else k
+        bad = RepElt.monomial(m, n, e % m)
+
+        def wrong(x, d, bad=bad):
+            got = real(x, d)
+            return got + got if x == bad else got
+
+        monkeypatch.setattr(green, broken, wrong)
+        report = frobenius_check(n, k)
+        assert not report.passed, (broken, n, k, e)
+        assert report == reference_frobenius_check(n, k), (broken, n, k, e)
 
 
 def test_decompose_generator():

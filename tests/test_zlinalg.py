@@ -262,6 +262,21 @@ def test_lattice_kernel_localized_examples():
     assert B.entries == ((3,),)
 
 
+def test_kernel_of_no_rows_is_everything_or_needs_a_width():
+    # no rows constrain nothing: the basis is all of Z^cols when the width
+    # is recorded, and a named error when nothing records it
+    for c in (0, 1, 3):
+        identity = IntMatrix.identity(c)
+        assert congruence_kernel(IntMatrix.zero(0, c), []) == list(identity.entries)
+        assert lattice_kernel_localized(IntMatrix.zero(0, c), 5) == identity
+        assert IntMatrix.zero(0, c).cols == c
+    for no_width in ([], IntMatrix(()), IntMatrix.from_rows([])):
+        with pytest.raises(ValueError, match="width"):
+            congruence_kernel(no_width, [])
+        with pytest.raises(ValueError, match="width"):
+            lattice_kernel_localized(no_width, 5)
+
+
 def test_lattice_kernel_contains_m_times_lattice():
     rng = random.Random(6)
     for _ in range(15):
