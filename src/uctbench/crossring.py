@@ -6,12 +6,13 @@ One splitting rule is implemented.  It applies when W is abelian, acts
 trivially on theta_n (n = 1 or every unit is 1) and every prime of |W| is
 inverted, and at present only for n = 1 or W of exponent at most 2 (trivial
 W included).  The characters of W, valued in the e-th roots of unity for e
-the exponent of W, fall into orbits under (Z/e)^x; an orbit of characters
-of order d gives one summand, Z[theta_d, 1/N] at n = 1 and Z[theta_n, 1/N]
-otherwise, cut out by the idempotent (1/|W|) sum_w c(w) w, where
-c(w) = mu(o) phi(d) / phi(o) is the Ramanujan sum at the order o of chi(w).
-Every other ring is kept as an honest unsplit crossed product and handled
-through its regular representation.
+the exponent of W, are built by extension along one generator walk and
+fall into orbits under (Z/e)^x; an orbit of characters of order d gives one
+summand, Z[theta_d, 1/N] at n = 1 and Z[theta_n, 1/N] otherwise, cut out by
+the idempotent (1/|W|) sum_w c(w) w, where c(w) = mu(o) phi(d) / phi(o) is
+the Ramanujan sum at the order o of chi(w).  Every other ring is kept as an
+honest unsplit crossed product and handled through its regular
+representation.
 
 `crossed_relations` checks the defining relations on given action matrices
 for both module validation and the crossed-relations suite.
@@ -19,7 +20,6 @@ for both module validation and the crossed-relations suite.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -36,7 +36,7 @@ from .cyclotomic import (
     totient,
 )
 from .errors import InsufficientInversion, RingMismatch
-from .groups import CyclicClass, FiniteGroup, cyclic_classes
+from .groups import CyclicClass, FiniteGroup, _generators, cyclic_classes
 from .zlinalg import IntMatrix
 
 
@@ -312,77 +312,49 @@ def _is_abelian(table) -> bool:
     return all(tuple(row) == col for row, col in zip(table, zip(*table)))
 
 
-def _coset_orders(table) -> list[int]:
-    m = len(table)
-    orders = [0] * m
-    for x in range(m):
-        if orders[x]:
-            continue
-        # one walk over the powers of x gives every order on its cycle:
-        # x^k has order o / gcd(k, o)
-        powers = [0]
-        cur = x
-        while cur != 0:
-            powers.append(cur)
-            cur = table[cur][x]
-        o = len(powers)
-        for k, y in enumerate(powers):
-            orders[y] = o // math.gcd(k, o)
-    return orders
-
-
 def _abelian_characters(table) -> tuple[list[tuple[int, ...]], int, list[int]]:
     """All characters of an abelian group given by its table, as exponent
     vectors: chi(x) = theta_e^{vals[x]} with e the exponent of the group.
     Also returns the generators, whose values fix a character.
 
-    One walk over the group writes every element as a word in greedily
-    chosen generators.  An edge x -> x g gives the relation
-    word(x) + g - word(x g); the characters are the assignments of values
-    to the generators that kill every relation."""
+    The characters are built by extension along the generator walk of
+    `groups._generators`.  With H the subgroup reached before g and g^t the
+    first power of g in H, each character chi of H extends to <H, g> in t
+    ways, chi(h g^s) = chi(h) + s c for the t solutions c of t c = chi(g^t)
+    mod e; chi(g^t) is a multiple of t, since its order divides ord(g) / t."""
     m = len(table)
-    orders = _coset_orders(table)
-    exponent = math.lcm(*orders)
-    gens: list[int] = []
-    parent: dict[int, tuple[int, int]] = {}
-    walk = [0]
-    while len(walk) < m:
-        g = max((x for x in range(m) if x != 0 and x not in parent),
-                key=lambda x: (orders[x], -x))
-        gens.append(g)
-        # elements reached before need only the new generator
-        stack = [(x, len(gens) - 1) for x in walk]
-        while stack:
-            x, l = stack.pop()
-            y = table[x][gens[l]]
-            if y != 0 and y not in parent:
-                parent[y] = (x, l)
-                walk.append(y)
-                stack.extend((y, k) for k in range(len(gens)))
-    k = len(gens)
-    word = {0: (0,) * k}
-    for y in walk[1:]:
-        x, l = parent[y]
-        word[y] = tuple(c + (i == l) for i, c in enumerate(word[x]))
-    relations = set()
-    for x in range(m):
-        for l, g in enumerate(gens):
-            y = table[x][g]
-            r = tuple((word[x][i] + (i == l) - word[y][i]) % orders[gens[i]]
-                      for i in range(k))
-            if any(r):
-                relations.add(r)
-    columns = [[word[x][i] for x in range(m)] for i in range(k)]
-    chars = []
-    for assign in itertools.product(*[range(orders[g]) for g in gens]):
-        c = [(exponent // orders[g]) * a for g, a in zip(gens, assign)]
-        if any(sum(ri * ci for ri, ci in zip(r, c)) % exponent for r in relations):
-            continue
-        vals = [0] * m
-        for col, ci in zip(columns, c):
-            if ci:
-                vals = [v + x * ci for v, x in zip(vals, col)]
-        chars.append(tuple(v % exponent for v in vals))
+    gens = _generators(table, 0)
+    # walk lists H and then, h by h, each h g^s with 0 < s < t, for each
+    # generator in turn; pos[x] is the place of x in it
+    walk, pos, steps, exponent = [0], [0] + [-1] * (m - 1), [], 1
+    for g in gens:
+        powers, x = [], g
+        while pos[x] < 0:
+            powers.append(x)
+            x = table[x][g]
+        t = len(powers) + 1
+        steps.append((t, pos[x]))
+        while x != 0:  # on to the order of g
+            x, t = table[x][g], t + 1
+        exponent = math.lcm(exponent, t)
+        new = [table[h][y] for h in walk for y in powers]
+        for i, y in enumerate(new, len(walk)):
+            pos[y] = i
+        walk += new
+
+    def extend(vals: list[int], k: int):
+        # one character at a time, read in element order as it is finished,
+        # so no second copy of all the characters is ever alive
+        if k == len(steps):
+            yield tuple(map(vals.__getitem__, pos))
+            return
+        t, q = steps[k]
+        for j in range(t):
+            c = vals[q] // t + j * (exponent // t)
+            yield from extend(vals + [(v + s * c) % exponent
+                                      for v in vals for s in range(1, t)], k + 1)
+
+    chars = list(extend([0], 0))
     if len(chars) != m:
         raise RuntimeError("character count must equal the group order")
     return chars, exponent, gens
@@ -411,7 +383,7 @@ def _character_orbits(ring: CrossedRing) -> Optional[list[tuple[int, tuple[int, 
     # rank 4).  Lifting it needs orbits under Gal(Q(theta_lcm(n,e))/Q(theta_n)).
     if not (_is_abelian(table) and all(u == 1 or n == 1 for u in ring.weyl_units)
             and all(N % p == 0 for p in prime_factors(m))
-            and (n == 1 or all(o <= 2 for o in _coset_orders(table)))):
+            and (n == 1 or all(table[w][w] == 0 for w in range(m)))):
         return None
     chars, e, gens = _abelian_characters(table)
     units = [u for u in range(1, e + 1) if math.gcd(u, e) == 1]

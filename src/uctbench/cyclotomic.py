@@ -164,15 +164,15 @@ def cyclotomic(k: int) -> IntPoly:
 
 
 class _RingTables:
-    """Per-n reduction data: Phi_n and, for t in Z/n, the power z^t mod Phi_n
-    as a tuple of (slot, coeff) pairs over its nonzero coefficients."""
+    """Per-n reduction data: the degree of Phi_n and, for t in Z/n, the power
+    z^t mod Phi_n as a tuple of (slot, coeff) pairs over its nonzero
+    coefficients."""
 
-    __slots__ = ("n", "deg", "phi", "powers")
+    __slots__ = ("n", "deg", "powers")
 
     def __init__(self, n: int):
         self.n = n
         phi = cyclotomic(n)
-        self.phi = phi.coeffs
         deg = phi.degree
         self.deg = deg
         top = [-c for c in phi.coeffs[:deg]]  # z^deg = top(z)

@@ -246,9 +246,11 @@ def _split_call(spec: str) -> tuple[str, Optional[list[str]]]:
 
 
 # Largest preset order built: the table of symmetric(7) takes 2.2-2.5 s and
-# 211 MB on a 2-core, 8 GB machine (its target-category report 4.3-4.6 s
-# and 408 MB), and a table still grows with the square of the order:
-# symmetric(8) would hold 1.6 G entries.
+# 211 MB on a 2-core, 8 GB machine (its target-category report 1.9-2.7 s
+# and 214 MB), and a table still grows with the square of the order:
+# symmetric(8) would hold 1.6 G entries.  The costliest report within the
+# bound is cyclic(5040)'s, 8.3-9.8 s and 1.27 GB peak RSS, most of it the
+# 5040 characters of 5040 values each that split its trivial class.
 MAX_PRESET_ORDER = 5040
 
 # Deepest nesting of presets inside direct_product: a product of 13

@@ -57,7 +57,11 @@ class IntMatrix:
         return [list(r) for r in self.entries]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)) if self.entries else ())
+        # a matrix with no rows has cols empty rows; one with no columns
+        # gives no rows, so its row count is recorded as the width
+        if not self.entries:
+            return IntMatrix(((),) * self.cols)
+        return IntMatrix(tuple(zip(*self.entries)), self.rows)
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -279,7 +280,7 @@ def test_splitting_idempotents_match_root_sums():
 
 
 def test_abelian_characters_match_bfs_reference():
-    # the one-walk characters against one walk per assignment, on every
+    # the characters by extension against one walk per assignment, on every
     # abelian Weyl table of the oracle presets and of cyclic(720)
     tables = set()
     for name in ORACLE_PRESETS + ["cyclic(720)"]:
@@ -295,6 +296,37 @@ def test_abelian_characters_match_bfs_reference():
         assert sorted(chars) == sorted(ref_chars)
         # the generators' values fix a character: the split keys orbits on them
         assert len({tuple(chi[g] for g in gens) for chi in chars}) == len(table)
+
+
+def test_abelian_characters_of_order_720_products():
+    # beyond the reach of the BFS oracle (180^3 assignments for V4 x C180),
+    # on every Weyl table of three abelian groups: each returned vector is a
+    # homomorphism on the generators, they are |W| distinct ones, and e is
+    # the lcm of the element orders.  In C2 x C6 x C60 some generator's first
+    # power inside the subgroup reached so far is not the identity, so the
+    # extension's shift chi(g^t) / t is exercised.
+    tables = set()
+    for name in ("direct_product(klein_four,cyclic(180))",
+                 "direct_product(klein_four,direct_product(klein_four,cyclic(45)))",
+                 "direct_product(cyclic(2),direct_product(cyclic(6),cyclic(60)))"):
+        tables |= {C.weyl_table for C in cyclic_classes(preset_group(name))}
+    assert len(tables) > 20
+    for table in tables:
+        m = len(table)
+        chars, e, gens = _abelian_characters(table)
+        orders = []
+        for x in range(m):
+            y, o = x, 1
+            while y != 0:
+                y, o = table[y][x], o + 1
+            orders.append(o)
+        assert e == math.lcm(*orders)
+        assert len(chars) == m and len(set(chars)) == m
+        for g in gens:
+            column = [row[g] for row in table]
+            for chi in chars:
+                assert all((chi[y] - chi[x] - chi[g]) % e == 0
+                           for x, y in enumerate(column)), (m, g)
 
 
 def test_target_category_klein_four():

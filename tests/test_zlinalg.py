@@ -270,6 +270,10 @@ def test_kernel_of_no_rows_is_everything_or_needs_a_width():
         assert congruence_kernel(IntMatrix.zero(0, c), []) == list(identity.entries)
         assert lattice_kernel_localized(IntMatrix.zero(0, c), 5) == identity
         assert IntMatrix.zero(0, c).cols == c
+        # transposes keep the shape of an empty matrix: 0 x c <-> c x 0
+        for r, k in ((0, c), (c, 0)):
+            t = IntMatrix.zero(r, k).transpose()
+            assert (t.rows, t.cols) == (k, r)
     for no_width in ([], IntMatrix(()), IntMatrix.from_rows([])):
         with pytest.raises(ValueError, match="width"):
             congruence_kernel(no_width, [])
