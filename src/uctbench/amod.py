@@ -414,6 +414,12 @@ def _resolve_parts(pres: RingPresentation, M: AModObject,
     """The resolution of each part of M (None for a zero part), covered with
     the optional redundant generators per degree."""
     extra = extra or {}
+    for d, vecs in extra.items():
+        if d not in (0, 1):
+            raise ValueError(f"extra generators of degree {d}: modules have degrees 0 and 1")
+        rank = M.parts[d].rank
+        if any(len(v) != rank or any(type(x) is not int for x in v) for v in vecs):
+            raise ValueError(f"extra generators of degree {d} must be int vectors of length {rank}")
     return [_resolve(pres, _free_cover_kernel(pres, P.orders, P.mats, extra.get(d, ())))
             if P.rank or extra.get(d) else None for d, P in enumerate(M.parts)]
 
@@ -562,6 +568,7 @@ def ext_group(M: AModObject, N: AModObject, degree: int = 0,
 
     extra_generators optionally adds redundant module generators per source
     degree; the result must not depend on them (well-definedness probe).
+    A vector of the wrong length or with a non-int entry raises ValueError.
     `_resolved` is a caller's resolution of M's parts, used instead.
     """
     _check_same_ring(M.ring, N.ring, "ext")

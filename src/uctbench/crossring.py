@@ -5,14 +5,17 @@ the commutative splittings that exist after inverting the group order.
 One splitting rule is implemented.  It applies when W is abelian, acts
 trivially on theta_n (n = 1 or every unit is 1) and every prime of |W| is
 inverted, and at present only for n = 1 or W of exponent at most 2 (trivial
-W included).  The characters of W, valued in the e-th roots of unity for e
-the exponent of W, are built by extension along one generator walk and
-fall into orbits under (Z/e)^x; an orbit of characters of order d gives one
-summand, Z[theta_d, 1/N] at n = 1 and Z[theta_n, 1/N] otherwise, cut out by
-the idempotent (1/|W|) sum_w c(w) w, where c(w) = mu(o) phi(d) / phi(o) is
-the Ramanujan sum at the order o of chi(w).  Every other ring is kept as an
-honest unsplit crossed product and handled through its regular
-representation.
+W included).  The summands come from a count, with no characters: by
+Perlis and Walker (1950), Q[W] is the sum over d of a_d copies of
+Q(theta_d), a_d the number of cyclic subgroups of W of order d, so at n = 1
+there are a_d summands Z[theta_d, 1/N], and at n > 1 |W| summands
+Z[theta_n, 1/N].  Characters are built only for the idempotents: those of
+W, valued in the e-th roots of unity for e the exponent of W, come by
+extension along one generator walk and fall into orbits under (Z/e)^x; an
+orbit of characters of order d cuts out one summand by the idempotent
+(1/|W|) sum_w c(w) w, where c(w) = mu(o) phi(d) / phi(o) is the Ramanujan
+sum at the order o of chi(w).  Every other ring is kept as an honest
+unsplit crossed product and handled through its regular representation.
 
 `crossed_relations` checks the defining relations on given action matrices
 for both module validation and the crossed-relations suite.
@@ -21,6 +24,7 @@ for both module validation and the crossed-relations suite.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
@@ -36,7 +40,7 @@ from .cyclotomic import (
     totient,
 )
 from .errors import InsufficientInversion, RingMismatch
-from .groups import CyclicClass, FiniteGroup, _generators, cyclic_classes
+from .groups import CyclicClass, FiniteGroup, _cyclic_subgroup_map, _generators, cyclic_classes
 from .zlinalg import IntMatrix
 
 
@@ -307,11 +311,6 @@ def _kind_for(d: int) -> str:
     return "integral_local" if totient(d) == 1 else "cyclotomic_local"
 
 
-def _is_abelian(table) -> bool:
-    # zip yields one column at a time and all stops at the first mismatch
-    return all(tuple(row) == col for row, col in zip(table, zip(*table)))
-
-
 def _abelian_characters(table) -> tuple[list[tuple[int, ...]], int, list[int]]:
     """All characters of an abelian group given by its table, as exponent
     vectors: chi(x) = theta_e^{vals[x]} with e the exponent of the group.
@@ -360,32 +359,46 @@ def _abelian_characters(table) -> tuple[list[tuple[int, ...]], int, list[int]]:
     return chars, exponent, gens
 
 
-def _merge_multiplicities(flat: list[RingSummand]) -> list[RingSummand]:
-    out: list[RingSummand] = []
-    for s in flat:
-        if out and (out[-1].kind, out[-1].d, out[-1].N, out[-1].ring) == (s.kind, s.d, s.N, s.ring):
-            out[-1] = replace(out[-1], multiplicity=out[-1].multiplicity + s.multiplicity)
-        else:
-            out.append(s)
-    return out
-
-
-def _character_orbits(ring: CrossedRing) -> Optional[list[tuple[int, tuple[int, ...], int]]]:
-    """The character-orbit rule, where it applies (see the module doc): one
-    (order d, least character chi, exponent e) per Galois orbit of W's
-    characters, sorted; None where no rule applies."""
-    n, N, m = ring.n, ring.N, ring.weyl_order
-    table = ring.weyl_table
+def _splits(ring: CrossedRing) -> bool:
+    """Whether the splitting rule applies (see the module doc); W is
+    abelian when its generators commute, tested last as the costliest."""
+    n, table = ring.n, ring.weyl_table
+    m = len(table)
     # The exponent gate at n > 1 keeps the rule correct.  For n > 1 it
     # labels every summand Z[theta_n, 1/N], but an orbit of characters of
     # order d > 2 gives Z[theta_lcm(n,d), 1/N]: without the gate the ranks
     # stop adding up (cyclic(9), class n = 3, W = C3: rank 6 splits into
     # rank 4).  Lifting it needs orbits under Gal(Q(theta_lcm(n,e))/Q(theta_n)).
-    if not (_is_abelian(table) and all(u == 1 or n == 1 for u in ring.weyl_units)
-            and all(N % p == 0 for p in prime_factors(m))
+    if not (all(u == 1 or n == 1 for u in ring.weyl_units)
+            and all(ring.N % p == 0 for p in prime_factors(m))
             and (n == 1 or all(table[w][w] == 0 for w in range(m)))):
+        return False
+    gens = _generators(table, 0)
+    return all(table[g][h] == table[h][g] for g in gens for h in gens)
+
+
+def split_ring(ring: CrossedRing) -> list[RingSummand]:
+    """Split the ring into summands where an implemented rule applies;
+    an unsplit crossed product is a valid outcome.  The summands are
+    counted as in the module doc, ascending in d."""
+    if not _splits(ring):
+        return [RingSummand("unsplit_crossed", ring.n, ring.N, ring=ring,
+                            provenance="no splitting rule applies")]
+    if ring.n > 1:
+        return [RingSummand(_kind_for(ring.n), ring.n, ring.N, ring.weyl_order,
+                            provenance="character orbit of order 1")]
+    counts = Counter(len(H) for H in set(_cyclic_subgroup_map(ring.weyl_table, 0)))
+    return [RingSummand(_kind_for(d), d, ring.N, a, provenance=f"character orbit of order {d}")
+            for d, a in sorted(counts.items())]
+
+
+def splitting_idempotents(ring: CrossedRing) -> Optional[list[CrossedElt]]:
+    """The complete orthogonal idempotent family realizing split_ring, one
+    idempotent per summand copy, from the Galois orbits of W's characters
+    taken by order, then least character; None when the ring stays unsplit."""
+    if not _splits(ring):
         return None
-    chars, e, gens = _abelian_characters(table)
+    chars, e, gens = _abelian_characters(ring.weyl_table)
     units = [u for u in range(1, e + 1) if math.gcd(u, e) == 1]
     # a character is fixed by its values on the generators, so its Galois
     # orbit is marked by those values alone
@@ -395,33 +408,9 @@ def _character_orbits(ring: CrossedRing) -> Optional[list[tuple[int, tuple[int, 
         key = tuple(chi[g] for g in gens)
         if key not in seen:  # so chi is the least character of its orbit
             seen |= {tuple((u * v) % e for v in key) for u in units}
-            orbits.append((e // math.gcd(e, *key), chi, e))
-    return sorted(orbits)
-
-
-def split_ring(ring: CrossedRing) -> list[RingSummand]:
-    """Split the ring into summands where an implemented rule applies;
-    an unsplit crossed product is a valid outcome."""
-    orbits = _character_orbits(ring)
-    if orbits is None:
-        return [RingSummand("unsplit_crossed", ring.n, ring.N, ring=ring,
-                            provenance="no splitting rule applies")]
-    summands = []
-    for d, _, _ in orbits:
-        k = d if ring.n == 1 else ring.n
-        summands.append(RingSummand(_kind_for(k), k, ring.N,
-                                    provenance=f"character orbit of order {d}"))
-    return _merge_multiplicities(summands)
-
-
-def splitting_idempotents(ring: CrossedRing) -> Optional[list[CrossedElt]]:
-    """The complete orthogonal idempotent family realizing split_ring, one
-    idempotent per summand copy; None when the ring stays unsplit."""
-    orbits = _character_orbits(ring)
-    if orbits is None:
-        return None
+            orbits.append((e // math.gcd(e, *key), chi))
     idems = []
-    for d, chi, e in orbits:
+    for d, chi in sorted(orbits):
         # The orbit's sum of chi'(w^-1) is the Ramanujan sum c_d at the
         # order o of chi(w): c_d(d / o) = mu(o) phi(d) / phi(o).
         coeff: dict[int, CycEltN] = {}

@@ -249,8 +249,8 @@ def _split_call(spec: str) -> tuple[str, Optional[list[str]]]:
 # 211 MB on a 2-core, 8 GB machine (its target-category report 1.9-2.7 s
 # and 214 MB), and a table still grows with the square of the order:
 # symmetric(8) would hold 1.6 G entries.  The costliest report within the
-# bound is cyclic(5040)'s, 8.3-9.8 s and 1.27 GB peak RSS, most of it the
-# 5040 characters of 5040 values each that split its trivial class.
+# bound is cyclic(5040)'s, 2.9-3.6 s and 340 MB peak RSS, most of it its
+# table and cyclic classes.
 MAX_PRESET_ORDER = 5040
 
 # Deepest nesting of presets inside direct_product: a product of 13
@@ -349,18 +349,18 @@ class CyclicClass:
         return self.class_size * len(self.normalizer)
 
 
-def _cyclic_subgroup_map(G: FiniteGroup) -> list[frozenset[int]]:
+def _cyclic_subgroup_map(mul: Sequence[Sequence[int]], identity: int) -> list[frozenset[int]]:
     """subgroup_of[g] = <g>, with one frozenset object per cyclic subgroup:
     the powers g^k with gcd(k, |g|) = 1 are exactly the generators of <g>."""
-    subgroup_of: list[Optional[frozenset[int]]] = [None] * G.order
-    for g in range(G.order):
+    subgroup_of: list[Optional[frozenset[int]]] = [None] * len(mul)
+    for g in range(len(mul)):
         if subgroup_of[g] is not None:
             continue
-        powers = [G.identity]
+        powers = [identity]
         cur = g
-        while cur != G.identity:
+        while cur != identity:
             powers.append(cur)
-            cur = G.mul[cur][g]
+            cur = mul[cur][g]
         H = frozenset(powers)
         n = len(powers)
         for k in range(n):
@@ -373,15 +373,15 @@ def cyclic_classes(G: FiniteGroup) -> list[CyclicClass]:
     """One CyclicClass per conjugacy class of cyclic subgroups, including the
     trivial subgroup, sorted by (order, representative elements)."""
     mul, inv = G.mul, G.inv
-    subgroup_of = _cyclic_subgroup_map(G)
+    subgroup_of = _cyclic_subgroup_map(mul, G.identity)
     seen: set[frozenset[int]] = set()
     classes: list[CyclicClass] = []
     for H in sorted(set(subgroup_of), key=lambda s: (len(s), sorted(s))):
         if H in seen:
             continue
-        # H is the least member of its class: the representative.  Since
-        # x<h>x^-1 = <xhx^-1>, conjugating one generator per x gives its
-        # class and its normalizer.
+        # H is the least member of its class: the representative, so the
+        # classes come out sorted.  Since x<h>x^-1 = <xhx^-1>, conjugating
+        # one generator per x gives its class and its normalizer.
         n = len(H)
         generator = min(h for h in H if subgroup_of[h] is H)
         orbit: set[frozenset[int]] = set()
@@ -422,7 +422,6 @@ def cyclic_classes(G: FiniteGroup) -> list[CyclicClass]:
                 weyl_table=table,
             )
         )
-    classes.sort(key=lambda c: (c.n, c.representative.elements))
     return classes
 
 

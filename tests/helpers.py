@@ -15,6 +15,7 @@ from uctbench.cyclotomic import (
     cyclotomic,
     divisors,
     galois,
+    prime_factors,
     totient,
 )
 from uctbench.groups import CyclicClass, CyclicSubgroup, FiniteGroup
@@ -613,6 +614,40 @@ def bfs_abelian_characters(table) -> tuple:
         if ok and len(vals) == m:
             chars.append(tuple(vals[x] for x in range(m)))
     return chars, exponent
+
+
+def reference_split_ring(ring: CrossedRing, characters=bfs_abelian_characters) -> list:
+    """split_ring by the character-orbit rule the count replaced: where W is
+    abelian (every pair of cosets commutes), acts trivially, has its primes
+    inverted and, at n > 1, exponent at most 2, each Galois orbit of W's
+    characters gives one summand, Z[theta_d, 1/N] at n = 1 for an orbit of
+    order d and Z[theta_n, 1/N] otherwise; orbits are taken by order, then
+    least member, and neighbours of one ring merge into one multiplicity.
+    characters(table) gives (characters as exponent vectors, exponent)."""
+    n, N, table = ring.n, ring.N, ring.weyl_table
+    m = len(table)
+    if not (all(table[a][b] == table[b][a] for a in range(m) for b in range(m))
+            and (n == 1 or set(ring.weyl_units) == {1})
+            and all(N % p == 0 for p in prime_factors(m))
+            and (n == 1 or all(table[w][w] == 0 for w in range(m)))):
+        return [RingSummand("unsplit_crossed", n, N, ring=ring,
+                            provenance="no splitting rule applies")]
+    chars, e = characters(table)[:2]
+    units = [u for u in range(1, e + 1) if math.gcd(u, e) == 1]
+    orbits, seen = [], set()
+    for chi in sorted(chars):
+        if chi not in seen:
+            seen.update(tuple(u * v % e for v in chi) for u in units)
+            orbits.append((e // math.gcd(e, *chi), chi))
+    out = []
+    for d, _ in sorted(orbits):
+        k = d if n == 1 else n
+        kind = "integral_local" if totient(k) == 1 else "cyclotomic_local"
+        if out and (out[-1].kind, out[-1].d) == (kind, k):
+            out[-1] = RingSummand(kind, k, N, out[-1].multiplicity + 1, out[-1].provenance)
+        else:
+            out.append(RingSummand(kind, k, N, provenance=f"character orbit of order {d}"))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,17 @@ def test_ext_generator_choice_independence():
     mc = crossed_module_q7()
     base = ext_group(mc, mc, 0)
     assert ext_group(mc, mc, 0, extra_generators={0: [(1, 1)]}) == base
+    # a vector of the wrong length or with a non-int entry is refused, not
+    # zipped down to the part's rank (which answered C3^4 unprobed)
+    m33 = int_module(Z2_INT, 3, 3)
+    assert ext_group(m33, m33, 0) == FinAbGroup((3,) * 4)
+    for bad in ([[1]], [[1, 0, 5]], [[1.5, 0]], [[True, 0]], [(1, 0), [0, "1"]]):
+        with pytest.raises(ValueError, match="degree 0"):
+            ext_group(m33, m33, 0, extra_generators={0: bad})
+    with pytest.raises(ValueError, match="degree 1 must be int vectors of length 0"):
+        ext_group(m33, m33, 0, extra_generators={1: [[1]]})
+    with pytest.raises(ValueError, match="degree 2"):
+        ext_group(m33, m33, 0, extra_generators={2: [[1, 0]]})
 
 
 def _full_cover(M):

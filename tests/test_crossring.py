@@ -1,8 +1,11 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+from uctbench import crossring
 from uctbench.cli import _crossed_preset_names
 from uctbench.cyclotomic import CycEltN, cyclotomic, prime_factors, totient
 from uctbench.errors import InsufficientInversion, RingMismatch
@@ -24,6 +27,7 @@ from uctbench.zlinalg import IntMatrix
 
 from helpers import (
     bfs_abelian_characters,
+    reference_split_ring,
     root_sum_idempotent_coefficients,
     termwise_crossed_mul,
 )
@@ -327,6 +331,50 @@ def test_abelian_characters_of_order_720_products():
             for chi in chars:
                 assert all((chi[y] - chi[x] - chi[g]) % e == 0
                            for x, y in enumerate(column)), (m, g)
+
+
+def test_split_ring_counts_match_character_orbits():
+    # Perlis-Walker's count of cyclic subgroups against one summand per
+    # Galois orbit of the characters, built by the BFS oracle, on every
+    # class of the oracle presets and of cyclic(720)
+    split = 0
+    for name in ORACLE_PRESETS + ["cyclic(720)"]:
+        G = preset_group(name)
+        for C in cyclic_classes(G):
+            r = build_crossed_ring(C, G.order)
+            # equal kind, d, N, multiplicity and provenance (and ring)
+            got = split_ring(r)
+            assert got == reference_split_ring(r), (name, C.n)
+            split += got[0].kind != "unsplit_crossed"
+    assert split > 150
+
+
+def test_split_ring_counts_match_orbits_on_order_720_products():
+    # beyond the reach of the BFS oracle: the orbits of the production
+    # characters instead, on every class of three abelian groups
+    for name in ("direct_product(klein_four,cyclic(180))",
+                 "direct_product(klein_four,direct_product(klein_four,cyclic(45)))",
+                 "direct_product(cyclic(2),direct_product(cyclic(6),cyclic(60)))"):
+        G = preset_group(name)
+        for C in cyclic_classes(G):
+            r = build_crossed_ring(C, G.order)
+            assert split_ring(r) == reference_split_ring(r, _abelian_characters), (name, C.n)
+
+
+def test_report_path_builds_no_characters(monkeypatch):
+    # split_ring counts; only splitting_idempotents needs W's characters
+    def refuse(table):
+        raise AssertionError("characters built for a report")
+
+    monkeypatch.setattr(crossring, "_abelian_characters", refuse)
+    golden = Path(__file__).parent / "golden"
+    for name, stem in (("cyclic(720)", "cyclic720"),
+                       ("direct_product(klein_four,cyclic(180))", "v4xc180")):
+        report = target_category(preset_group(name))
+        want = json.loads((golden / f"target-category_{stem}.txt").read_text(encoding="utf-8"))
+        assert report.to_json_dict() == want, name
+    with pytest.raises(AssertionError, match="characters"):
+        splitting_idempotents(ring_for("klein_four", 1, N=4))
 
 
 def test_target_category_klein_four():

@@ -11,7 +11,10 @@ takes seconds, so CI compares it in a step of its own.  So does
 `target-category_v4xv4xc45.txt`, the report on
 direct_product(klein_four,direct_product(klein_four,cyclic(45))), which
 code that searched every assignment of character values took minutes to
-record.
+record.  And so does `target-category_cyclic5040.txt`, the costliest report
+within the preset bound, which CI runs under a 600 MB address-space limit:
+it took 1.27 GB while its trivial class was split through all 5040
+characters of C5040.
 """
 
 import contextlib
