@@ -59,7 +59,13 @@ from .green import (
     p_idempotent,
     restrict,
 )
-from .groups import FiniteGroup, cyclic_classes, group_from_table, preset_group
+from .groups import (
+    FiniteGroup,
+    _cyclic_subgroup_map,
+    cyclic_classes,
+    group_from_table,
+    preset_group,
+)
 
 
 def load_group(src: str) -> FiniteGroup:
@@ -116,7 +122,7 @@ def cmd_group_info(args) -> int:
     payload = {
         "order": G.order,
         "identity": G.identity,
-        "element_orders": [G.element_order(x) for x in range(G.order)],
+        "element_orders": [len(H) for H in _cyclic_subgroup_map(G.law)],
         "classes": [
             {
                 "generator_order": c.n,

@@ -40,7 +40,15 @@ from .cyclotomic import (
     totient,
 )
 from .errors import InsufficientInversion, RingMismatch
-from .groups import CyclicClass, FiniteGroup, _cyclic_subgroup_map, _generators, cyclic_classes
+from .groups import (
+    CyclicClass,
+    FiniteGroup,
+    Table,
+    _cyclic_subgroup_map,
+    _generators,
+    as_table,
+    cyclic_classes,
+)
 from .zlinalg import IntMatrix
 
 
@@ -56,12 +64,16 @@ def _ring_name(d: int, N: int) -> str:
 @dataclass(frozen=True)
 class CrossedRing:
     """Presentation of Z[theta_n, 1/N] x| W: the Weyl group is given by its
-    coset multiplication table and its action on (Z/n)^x."""
+    coset multiplication table (rows are wrapped as a Table) and its action
+    on (Z/n)^x."""
 
     n: int
     N: int
-    weyl_table: tuple[tuple[int, ...], ...]
+    weyl_table: Table
     weyl_units: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "weyl_table", as_table(self.weyl_table))
 
     @property
     def weyl_order(self) -> int:
@@ -212,11 +224,11 @@ def regular_representation(ring: CrossedRing) -> RegularRep:
             for s, c in powers[(i + 1) % n]:
                 zm[w * deg + s][col] = c
     cosets = []
-    for v in range(m):
+    for v, row in enumerate(ring.weyl_table):
         u = ring.weyl_units[v]
         cm = [[0] * rank for _ in range(rank)]
         for w in range(m):
-            t = ring.weyl_table[v][w]
+            t = row[w]
             for i in range(deg):
                 col = w * deg + i
                 for s, c in powers[(i * u) % n]:
@@ -269,10 +281,9 @@ def crossed_relations(ring: CrossedRing, z: IntMatrix, cosets: Sequence[IntMatri
         [sum(c * x for c, x in zip(phi, col)) for col in zip(*rows)]
         for rows in zip(*(p.entries for p in powers)))
     yield Relation("phi", 0, 0, _first_difference(value, IntMatrix.zero(z.rows, z.rows), orders))
-    for a, wa in enumerate(cosets):
+    for a, (wa, row) in enumerate(zip(cosets, ring.weyl_table)):
         for b, wb in enumerate(cosets):
-            yield Relation("table", a, b,
-                           _first_difference(wa @ wb, cosets[ring.weyl_table[a][b]], orders))
+            yield Relation("table", a, b, _first_difference(wa @ wb, cosets[row[b]], orders))
         yield Relation("twist", a, 0,
                        _first_difference(wa @ z, powers[ring.weyl_units[a]] @ wa, orders))
 
@@ -321,8 +332,9 @@ def _abelian_characters(table) -> tuple[list[tuple[int, ...]], int, list[int]]:
     first power of g in H, each character chi of H extends to <H, g> in t
     ways, chi(h g^s) = chi(h) + s c for the t solutions c of t c = chi(g^t)
     mod e; chi(g^t) is a multiple of t, since its order divides ord(g) / t."""
-    m = len(table)
-    gens = _generators(table, 0)
+    law = as_table(table).law
+    m, p = law.order, law.product
+    gens = _generators(law)
     # walk lists H and then, h by h, each h g^s with 0 < s < t, for each
     # generator in turn; pos[x] is the place of x in it
     walk, pos, steps, exponent = [0], [0] + [-1] * (m - 1), [], 1
@@ -330,13 +342,13 @@ def _abelian_characters(table) -> tuple[list[tuple[int, ...]], int, list[int]]:
         powers, x = [], g
         while pos[x] < 0:
             powers.append(x)
-            x = table[x][g]
+            x = p(x, g)
         t = len(powers) + 1
         steps.append((t, pos[x]))
         while x != 0:  # on to the order of g
-            x, t = table[x][g], t + 1
+            x, t = p(x, g), t + 1
         exponent = math.lcm(exponent, t)
-        new = [table[h][y] for h in walk for y in powers]
+        new = [p(h, y) for h in walk for y in powers]
         for i, y in enumerate(new, len(walk)):
             pos[y] = i
         walk += new
@@ -362,8 +374,8 @@ def _abelian_characters(table) -> tuple[list[tuple[int, ...]], int, list[int]]:
 def _splits(ring: CrossedRing) -> bool:
     """Whether the splitting rule applies (see the module doc); W is
     abelian when its generators commute, tested last as the costliest."""
-    n, table = ring.n, ring.weyl_table
-    m = len(table)
+    n, law = ring.n, ring.weyl_table.law
+    m, mul = law.order, law.product
     # The exponent gate at n > 1 keeps the rule correct.  For n > 1 it
     # labels every summand Z[theta_n, 1/N], but an orbit of characters of
     # order d > 2 gives Z[theta_lcm(n,d), 1/N]: without the gate the ranks
@@ -371,10 +383,10 @@ def _splits(ring: CrossedRing) -> bool:
     # rank 4).  Lifting it needs orbits under Gal(Q(theta_lcm(n,e))/Q(theta_n)).
     if not (all(u == 1 or n == 1 for u in ring.weyl_units)
             and all(ring.N % p == 0 for p in prime_factors(m))
-            and (n == 1 or all(table[w][w] == 0 for w in range(m)))):
+            and (n == 1 or all(mul(w, w) == 0 for w in range(m)))):
         return False
-    gens = _generators(table, 0)
-    return all(table[g][h] == table[h][g] for g in gens for h in gens)
+    gens = _generators(law)
+    return all(mul(g, h) == mul(h, g) for g in gens for h in gens)
 
 
 def split_ring(ring: CrossedRing) -> list[RingSummand]:
@@ -387,7 +399,7 @@ def split_ring(ring: CrossedRing) -> list[RingSummand]:
     if ring.n > 1:
         return [RingSummand(_kind_for(ring.n), ring.n, ring.N, ring.weyl_order,
                             provenance="character orbit of order 1")]
-    counts = Counter(len(H) for H in set(_cyclic_subgroup_map(ring.weyl_table, 0)))
+    counts = Counter(len(H) for H in set(_cyclic_subgroup_map(ring.weyl_table.law)))
     return [RingSummand(_kind_for(d), d, ring.N, a, provenance=f"character orbit of order {d}")
             for d, a in sorted(counts.items())]
 

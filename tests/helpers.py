@@ -3,7 +3,7 @@
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from uctbench import green
 from uctbench.amod import AModObject, ModulePart, presentation_of
@@ -18,7 +18,7 @@ from uctbench.cyclotomic import (
     prime_factors,
     totient,
 )
-from uctbench.groups import CyclicClass, CyclicSubgroup, FiniteGroup
+from uctbench.groups import CyclicClass, CyclicSubgroup, FiniteGroup, _split_call
 from uctbench.zlinalg import (
     FinAbGroup,
     IntMatrix,
@@ -292,7 +292,7 @@ def root_sum_idempotent_coefficients(ring: CrossedRing) -> list[list[int]]:
     coset w the sum of chi(w^-1) over the orbit, summed as roots of unity and
     reduced mod Phi_e.  |W| times the orbit's idempotent has these
     coefficients."""
-    table = ring.weyl_table
+    table = tuple(ring.weyl_table)  # rows read once, indexed as tuples
     m = len(table)
     chars, e = bfs_abelian_characters(table)
     units = [u for u in range(1, e + 1) if math.gcd(u, e) == 1]
@@ -502,6 +502,95 @@ def reference_direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
         a.inv[x // k] * k + b.inv[x % k] for x in range(order)))
 
 
+# The table path: the Cayley tables presets were built from before they
+# carried product rules.  Each preset gives the rows of its generators, and a
+# breadth-first walk from the identity derives every other row.
+
+
+def cayley(order: int, identity: int,
+           gen_rows: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """The Cayley table of the group generated by the elements whose rows
+    (left multiplications) are gen_rows: row(s * p) = L_s o row(p)."""
+    rows: list[Optional[tuple[int, ...]]] = [None] * order
+    rows[identity] = tuple(range(order))
+    walk = [identity]
+    for p in walk:
+        row_p = rows[p]
+        for gen in gen_rows:
+            sp = gen[p]
+            if rows[sp] is None:
+                rows[sp] = tuple(map(gen.__getitem__, row_p))
+                walk.append(sp)
+    if len(walk) != order:
+        raise RuntimeError(f"generator rows reach {len(walk)} of {order} elements")
+    return tuple(rows)
+
+
+def _table_generators(mul, identity: int) -> list[int]:
+    gens, reached = [], {identity}
+    for g in range(len(mul)):
+        if g in reached:
+            continue
+        gens.append(g)
+        frontier = [mul[x][g] for x in reached]
+        while frontier:
+            y = frontier.pop()
+            if y not in reached:
+                reached.add(y)
+                frontier.extend(mul[y][h] for h in gens)
+    return gens
+
+
+def cayley_cyclic(n: int) -> tuple[tuple[int, ...], ...]:
+    # generated by 1: i + j mod n
+    return cayley(n, 0, [tuple(range(1, n)) + (0,)])
+
+
+def cayley_dihedral(n: int) -> tuple[tuple[int, ...], ...]:
+    # r * r^i s^j = r^(i+1) s^j and s * r^i s^j = r^-i s^(j+1)
+    turn = [(i + 1) % n for i in range(n)]
+    flip = [-i % n for i in range(n)]
+    r = tuple(turn + [n + i for i in turn])
+    s = tuple([n + i for i in flip] + flip)
+    return cayley(2 * n, 0, [r, s])
+
+
+def cayley_symmetric(n: int) -> tuple[tuple[int, ...], ...]:
+    # S_n is generated by the n-cycle and the transposition (0 1)
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    cycle = tuple(range(1, n)) + (0,)
+    swap = (1, 0, *range(2, n)) if n > 1 else cycle
+    return cayley(len(perms), 0, [
+        tuple([index[tuple(map(s.__getitem__, q))] for q in perms]) for s in (cycle, swap)])
+
+
+def cayley_direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
+    # generated by the (g, e_b) and (e_a, h) over generating sets of the factors
+    k = b.order
+    gen_rows = [tuple(x * k + y for x in a.mul[g] for y in range(k))
+                for g in _table_generators(a.mul, a.identity)]
+    gen_rows += [tuple(x * k + y for x in range(a.order) for y in b.mul[h])
+                 for h in _table_generators(b.mul, b.identity)]
+    identity = a.identity * k + b.identity
+    return FiniteGroup(a.order * k, cayley(a.order * k, identity, gen_rows), identity)
+
+
+def cayley_preset(name: str) -> FiniteGroup:
+    """A preset on the table path: its Cayley table, every product a lookup."""
+    head, args = _split_call(name)
+    if head == "trivial":
+        return FiniteGroup(1, ((0,),), 0)
+    if head == "klein_four":
+        return FiniteGroup(4, cayley_preset("direct_product(cyclic(2),cyclic(2))").mul, 0,
+                           ("1", "a", "b", "ab"))
+    if head == "direct_product":
+        return cayley_direct_product(*map(cayley_preset, args))
+    table = {"cyclic": cayley_cyclic, "dihedral": cayley_dihedral,
+             "symmetric": cayley_symmetric}[head](int(args[0]))
+    return FiniteGroup(len(table), table, 0)
+
+
 def _generated_subgroup(G: FiniteGroup, g: int) -> frozenset:
     elems = {G.identity}
     cur = g
@@ -624,7 +713,7 @@ def reference_split_ring(ring: CrossedRing, characters=bfs_abelian_characters) -
     order d and Z[theta_n, 1/N] otherwise; orbits are taken by order, then
     least member, and neighbours of one ring merge into one multiplicity.
     characters(table) gives (characters as exponent vectors, exponent)."""
-    n, N, table = ring.n, ring.N, ring.weyl_table
+    n, N, table = ring.n, ring.N, tuple(ring.weyl_table)
     m = len(table)
     if not (all(table[a][b] == table[b][a] for a in range(m) for b in range(m))
             and (n == 1 or set(ring.weyl_units) == {1})

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import random
@@ -6,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from uctbench import crossring
-from uctbench.cli import _crossed_preset_names
+from uctbench.amod import presentation_of
+from uctbench.cli import _crossed_preset_names, main
 from uctbench.cyclotomic import CycEltN, cyclotomic, prime_factors, totient
 from uctbench.errors import InsufficientInversion, RingMismatch
 from uctbench.crossring import (
@@ -22,7 +25,7 @@ from uctbench.crossring import (
     splitting_idempotents,
     target_category,
 )
-from uctbench.groups import cyclic_classes, preset_group
+from uctbench.groups import Table, cyclic_classes, preset_group
 from uctbench.zlinalg import IntMatrix
 
 from helpers import (
@@ -315,7 +318,7 @@ def test_abelian_characters_of_order_720_products():
                  "direct_product(cyclic(2),direct_product(cyclic(6),cyclic(60)))"):
         tables |= {C.weyl_table for C in cyclic_classes(preset_group(name))}
     assert len(tables) > 20
-    for table in tables:
+    for table in map(tuple, tables):
         m = len(table)
         chars, e, gens = _abelian_characters(table)
         orders = []
@@ -375,6 +378,82 @@ def test_report_path_builds_no_characters(monkeypatch):
         assert report.to_json_dict() == want, name
     with pytest.raises(AssertionError, match="characters"):
         splitting_idempotents(ring_for("klein_four", 1, N=4))
+
+
+# every order-720 preset of the benchmark's target-category ladder, with its
+# golden file, and the costliest report within the preset bound
+REPORT_GOLDENS = (
+    ("cyclic(720)", "cyclic720"), ("dihedral(360)", "dihedral360"),
+    ("symmetric(6)", "symmetric6"), ("direct_product(symmetric(4),cyclic(30))", "s4xc30"),
+    ("direct_product(symmetric(5),cyclic(6))", "s5xc6"),
+    ("direct_product(klein_four,dihedral(30))", "v4xd30"), ("cyclic(5040)", "cyclic5040"),
+)
+
+
+def _refuse_tables(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(Table, "_build", refuse)
+
+
+def test_report_path_builds_no_tables(monkeypatch):
+    # a preset's products come from its rule and Weyl products from the
+    # coset representatives: no Cayley or Weyl table is built for a report
+    _refuse_tables(monkeypatch)
+    golden = Path(__file__).parent / "golden"
+    for name, stem in REPORT_GOLDENS:
+        report = target_category(preset_group(name))
+        want = (golden / f"target-category_{stem}.txt").read_text(encoding="utf-8")
+        assert json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n" == want, name
+    with pytest.raises(AssertionError, match="table was built"):
+        regular_representation(ring_for("symmetric(3)", 3))
+
+
+def test_reports_compare_and_hash_by_value_without_tables(monkeypatch):
+    # two reports of one preset, built independently, are equal and hash
+    # alike with no table built
+    _refuse_tables(monkeypatch)
+    for name in ("cyclic(720)", "symmetric(6)", "direct_product(symmetric(5),cyclic(6))"):
+        a, b = (target_category(preset_group(name)) for _ in range(2))
+        assert a == b and not a != b and hash(a) == hash(b), name
+    monkeypatch.undo()
+    # a ring given an explicit table equals the one built from the rule and
+    # hashes like it
+    for name in ("symmetric(4)", "direct_product(klein_four,dihedral(6))"):
+        G = preset_group(name)
+        for C, R in zip(cyclic_classes(G), cyclic_classes(preset_group(name))):
+            want = CrossedRing(R.n, G.order, tuple(map(tuple, R.weyl_table)), R.weyl_units)
+            assert type(want.weyl_table) is Table
+            got = build_crossed_ring(C, G.order)
+            assert hash(got) == hash(want) and got == want, (name, C.n)
+
+
+def test_different_presets_of_one_order_compare_unequal():
+    for names in (("cyclic(6)", "dihedral(3)", "symmetric(3)"),
+                  ("cyclic(720)", "dihedral(360)", "symmetric(6)",
+                   "direct_product(symmetric(5),cyclic(6))")):
+        groups_ = [preset_group(name) for name in names]
+        reports = [target_category(G) for G in groups_]
+        for i in range(len(names)):
+            for j in range(i):
+                assert groups_[i] != groups_[j], (names[i], names[j])
+                assert reports[i] != reports[j], (names[i], names[j])
+    # equal tables from different rules: Z/2 as cyclic(2) and as dihedral(1)
+    assert preset_group("cyclic(2)") == preset_group("dihedral(1)")
+    assert hash(preset_group("cyclic(2)").mul) == hash(preset_group("dihedral(1)").mul)
+
+
+def test_families_of_one_uct_call_share_presentations():
+    # both families of a uct call hold the report's own flat summands, so
+    # each summand's presentation is built once and then found
+    family = str(Path(__file__).parent / "golden" / "readme_family.json")
+    presentation_of.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["uct", "preset:symmetric(3)", "--a", family, "--b", family]) == 0
+    info = presentation_of.cache_info()
+    assert info.currsize == target_category(preset_group("symmetric(3)")).total_summands()
+    assert info.hits > info.misses
 
 
 def test_target_category_klein_four():

@@ -1,10 +1,16 @@
+import contextlib
+import io
+import json
 import random
+import tracemalloc
 
 import pytest
 
 from helpers import (
     brute_cyclic_subgroups,
     brute_inverses,
+    cayley,
+    cayley_preset,
     reference_cyclic_classes,
     reference_cyclic_table,
     reference_dihedral_table,
@@ -12,6 +18,8 @@ from helpers import (
     reference_symmetric_table,
 )
 from uctbench import groups
+from uctbench.cli import main
+from uctbench.crossring import target_category
 from uctbench.errors import (
     NonAssociative,
     UnknownPreset,
@@ -19,7 +27,6 @@ from uctbench.errors import (
 )
 from uctbench.groups import (
     FiniteGroup,
-    _cayley,
     _direct_product,
     _split_call,
     cyclic_classes,
@@ -133,16 +140,25 @@ def test_preset_errors():
 
 
 @pytest.mark.parametrize("name", ["cyclic(100000000)", "symmetric(8)",
-                                  "direct_product(symmetric(7),cyclic(2))"])
+                                  "direct_product(symmetric(7),cyclic(2))",
+                                  "direct_product(cyclic(2),direct_product(dihedral(3),symmetric(7)))"])
 def test_preset_order_bound_before_any_table(name, monkeypatch):
-    def no_table(*args):
-        raise AssertionError(f"{name}: a table was built")
+    # no law (the source of every product, and of a symmetric group's
+    # permutation list), table or group may be made before the refusal
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name}: work done before the order bound")
 
-    for builder in ("_cayley", "_cyclic_table", "_dihedral_table", "_symmetric_table",
-                    "_direct_product"):
-        monkeypatch.setattr(groups, builder, no_table)
+    laws = [groups._Law]
+    while laws:
+        law = laws.pop()
+        monkeypatch.setattr(law, "__init__", refuse)
+        laws += law.__subclasses__()
+    monkeypatch.setattr(groups.Table, "__init__", refuse)
+    monkeypatch.setattr(groups.FiniteGroup, "__init__", refuse)
     with pytest.raises(UnsupportedSize, match=str(groups.MAX_PRESET_ORDER)):
         preset_group(name)
+    with pytest.raises(AssertionError, match="before the order bound"):
+        preset_group("cyclic(2)")
 
 
 def test_cyclic_classes_klein_four():
@@ -278,13 +294,23 @@ LADDER_PRESETS = [
 
 
 def test_trivial_class_shares_the_cayley_table():
-    # identity 0: the trivial class's cosets are the elements in index order;
-    # the relabelled table (identity not 0) is rebuilt entry by entry in
+    # identity 0: the trivial class's cosets are the elements in index order,
+    # so its Weyl table is G's own, and a whole report on an order-720 preset
+    # peaks below half the row slots of one |G|^2 table; the relabelled
+    # table (identity not 0) is checked entry by entry in
     # test_cyclic_classes_match_reference_on_relabelled_table
     for name in LADDER_PRESETS:
         G = preset_group(name)
-        trivial = cyclic_classes(G)[0]
+        tracemalloc.start()
+        try:
+            report = target_category(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        trivial = report.entries[0].cyclic_class
         assert trivial.n == 1 and trivial.weyl_table is G.mul, name
+        if G.order == 720:
+            assert peak < 4 * G.order ** 2, (name, peak)
 
 
 REFERENCE_TABLES = {
@@ -322,7 +348,7 @@ def test_preset_tables_match_entrywise_reference():
 ])
 def test_cayley_rejects_rows_that_do_not_generate(order, identity, gen_rows):
     with pytest.raises(RuntimeError, match=f"of {order} elements"):
-        _cayley(order, identity, gen_rows)
+        cayley(order, identity, gen_rows)
 
 
 SMALL_PRESETS = [
@@ -364,3 +390,55 @@ def test_direct_product_matches_element_by_element_reference():
                 assert got.inv == want.inv == brute_inverses(got)
                 pairs += 1
     assert pairs > 50
+
+
+def test_product_rules_match_the_table_path():
+    # each preset's product rule against its Cayley table: the law's
+    # vectors, products, inverses, powers and conjugates, every row of G.mul,
+    # and every field of every cyclic class, Weyl tables entry by entry.  The
+    # classes come from a fresh group, so none of its rows is built first.
+    rng = random.Random(19)
+    for name in dict.fromkeys(SMALL_PRESETS + REFERENCE_CLASS_PRESETS + LADDER_PRESETS):
+        T, G = cayley_preset(name), preset_group(name)
+        got, want = cyclic_classes(G), cyclic_classes(T)
+        assert len(got) == len(want), name
+        for c, w in zip(got, want):
+            assert (c.representative, c.class_size, c.normalizer, c.coset_reps,
+                    c.weyl_units) == (w.representative, w.class_size, w.normalizer,
+                                      w.coset_reps, w.weyl_units), (name, c.n)
+            assert tuple(c.weyl_table) == tuple(w.weyl_table), (name, c.n)
+            if c.weyl_order <= 24:
+                # a Weyl group is a group in its own right, on the plain loops
+                W = FiniteGroup(c.weyl_order, c.weyl_table, 0)
+                assert cyclic_classes(W) == reference_cyclic_classes(W), (name, c.n)
+        n = G.order
+        assert (G.identity, G.labels, G.inv) == (T.identity, T.labels, T.inv), name
+        assert tuple(G.mul) == tuple(T.mul), name
+
+        def some():
+            return range(n) if n <= 60 else rng.sample(range(n), 8)
+
+        for g in some():
+            assert G.law.row(g) == T.mul[g], (name, g)
+            assert G.law.column(g) == [T.mul[x][g] for x in range(n)], (name, g)
+            assert G.law.conjugates(g) == T.law.conjugates(g), (name, g)
+            assert ([G.power(g, k) for k in range(-3, 9)]
+                    == [T.power(g, k) for k in range(-3, 9)]), (name, g)
+            for x in some():
+                assert G.multiply(g, x) == T.mul[g][x], (name, g, x)
+                assert G.conjugate(g, x) == T.conjugate(g, x), (name, g, x)
+
+
+def test_group_info_element_orders_read_off_cyclic_subgroups(tmp_path):
+    # one pass over the cyclic subgroups gives the same orders as one power
+    # walk per element
+    G = _relabelled_s4()
+    path = tmp_path / "s4.json"
+    path.write_text(json.dumps({"table": [list(r) for r in G.mul]}), encoding="utf-8")
+    cases = [(preset_group(name), f"preset:{name}") for name in REFERENCE_CLASS_PRESETS]
+    for G, src in cases + [(G, str(path))]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["group-info", src, "--json"]) == 0
+        got = json.loads(out.getvalue())["element_orders"]
+        assert got == [G.element_order(x) for x in range(G.order)], src
