@@ -27,6 +27,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 from .cyclotomic import (
@@ -121,14 +122,11 @@ class CrossedElt:
 
     @classmethod
     def zero(cls, ring: CrossedRing) -> "CrossedElt":
-        z = CycEltN.zero(ring.n, ring.N)
-        return cls(ring, (z,) * ring.weyl_order)
+        return cls.from_parts(ring, {})
 
     @classmethod
     def one(cls, ring: CrossedRing) -> "CrossedElt":
-        coeffs = [CycEltN.zero(ring.n, ring.N)] * ring.weyl_order
-        coeffs[0] = CycEltN.one(ring.n, ring.N)
-        return cls(ring, tuple(coeffs))
+        return cls.from_parts(ring, {0: CycEltN.one(ring.n, ring.N)})
 
     @classmethod
     def from_parts(cls, ring: CrossedRing, parts: dict[int, CycEltN]) -> "CrossedElt":
@@ -213,28 +211,21 @@ class RegularRep:
 
 
 def regular_representation(ring: CrossedRing) -> RegularRep:
-    n, m = ring.n, ring.weyl_order
-    deg = totient(n)
-    rank = deg * m
+    n, deg = ring.n, totient(ring.n)
+    rank = deg * ring.weyl_order
     powers = _tables(n).powers
-    zm = [[0] * rank for _ in range(rank)]
-    for w in range(m):
-        for i in range(deg):
-            col = w * deg + i
-            for s, c in powers[(i + 1) % n]:
-                zm[w * deg + s][col] = c
-    cosets = []
-    for v, row in enumerate(ring.weyl_table):
-        u = ring.weyl_units[v]
-        cm = [[0] * rank for _ in range(rank)]
-        for w in range(m):
-            t = row[w]
+
+    def action(row, u: int, k: int) -> IntMatrix:
+        # theta^i w goes to theta^(u i + k) row[w], column by column
+        M = [[0] * rank for _ in range(rank)]
+        for w, t in enumerate(row):
             for i in range(deg):
-                col = w * deg + i
-                for s, c in powers[(i * u) % n]:
-                    cm[t * deg + s][col] = c
-        cosets.append(IntMatrix.from_rows(cm))
-    return RegularRep(ring, IntMatrix.from_rows(zm), tuple(cosets))
+                for s, c in powers[(u * i + k) % n]:
+                    M[t * deg + s][w * deg + i] = c
+        return IntMatrix(tuple(map(tuple, M)), rank)
+
+    return RegularRep(ring, action(range(ring.weyl_order), 1, 1), tuple(
+        action(row, u, 0) for row, u in zip(ring.weyl_table, ring.weyl_units)))
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +246,12 @@ class Relation(NamedTuple):
 def _first_difference(A: IntMatrix, B: IntMatrix,
                       orders: Sequence[int]) -> Optional[tuple[int, int]]:
     """First entry (i, j) at which A and B differ modulo orders[i] (0 means
-    exactly), or None.  Only unequal matrices are walked entry by entry."""
-    if A == B:
-        return None
+    exactly), or None.  Only unequal rows are walked entry by entry."""
     for i, (ra, rb, q) in enumerate(zip(A.entries, B.entries, orders)):
-        for j, (x, y) in enumerate(zip(ra, rb)):
-            if (x - y) % q if q else x != y:
-                return i, j
+        if ra != rb:
+            for j, (x, y) in enumerate(zip(ra, rb)):
+                if (x - y) % q if q else x != y:
+                    return i, j
     return None
 
 
@@ -272,18 +262,29 @@ def crossed_relations(ring: CrossedRing, z: IntMatrix, cosets: Sequence[IntMatri
     read modulo orders[i].
 
     Yields 1 + m^2 + m Relations for m cosets: Phi_n(z) = 0, then for each
-    coset a the relations w_a w_b = w_{ab} for every b and w_a z = z^{u_a} w_a."""
+    coset a the relations w_a w_b = w_{ab} for every b and w_a z = z^{u_a} w_a.
+    Coset a takes one product w_a [w_0 ... w_{m-1}] with the cosets side by
+    side; each block is compared only when a row differs from the reordered
+    stack [w_{a0} ... w_{a(m-1)}]."""
     phi = cyclotomic(ring.n).coeffs
-    powers = [IntMatrix.identity(z.rows)]
+    r = z.rows
+    powers = [IntMatrix.identity(r)]
     for _ in range(max([len(phi) - 1, *ring.weyl_units])):
         powers.append(z @ powers[-1])
     value = IntMatrix.from_rows(
         [sum(c * x for c, x in zip(phi, col)) for col in zip(*rows)]
         for rows in zip(*(p.entries for p in powers)))
-    yield Relation("phi", 0, 0, _first_difference(value, IntMatrix.zero(z.rows, z.rows), orders))
+    yield Relation("phi", 0, 0, _first_difference(value, IntMatrix.zero(r, r), orders))
+    # by_row[i][c] is row i of coset c, and row i of the stack their join
+    by_row = list(zip(*(w.entries for w in cosets)))
+    stack = IntMatrix(tuple(tuple(chain.from_iterable(rows)) for rows in by_row))
     for a, (wa, row) in enumerate(zip(cosets, ring.weyl_table)):
-        for b, wb in enumerate(cosets):
-            yield Relation("table", a, b, _first_difference(wa @ wb, cosets[row[b]], orders))
+        got = (wa @ stack).entries
+        holds = all(g == tuple(chain.from_iterable(map(rows.__getitem__, row)))
+                    for g, rows in zip(got, by_row))
+        for b, c in enumerate(row):
+            yield Relation("table", a, b, None if holds else _first_difference(
+                IntMatrix(tuple(g[b * r:(b + 1) * r] for g in got), r), cosets[c], orders))
         yield Relation("twist", a, 0,
                        _first_difference(wa @ z, powers[ring.weyl_units[a]] @ wa, orders))
 
@@ -334,7 +335,7 @@ def _abelian_characters(table) -> tuple[list[tuple[int, ...]], int, list[int]]:
     mod e; chi(g^t) is a multiple of t, since its order divides ord(g) / t."""
     law = as_table(table).law
     m, p = law.order, law.product
-    gens = _generators(law)
+    gens = list(_generators(law))
     # walk lists H and then, h by h, each h g^s with 0 < s < t, for each
     # generator in turn; pos[x] is the place of x in it
     walk, pos, steps, exponent = [0], [0] + [-1] * (m - 1), [], 1
@@ -373,7 +374,8 @@ def _abelian_characters(table) -> tuple[list[tuple[int, ...]], int, list[int]]:
 
 def _splits(ring: CrossedRing) -> bool:
     """Whether the splitting rule applies (see the module doc); W is
-    abelian when its generators commute, tested last as the costliest."""
+    abelian when its generators commute, tested last as the costliest and
+    as the walk finds each generator, so a non-abelian W stops it early."""
     n, law = ring.n, ring.weyl_table.law
     m, mul = law.order, law.product
     # The exponent gate at n > 1 keeps the rule correct.  For n > 1 it
@@ -385,8 +387,12 @@ def _splits(ring: CrossedRing) -> bool:
             and all(ring.N % p == 0 for p in prime_factors(m))
             and (n == 1 or all(mul(w, w) == 0 for w in range(m)))):
         return False
-    gens = _generators(law)
-    return all(mul(g, h) == mul(h, g) for g in gens for h in gens)
+    gens: list[int] = []
+    for g in _generators(law):
+        if any(mul(g, h) != mul(h, g) for h in gens):
+            return False
+        gens.append(g)
+    return True
 
 
 def split_ring(ring: CrossedRing) -> list[RingSummand]:

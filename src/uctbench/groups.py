@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
     InvalidGroupTable,
@@ -411,10 +411,10 @@ def group_from_table(table: Sequence[Sequence[int]],
     return FiniteGroup(n, Table(law), identity, lab)
 
 
-def _generators(law: _Law) -> list[int]:
+def _generators(law: _Law) -> Iterator[int]:
     """A generating set grown greedily: the least element not yet reached
     joins, and the reached set is closed under right multiplication by the
-    chosen elements."""
+    chosen elements.  Each generator is yielded before that closure."""
     p = law.product
     gens: list[int] = []
     reached = {law.identity}
@@ -422,6 +422,7 @@ def _generators(law: _Law) -> list[int]:
         if g in reached:
             continue
         gens.append(g)
+        yield g
         # elements reached before need only the new generator
         frontier = [p(x, g) for x in reached]
         while frontier:
@@ -429,7 +430,6 @@ def _generators(law: _Law) -> list[int]:
             if y not in reached:
                 reached.add(y)
                 frontier.extend(p(y, h) for h in gens)
-    return gens
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 
@@ -68,22 +69,21 @@ class IntMatrix:
         return self.entries[i][j]
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """The product, with other.cols recorded as its width.  Row i sums
+        A[i][k] * B[k] over the nonzero A[i][k] only, found by `compress` in C;
+        a leading unit coefficient starts the sum from B[k] itself, uncopied."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        # Row i of the product is sum_k A[i][k] * B[k], taken over the nonzero
-        # A[i][k] only: block-monomial factors skip most of the dense work.
-        zero = (0,) * other.cols
-        out = []
+        out, empty = [], (1, (0,) * other.cols)
         for row in self.entries:
-            acc = None
-            for a, brow in zip(row, other.entries):
-                if a:
-                    if acc is None:
-                        acc = [a * b for b in brow]
-                    else:
-                        acc = [x + a * b for x, b in zip(acc, brow)]
-            out.append(zero if acc is None else tuple(acc))
-        return IntMatrix(tuple(out))
+            terms = compress(zip(row, other.entries), row)
+            a, acc = next(terms, empty)
+            if a != 1:
+                acc = [a * b for b in acc]
+            for a, brow in terms:
+                acc = [x + a * b for x, b in zip(acc, brow)]
+            out.append(tuple(acc))
+        return IntMatrix(tuple(out), other.cols)
 
     def matvec(self, v: Row) -> tuple[int, ...]:
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)

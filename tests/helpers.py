@@ -7,7 +7,13 @@ from typing import Optional, Sequence
 
 from uctbench import green
 from uctbench.amod import AModObject, ModulePart, presentation_of
-from uctbench.crossring import CrossedElt, CrossedRing, RingSummand, regular_representation
+from uctbench.crossring import (
+    CrossedElt,
+    CrossedRing,
+    Relation,
+    RingSummand,
+    regular_representation,
+)
 from uctbench.cyclotomic import (
     CycEltN,
     CycPoly,
@@ -436,6 +442,54 @@ def dense_matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     return IntMatrix(
         tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in A.entries)
     )
+
+
+def triple_loop_matmul(A: IntMatrix, B: IntMatrix) -> tuple[tuple[int, int], list[list[int]]]:
+    """The shape (A.rows, B.cols) and entries of A @ B, one term at a time."""
+    rows, inner, cols = A.rows, A.cols, B.cols
+    if inner != B.rows:
+        raise ValueError("shape mismatch")
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        for j in range(cols):
+            for k in range(inner):
+                out[i][j] += A.entries[i][k] * B.entries[k][j]
+    return (rows, cols), out
+
+
+def _walked_difference(A: IntMatrix, B: IntMatrix,
+                       orders: Sequence[int]) -> Optional[tuple[int, int]]:
+    """First (i, j) at which A and B differ modulo orders[i] (0 means
+    exactly), reading every entry of unequal matrices."""
+    if A == B:
+        return None
+    for i, (ra, rb, q) in enumerate(zip(A.entries, B.entries, orders)):
+        for j, (x, y) in enumerate(zip(ra, rb)):
+            if (x - y) % q if q else x != y:
+                return i, j
+    return None
+
+
+def reference_crossed_relations(ring: CrossedRing, z: IntMatrix, cosets: Sequence[IntMatrix],
+                                orders: Sequence[int]) -> list[Relation]:
+    """crossed_relations by one product w_a w_b per pair of cosets, each
+    compared with w_{ab} on its own."""
+    phi = cyclotomic(ring.n).coeffs
+    powers = [IntMatrix.identity(z.rows)]
+    for _ in range(max([len(phi) - 1, *ring.weyl_units])):
+        powers.append(z @ powers[-1])
+    value = IntMatrix.from_rows(
+        [sum(c * x for c, x in zip(phi, col)) for col in zip(*rows)]
+        for rows in zip(*(p.entries for p in powers)))
+    rels = [Relation("phi", 0, 0,
+                     _walked_difference(value, IntMatrix.zero(z.rows, z.rows), orders))]
+    for a, (wa, row) in enumerate(zip(cosets, ring.weyl_table)):
+        for b, wb in enumerate(cosets):
+            rels.append(Relation("table", a, b,
+                                 _walked_difference(wa @ wb, cosets[row[b]], orders)))
+        rels.append(Relation("twist", a, 0, _walked_difference(
+            wa @ z, powers[ring.weyl_units[a]] @ wa, orders)))
+    return rels
 
 
 def termwise_crossed_mul(x: CrossedElt, y: CrossedElt) -> CrossedElt:

@@ -17,6 +17,7 @@ from uctbench.crossring import (
     CrossedRing,
     RingSummand,
     _abelian_characters,
+    _splits,
     build_crossed_ring,
     crossed_mul,
     crossed_relations,
@@ -30,6 +31,7 @@ from uctbench.zlinalg import IntMatrix
 
 from helpers import (
     bfs_abelian_characters,
+    reference_crossed_relations,
     reference_split_ring,
     root_sum_idempotent_coefficients,
     termwise_crossed_mul,
@@ -575,6 +577,92 @@ def test_crossed_relations_one_result_per_relation():
         assert [(r.a, r.b) for r in rels if r.kind == "table"] == [
             (a, b) for a in range(m) for b in range(m)]
         assert all(r.bad is None for r in rels)
+
+
+def test_crossed_relations_match_the_per_pair_reference():
+    # every ring of the suite at its CI bound, on its regular representation
+    rings = list(_suite_rings(24))
+    assert len(rings) == 143
+    for ring in rings:
+        rep = regular_representation(ring)
+        orders = (0,) * ring.rank
+        assert _relations(ring, rep.z, rep.cosets) == reference_crossed_relations(
+            ring, rep.z, rep.cosets, orders)
+
+
+def test_crossed_relations_match_the_reference_on_perturbed_actions():
+    rng = random.Random(20)
+    rings = [ring for ring in _suite_rings(12) if ring.weyl_order > 1]
+    failing = 0
+    for _ in range(60):
+        ring = rng.choice(rings)
+        rep = regular_representation(ring)
+        r, m = ring.rank, ring.weyl_order
+        i, j, c = rng.randrange(r), rng.randrange(r), rng.randrange(m + 1)
+        q = rng.choice((2, 3, 7))
+
+        def perturbed(by):
+            # index m stands for z, every other c for coset c
+            cosets = list(rep.cosets)
+            if c == m:
+                return _bumped(rep.z, i, j, by), cosets
+            cosets[c] = _bumped(cosets[c], i, j, by)
+            return rep.z, cosets
+
+        # one entry bumped: read exactly, some relation may now fail
+        z, cosets = perturbed(rng.choice((1, -1, 2)))
+        rels = _relations(ring, z, cosets)
+        assert rels == reference_crossed_relations(ring, z, cosets, (0,) * r)
+        failing += any(rel.bad is not None for rel in rels)
+        # one entry shifted by q: rows differ exactly but hold mod q
+        z, cosets = perturbed(q)
+        rels = _relations(ring, z, cosets, (q,) * r)
+        assert rels == reference_crossed_relations(ring, z, cosets, (q,) * r)
+        assert all(rel.bad is None for rel in rels)
+    assert failing > 30
+
+
+def test_crossed_relations_name_each_failing_block_of_one_row():
+    # Bumping (i, j) of coset 1 of C6 adds row j of the stack, which has a
+    # one in every block, to row i of w_1 [w_0 ... w_5]: every block but
+    # b = 0 (where w_1 w_0 is the bumped w_1 itself) fails in that row.
+    ring = ring_for("cyclic(6)", 1)
+    rep = regular_representation(ring)
+    cosets = list(rep.cosets)
+    cosets[1] = _bumped(cosets[1], 2, 4)
+    rels = _relations(ring, rep.z, cosets)
+    assert rels == reference_crossed_relations(ring, rep.z, cosets, (0,) * ring.rank)
+    row = [rel for rel in rels if rel.kind == "table" and rel.a == 1]
+    assert row[0].bad is None
+    assert all(rel.bad is not None and rel.bad[0] == 2 for rel in row[1:])
+
+
+class _CountingLaw:
+    """A group law that counts its products, with no rows of its own."""
+
+    def __init__(self, law):
+        self.order, self.identity, self.rows = law.order, law.identity, None
+        self._product, self.calls = law.product, 0
+
+    def product(self, a, b):
+        self.calls += 1
+        return self._product(a, b)
+
+
+def test_splits_stops_at_the_first_generator_that_does_not_commute():
+    # walking all of W takes at least |W| - 1 products; a non-abelian W is
+    # rejected within the closure of its first generator
+    for name in ("symmetric(6)", "direct_product(symmetric(4),cyclic(30))",
+                 "direct_product(symmetric(5),cyclic(6))"):
+        G = preset_group(name)
+        law = _CountingLaw(G.mul.law)
+        ring = CrossedRing(1, G.order, Table(law), (1,) * G.order)
+        assert not _splits(ring)
+        assert law.calls < G.order // 4, (name, law.calls)
+    # an abelian W still walks every generator and splits
+    G = preset_group("direct_product(klein_four,cyclic(45))")
+    ring = CrossedRing(1, G.order, Table(_CountingLaw(G.mul.law)), (1,) * G.order)
+    assert _splits(ring)
 
 
 def _first_failure(rels):

@@ -26,6 +26,7 @@ from helpers import (
     det_unimodular,
     reference_hnf,
     reference_snf,
+    triple_loop_matmul,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -61,6 +62,43 @@ def test_matmul_matches_dense_reference():
         assert A @ B == dense_matmul(A, B), (r, k, c)
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2]]) @ IntMatrix.from_rows([[1, 2]])
+
+
+def _signed_monomial(rng, n, units=(1, -1)):
+    """A signed permutation matrix, its nonzero entries drawn from units."""
+    perm = rng.sample(range(n), n)
+    return [[rng.choice(units) if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+
+
+def test_matmul_matches_a_triple_loop():
+    rng = random.Random(20)
+    pairs = []
+    for _ in range(12):
+        r, k, c = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        pairs.append((rand_matrix(rng, r, k), rand_matrix(rng, k, c)))
+        # signed-monomial factors on either side, units 1 and -1 or others
+        for units in ((1,), (-1,), (1, -1), (1, -1, 3, -7)):
+            pairs.append((_signed_monomial(rng, k, units), rand_matrix(rng, k, c)))
+            pairs.append((rand_matrix(rng, r, k), _signed_monomial(rng, k, units)))
+        # a dense row whose leading entry is a unit, then zero rows and columns
+        A, B = rand_matrix(rng, r, k), rand_matrix(rng, k, c)
+        A[0][0] = rng.choice((1, -1))
+        A[rng.randrange(r)] = [0] * k
+        for row in B:
+            row[rng.randrange(c)] = 0
+        B[rng.randrange(k)] = [0] * c
+        pairs.append((A, B))
+    for A, B in pairs:
+        A = IntMatrix(tuple(map(tuple, A)))
+        B = IntMatrix(tuple(map(tuple, B)))
+        P = A @ B
+        assert ((P.rows, P.cols), P.tolists()) == triple_loop_matmul(A, B)
+    # empty shapes: r x 0 @ 0 x c, 0 x k @ k x c and r x k @ k x 0
+    for r, k, c in ((3, 0, 4), (0, 3, 4), (3, 4, 0), (0, 0, 2)):
+        A = IntMatrix(((),) * r) if k == 0 else IntMatrix.zero(r, k)
+        B = IntMatrix.zero(k, c)
+        P = A @ B
+        assert ((P.rows, P.cols), P.tolists()) == ((r, c), [[0] * c for _ in range(r)])
 
 
 def test_hnf_identity_fixed():
@@ -274,6 +312,10 @@ def test_kernel_of_no_rows_is_everything_or_needs_a_width():
         for r, k in ((0, c), (c, 0)):
             t = IntMatrix.zero(r, k).transpose()
             assert (t.rows, t.cols) == (k, r)
+        # and so do products with no rows: 0 x c @ c x 5 is 0 x 5
+        p = IntMatrix.zero(0, c) @ IntMatrix.zero(c, 5)
+        assert (p.rows, p.cols) == (0, 5)
+        assert congruence_kernel(p, []) == list(IntMatrix.identity(5).entries)
     for no_width in ([], IntMatrix(()), IntMatrix.from_rows([])):
         with pytest.raises(ValueError, match="width"):
             congruence_kernel(no_width, [])
