@@ -282,17 +282,14 @@ def validate(M: AModObject) -> ValidationReport:
         for name, mat in zip(pres.gen_names, part.mats):
             if mat.rows != r or mat.cols != r:
                 return ValidationReport(False, f"{tag}: matrix for {name} is not {r}x{r}")
-            # the action must be an endomorphism of the underlying group
-            for i in range(r):
-                for j in range(r):
-                    v = mat.entries[i][j] * part.orders[j]
-                    q = part.orders[i]
-                    if (v % q if q else v) != 0:
-                        return ValidationReport(
-                            False,
-                            f"{tag}: {name} is not a well-defined endomorphism "
-                            f"at entry ({i}, {j})",
-                        )
+            # the action must be an endomorphism of the underlying group:
+            # A[i][j] * orders[j] = 0 mod orders[i]
+            bad = _first_difference(IntMatrix(tuple(
+                tuple(x * o for x, o in zip(row, part.orders)) for row in mat.entries), r),
+                IntMatrix.zero(r, r), part.orders)
+            if bad is not None:
+                return ValidationReport(
+                    False, f"{tag}: {name} is not a well-defined endomorphism at entry {bad}")
         if r == 0:
             continue
         z, cosets = _z_and_cosets(pres, part.mats, r)

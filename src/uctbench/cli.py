@@ -7,7 +7,8 @@ Verification items run in order in one thread.  WORKBENCH_THREADS is still
 accepted: it must be an integer, and `verify --json` echoes it as "threads".
 
 Check protocol of the verification suites: a builder in SUITES maps
-(bound, seed) to one (key, run) pair per item, and run() returns
+(bound, seed) to one (key, run) pair per item, after it has refused a bound
+above its largest with UnsupportedSize, and run() returns
 (checks, counterexample).  An item's checks are a generator with one
 `yield` per check; the yielded value is falsy when the check holds and is
 the counterexample text when it fails (`bad and f"..."`), so a passing
@@ -50,7 +51,7 @@ from .cyclotomic import (
     psi,
     totient,
 )
-from .errors import InputError, WorkbenchError
+from .errors import InputError, UnsupportedSize, WorkbenchError
 from .green import (
     _induce_via_characters,
     _restrict_via_characters,
@@ -103,6 +104,8 @@ def _load_json(path: str):
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise InputError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:  # bytes that are not UTF-8, or an integer too long to read
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _emit(obj, as_json: bool, text: str) -> None:
@@ -122,7 +125,7 @@ def cmd_group_info(args) -> int:
     payload = {
         "order": G.order,
         "identity": G.identity,
-        "element_orders": [len(H) for H in _cyclic_subgroup_map(G.law)],
+        "element_orders": [len(H) for H in _cyclic_subgroup_map(G.mul)],
         "classes": [
             {
                 "generator_order": c.n,
@@ -161,6 +164,12 @@ def cmd_target_category(args) -> int:
 CheckItem = tuple[str, Callable[[], tuple[int, Optional[str]]]]
 
 
+def _at_most(bound: int, largest: int) -> None:
+    # a builder makes every item first; each largest ran under 30 MB
+    if bound > largest:
+        raise UnsupportedSize(f"--max-n {bound} is above {largest}, the largest this suite runs")
+
+
 def _item(checks_of: Callable[..., Iterable[object]], *args) -> tuple[int, Optional[str]]:
     """Run one suite item: the number of checks that held before the first
     failure, and that failure's counterexample (None if every check held)."""
@@ -185,6 +194,7 @@ def _psi_checks(n: int):
 
 
 def _suite_psi(bound: int, seed: int) -> list[CheckItem]:
+    _at_most(bound, 400)
     return [(f"n={n}", partial(_item, _psi_checks, n)) for n in range(1, bound + 1)]
 
 
@@ -200,6 +210,7 @@ def _character_checks(n: int):
 
 
 def _suite_characters(bound: int, seed: int) -> list[CheckItem]:
+    _at_most(bound, 300)
     return [(f"n={n}", partial(_item, _character_checks, n)) for n in range(1, bound + 1)]
 
 
@@ -222,6 +233,7 @@ def _frobenius_checks(n: int, k: int):
 
 
 def _suite_frobenius(bound: int, seed: int) -> list[CheckItem]:
+    _at_most(bound, 150)
     return [(f"n={n},k={k}", partial(_item, _frobenius_checks, n, k))
             for n in range(1, bound + 1) for k in divisors(n)]
 
@@ -243,6 +255,7 @@ def _pair_checks(idx: int, n: int, xc, yc):
 
 
 def _suite_crt(bound: int, seed: int) -> list[CheckItem]:
+    _at_most(bound, 300)
     rng = random.Random(seed)
     ns = [n for n in range(2, bound + 1)] or [1]
     pairs = []
@@ -313,6 +326,7 @@ def _crossed_checks(seed: int, name: str, class_index: int, ring: CrossedRing):
 
 
 def _suite_crossed(bound: int, seed: int) -> list[CheckItem]:
+    _at_most(bound, 48)
     return [(f"{name}[{ci}]",
              partial(_item, _crossed_checks, seed, name, ci, build_crossed_ring(C, G.order)))
             for name in _crossed_preset_names(bound)

@@ -17,6 +17,8 @@ orbit of characters of order d cuts out one summand by the idempotent
 sum at the order o of chi(w).  Every other ring is kept as an honest
 unsplit crossed product and handled through its regular representation.
 
+A ring holds its Weyl group as the law of the cosets (`groups`), which
+gives each product and, once read, the rows of its table.
 `crossed_relations` checks the defining relations on given action matrices
 for both module validation and the crossed-relations suite.
 """
@@ -44,7 +46,7 @@ from .errors import InsufficientInversion, RingMismatch
 from .groups import (
     CyclicClass,
     FiniteGroup,
-    Table,
+    _Law,
     _cyclic_subgroup_map,
     _generators,
     as_table,
@@ -64,13 +66,13 @@ def _ring_name(d: int, N: int) -> str:
 
 @dataclass(frozen=True)
 class CrossedRing:
-    """Presentation of Z[theta_n, 1/N] x| W: the Weyl group is given by its
-    coset multiplication table (rows are wrapped as a Table) and its action
-    on (Z/n)^x."""
+    """Presentation of Z[theta_n, 1/N] x| W: the Weyl group is given by the
+    law of its cosets (given as rows, it is read off them) and its action on
+    (Z/n)^x."""
 
     n: int
     N: int
-    weyl_table: Table
+    weyl_table: _Law
     weyl_units: tuple[int, ...]
 
     def __post_init__(self):
@@ -333,7 +335,7 @@ def _abelian_characters(table) -> tuple[list[tuple[int, ...]], int, list[int]]:
     first power of g in H, each character chi of H extends to <H, g> in t
     ways, chi(h g^s) = chi(h) + s c for the t solutions c of t c = chi(g^t)
     mod e; chi(g^t) is a multiple of t, since its order divides ord(g) / t."""
-    law = as_table(table).law
+    law = as_table(table)
     m, p = law.order, law.product
     gens = list(_generators(law))
     # walk lists H and then, h by h, each h g^s with 0 < s < t, for each
@@ -376,7 +378,7 @@ def _splits(ring: CrossedRing) -> bool:
     """Whether the splitting rule applies (see the module doc); W is
     abelian when its generators commute, tested last as the costliest and
     as the walk finds each generator, so a non-abelian W stops it early."""
-    n, law = ring.n, ring.weyl_table.law
+    n, law = ring.n, ring.weyl_table
     m, mul = law.order, law.product
     # The exponent gate at n > 1 keeps the rule correct.  For n > 1 it
     # labels every summand Z[theta_n, 1/N], but an orbit of characters of
@@ -405,7 +407,7 @@ def split_ring(ring: CrossedRing) -> list[RingSummand]:
     if ring.n > 1:
         return [RingSummand(_kind_for(ring.n), ring.n, ring.N, ring.weyl_order,
                             provenance="character orbit of order 1")]
-    counts = Counter(len(H) for H in set(_cyclic_subgroup_map(ring.weyl_table.law)))
+    counts = Counter(len(H) for H in set(_cyclic_subgroup_map(ring.weyl_table)))
     return [RingSummand(_kind_for(d), d, ring.N, a, provenance=f"character orbit of order {d}")
             for d, a in sorted(counts.items())]
 

@@ -1,18 +1,18 @@
 """Finite group arithmetic, by a product rule or an explicit Cayley table.
 
-Every product of a group is read through its law (`FiniteGroup.law`).  A
+Every product of a group is read through its law (`FiniteGroup.mul`).  A
 preset carries a rule: index arithmetic for cyclic and dihedral groups,
 permutation composition for symmetric groups, and pairing of the factors'
 laws for a direct product.  A group read from a file keeps its validated
 table.  A class of cyclic subgroups reads two vectors off the law, the
 conjugates x g x^-1 and the products x g over every x, each in one pass;
-its Weyl group's products come on demand from the coset representatives.
-So the classes cost O(|G|) products each and no |G|^2 table is built for a
-report: symmetric(7)'s target-category report takes about 0.4 s and 21 MB
-peak RSS on a 2-core, 8 GB machine, where its 25.4 M-entry table took
-1.8-2.8 s and 214 MB.  `FiniteGroup.mul` and the Weyl tables stay
-indexable as t[a][b]: a `Table` builds its rows, all at once, only when a
-caller reads one.  All types are immutable after construction.
+its Weyl group's law takes its products on demand from the coset
+representatives.  So the classes cost O(|G|) products each and no |G|^2
+table is built for a report: symmetric(7)'s target-category report takes
+about 0.4 s and 21 MB peak RSS on a 2-core, 8 GB machine, where its
+25.4 M-entry table took 1.8-2.8 s and 214 MB.  A group's law and a Weyl law
+also index as the table t[a][b]: each builds its rows, all at once, only
+when a caller reads one.  All types are immutable after construction.
 """
 
 from __future__ import annotations
@@ -34,14 +34,20 @@ from .errors import (
 
 
 class _Law:
-    """How the products of a group on the indices 0 .. order - 1 are formed.
+    """The products of a group on the indices 0 .. order - 1, and its
+    multiplication table t[a][b] = a * b as a read-only sequence of rows.
 
     A subclass gives `product` and `inv`; the vectors below are their plain
     loops, which the preset rules replace by one pass each where a class
-    computation reads them.  Laws with equal keys have equal tables."""
+    computation reads them.  The rows are built all at once, and kept, when
+    a caller first reads one; a law read off a table has them already.
 
-    # the table itself, for a law read off one
-    rows: Optional[tuple[tuple[int, ...], ...]] = None
+    Laws compare by their tables: equal keys settle it with no rows built,
+    and otherwise both tables are built.  The hash reads the order and one
+    row, which equal tables share."""
+
+    _rows: Optional[tuple[tuple[int, ...], ...]] = None
+    _hash: Optional[int] = None
 
     def __init__(self, order: int, identity: int, key: object):
         self.order, self.identity, self.key = order, identity, key
@@ -64,25 +70,56 @@ class _Law:
         p = self.product
         return [p(p(x, g), ix) for x, ix in enumerate(self.inv)]
 
+    def _build(self) -> tuple[tuple[int, ...], ...]:
+        if self._rows is None:
+            self._rows = tuple(map(self.row, range(self.order)))
+        return self._rows
+
+    def __len__(self) -> int:
+        return self.order
+
+    def __getitem__(self, a: int) -> tuple[int, ...]:
+        rows = self._rows
+        return (self._build() if rows is None else rows)[a]
+
+    def __iter__(self):
+        return iter(self._build())
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, _Law):
+            return NotImplemented
+        return (self.key == other.key
+                or self.order == other.order and self._build() == other._build())
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.order, self.row(min(1, self.order - 1))))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.key!r})"
+
 
 class _Rows(_Law):
     """Products read off an explicit table."""
 
     def __init__(self, rows: tuple[tuple[int, ...], ...], identity: int):
         super().__init__(len(rows), identity, rows)
-        self.rows = rows
+        self._rows = rows
 
     def product(self, a: int, b: int) -> int:
-        return self.rows[a][b]
+        return self._rows[a][b]
 
     def row(self, a: int) -> tuple[int, ...]:
-        return self.rows[a]
+        return self._rows[a]
 
     def column(self, g: int) -> list[int]:
-        return [r[g] for r in self.rows]
+        return [r[g] for r in self._rows]
 
     def conjugates(self, g: int) -> list[int]:
-        rows = self.rows
+        rows = self._rows
         return [rows[r[g]][ix] for r, ix in zip(rows, self.inv)]
 
     @cached_property
@@ -90,7 +127,7 @@ class _Rows(_Law):
         # a right inverse in a group is two-sided; group_from_table has
         # checked the table before any group is built from it
         e = self.identity
-        return tuple(row.index(e) for row in self.rows)
+        return tuple(row.index(e) for row in self._rows)
 
 
 class _Cyclic(_Law):
@@ -186,8 +223,8 @@ class _Product(_Law):
 
     def __init__(self, a: FiniteGroup, b: FiniteGroup):
         super().__init__(a.order * b.order, a.identity * b.order + b.identity,
-                         ("product", a.law.key, b.law.key))
-        self.la, self.lb, self.k = a.law, b.law, b.order
+                         ("product", a.mul.key, b.mul.key))
+        self.la, self.lb, self.k = a.mul, b.mul, b.order
 
     def _pair(self, va: Sequence[int], vb: Sequence[int]) -> list[int]:
         k = self.k
@@ -220,89 +257,38 @@ class _Cosets(_Law):
 
     def __init__(self, G: FiniteGroup, generator: int, reps: Sequence[int],
                  coset_of: Sequence[int]):
-        super().__init__(len(reps), 0, ("weyl", G.law.key, generator))
-        self.group, self.reps, self.coset_of = G, reps, coset_of
+        super().__init__(len(reps), 0, ("weyl", G.mul.key, generator))
+        self.parent, self.reps, self.coset_of = G.mul, reps, coset_of
 
     def product(self, a: int, b: int) -> int:
-        return self.coset_of[self.group.law.product(self.reps[a], self.reps[b])]
+        return self.coset_of[self.parent.product(self.reps[a], self.reps[b])]
 
     def row(self, a: int) -> tuple[int, ...]:
         # one row of G, read at the representatives
-        coset_of, ga = self.coset_of, self.group.law.row(self.reps[a])
+        coset_of, ga = self.coset_of, self.parent.row(self.reps[a])
         return tuple([coset_of[ga[r]] for r in self.reps])
 
     @cached_property
     def inv(self) -> tuple[int, ...]:
-        coset_of, inv = self.coset_of, self.group.inv
+        coset_of, inv = self.coset_of, self.parent.inv
         return tuple([coset_of[inv[r]] for r in self.reps])
 
 
-class Table:
-    """The multiplication table of a law, t[a][b] = a * b, as a read-only
-    sequence of rows.  The rows are built all at once, and kept, when a
-    caller first reads one; a law read off a table has them already.
-
-    Tables compare by their entries: equal law keys settle it with no rows
-    built, and otherwise both tables are built.  The hash reads the order and
-    one row, which equal tables share."""
-
-    __slots__ = ("law", "_rows", "_hash")
-
-    def __init__(self, law: _Law):
-        self.law = law
-        self._rows = law.rows
-        self._hash: Optional[int] = None
-
-    def _build(self) -> tuple[tuple[int, ...], ...]:
-        if self._rows is None:
-            self._rows = tuple(map(self.law.row, range(self.law.order)))
-        return self._rows
-
-    def __len__(self) -> int:
-        return self.law.order
-
-    def __getitem__(self, a: int) -> tuple[int, ...]:
-        rows = self._rows
-        return (self._build() if rows is None else rows)[a]
-
-    def __iter__(self):
-        return iter(self._build())
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Table):
-            return NotImplemented
-        return (self.law.key == other.law.key
-                or len(self) == len(other) and self._build() == other._build())
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            rows = self._rows
-            second = min(1, len(self) - 1)
-            self._hash = hash((len(self),
-                               self.law.row(second) if rows is None else rows[second]))
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"Table({self.law.key!r})"
-
-
-def as_table(rows, identity: int = 0) -> Table:
-    """rows itself when it is a Table, else the Table read off rows."""
-    return rows if isinstance(rows, Table) else Table(_Rows(rows, identity))
+def as_table(rows, identity: int = 0) -> _Law:
+    """rows itself when it is a law, else the law read off rows."""
+    return rows if isinstance(rows, _Law) else _Rows(rows, identity)
 
 
 @dataclass(frozen=True)
 class FiniteGroup:
     """A finite group on the element indices 0 .. order - 1.
 
-    mul is its multiplication table, given as rows or as a Table.  Every
-    product is read through `law`, the table's law: a product rule for a
-    preset, the rows themselves for a table."""
+    mul is its law, given as rows or as a law: a product rule for a preset,
+    the rows themselves for a table.  It gives every product, and indexes as
+    the table mul[a][b]."""
 
     order: int
-    mul: Table
+    mul: _Law
     identity: int
     labels: Optional[tuple[str, ...]] = None
     inv: tuple[int, ...] = field(default=(), compare=False)
@@ -310,14 +296,10 @@ class FiniteGroup:
     def __post_init__(self):
         object.__setattr__(self, "mul", as_table(self.mul, self.identity))
         if not self.inv:
-            object.__setattr__(self, "inv", self.law.inv)
-
-    @property
-    def law(self) -> _Law:
-        return self.mul.law
+            object.__setattr__(self, "inv", self.mul.inv)
 
     def multiply(self, a: int, b: int) -> int:
-        return self.law.product(a, b)
+        return self.mul.product(a, b)
 
     def inverse(self, a: int) -> int:
         return self.inv[a]
@@ -325,7 +307,7 @@ class FiniteGroup:
     def power(self, a: int, k: int) -> int:
         if k < 0:
             a, k = self.inv[a], -k
-        p = self.law.product
+        p = self.mul.product
         out = self.identity
         while k:
             if k & 1:
@@ -335,7 +317,7 @@ class FiniteGroup:
         return out
 
     def element_order(self, a: int) -> int:
-        p = self.law.product
+        p = self.mul.product
         cur = a
         k = 1
         while cur != self.identity:
@@ -345,7 +327,7 @@ class FiniteGroup:
 
     def conjugate(self, g: int, x: int) -> int:
         """g * x * g^-1."""
-        p = self.law.product
+        p = self.mul.product
         return p(p(g, x), self.inv[g])
 
     def label(self, a: int) -> str:
@@ -408,7 +390,7 @@ def group_from_table(table: Sequence[Sequence[int]],
         if x in seen:
             raise InvalidGroupTable(f"label {x!r} names more than one element")
         seen.add(x)
-    return FiniteGroup(n, Table(law), identity, lab)
+    return FiniteGroup(n, law, identity, lab)
 
 
 def _generators(law: _Law) -> Iterator[int]:
@@ -438,7 +420,7 @@ def _generators(law: _Law) -> Iterator[int]:
 
 def _direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     law = _Product(a, b)
-    return FiniteGroup(law.order, Table(law), law.identity)
+    return FiniteGroup(law.order, law, law.identity)
 
 
 def _split_call(spec: str) -> tuple[str, Optional[list[str]]]:
@@ -511,12 +493,12 @@ def _parse_preset(name: str, depth: int = 0) -> tuple[int, Callable[[], FiniteGr
         if n < 1:
             raise UnsupportedSize(f"{head}({n}): size must be >= 1")
         if head == "cyclic":
-            return n, lambda: FiniteGroup(n, Table(_Cyclic(n)), 0)
+            return n, lambda: FiniteGroup(n, _Cyclic(n), 0)
         if head == "dihedral":
-            return 2 * n, lambda: FiniteGroup(2 * n, Table(_Dihedral(n)), 0)
+            return 2 * n, lambda: FiniteGroup(2 * n, _Dihedral(n), 0)
         # 8! already exceeds the bound; n! itself is never needed beyond it
         order = math.factorial(min(n, 8))
-        return order, lambda: FiniteGroup(order, Table(_Symmetric(n)), 0)
+        return order, lambda: FiniteGroup(order, _Symmetric(n), 0)
     if head == "direct_product":
         if not args or len(args) != 2:
             raise UnknownPreset("direct_product takes two preset arguments")
@@ -543,10 +525,10 @@ class CyclicClass:
     """Conjugacy class of a cyclic subgroup together with its Weyl data.
 
     weyl_units[w] is the unit k of (Z/n)^x with g h g^-1 = h^k for any g in
-    coset w; weyl_table is the multiplication table of the cosets, with the
-    identity coset at index 0.  Its products come on demand from the coset
-    representatives and a map from elements to cosets, and its rows are
-    built only when read; given as rows, it is wrapped as a Table.
+    coset w; weyl_table is the law of the cosets, with the identity coset at
+    index 0.  Its products come on demand from the coset representatives and
+    a map from elements to cosets, and its rows are built only when read;
+    given as rows, it is read off them.
     """
 
     representative: CyclicSubgroup
@@ -554,7 +536,7 @@ class CyclicClass:
     normalizer: tuple[int, ...]
     coset_reps: tuple[int, ...]
     weyl_units: tuple[int, ...]
-    weyl_table: Table
+    weyl_table: _Law
 
     def __post_init__(self):
         object.__setattr__(self, "weyl_table", as_table(self.weyl_table))
@@ -598,7 +580,7 @@ def cyclic_classes(G: FiniteGroup) -> list[CyclicClass]:
     trivial subgroup, sorted by (order, representative elements).  Each class
     reads two vectors off G's law, O(|G|) products."""
     e = G.identity
-    subgroup_of = _cyclic_subgroup_map(G.law)
+    subgroup_of = _cyclic_subgroup_map(G.mul)
     seen: set[frozenset[int]] = set()
     classes: list[CyclicClass] = []
     for H in sorted(set(subgroup_of), key=lambda s: (len(s), sorted(s))):
@@ -609,7 +591,7 @@ def cyclic_classes(G: FiniteGroup) -> list[CyclicClass]:
         # one generator per x gives its class and its normalizer.
         n = len(H)
         generator = min(h for h in H if subgroup_of[h] is H)
-        conj = G.law.conjugates(generator)
+        conj = G.mul.conjugates(generator)
         images = list(map(subgroup_of.__getitem__, conj))
         orbit = set(images)
         normalizer = [x for x, K in enumerate(images) if K is H]
@@ -618,7 +600,7 @@ def cyclic_classes(G: FiniteGroup) -> list[CyclicClass]:
         # walked from x by right multiplication by the generator: scanned in
         # index order after the identity's, the first element of a coset not
         # yet covered is its least element, so the cosets come out sorted
-        step = G.law.column(generator)
+        step = G.mul.column(generator)
         reps: list[int] = []
         coset_of = [-1] * G.order
         for x in itertools.chain((e,), normalizer):
@@ -639,7 +621,7 @@ def cyclic_classes(G: FiniteGroup) -> list[CyclicClass]:
             # order, so its Weyl table is the Cayley table, shared
             table = G.mul
         else:
-            table = Table(_Cosets(G, generator, reps, coset_of))
+            table = _Cosets(G, generator, reps, coset_of)
         classes.append(
             CyclicClass(
                 representative=CyclicSubgroup(generator, n, tuple(sorted(H))),

@@ -3,8 +3,12 @@ import os
 import re
 import subprocess
 import sys
+import time
+
+import pytest
 
 from uctbench.cli import SUITES, main
+from uctbench.errors import UnsupportedSize
 from uctbench.groups import preset_group
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -117,6 +121,22 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert cli.cmd_verify(Args()) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "forced counterexample" in out
+
+
+@pytest.mark.parametrize("suite, largest", [
+    ("psi-identities", 400), ("characters", 300), ("frobenius", 150), ("crt", 300),
+    ("crossed-relations", 48),
+])
+def test_verify_above_the_largest_bound_exits_2_at_once(capsys, suite, largest):
+    # each builder made every item before it ran one: at 10^11 psi-identities,
+    # crt and crossed-relations ran out of memory, and frobenius kept going
+    start = time.perf_counter()
+    code, _, err = run(capsys, "verify", suite, "--max-n", "100000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert err == f"error: --max-n 100000000000 is above {largest}, the largest this suite runs\n"
+    with pytest.raises(UnsupportedSize):
+        SUITES[suite](largest + 1, 0)
 
 
 def test_verify_crossed_relations(capsys):

@@ -26,7 +26,7 @@ from uctbench.crossring import (
     splitting_idempotents,
     target_category,
 )
-from uctbench.groups import Table, cyclic_classes, preset_group
+from uctbench.groups import _Law, _Rows, cyclic_classes, preset_group
 from uctbench.zlinalg import IntMatrix
 
 from helpers import (
@@ -396,7 +396,7 @@ def _refuse_tables(monkeypatch):
     def refuse(self):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(Table, "_build", refuse)
+    monkeypatch.setattr(_Law, "_build", refuse)
 
 
 def test_report_path_builds_no_tables(monkeypatch):
@@ -426,7 +426,7 @@ def test_reports_compare_and_hash_by_value_without_tables(monkeypatch):
         G = preset_group(name)
         for C, R in zip(cyclic_classes(G), cyclic_classes(preset_group(name))):
             want = CrossedRing(R.n, G.order, tuple(map(tuple, R.weyl_table)), R.weyl_units)
-            assert type(want.weyl_table) is Table
+            assert type(want.weyl_table) is _Rows
             got = build_crossed_ring(C, G.order)
             assert hash(got) == hash(want) and got == want, (name, C.n)
 
@@ -637,11 +637,11 @@ def test_crossed_relations_name_each_failing_block_of_one_row():
     assert all(rel.bad is not None and rel.bad[0] == 2 for rel in row[1:])
 
 
-class _CountingLaw:
+class _CountingLaw(_Law):
     """A group law that counts its products, with no rows of its own."""
 
     def __init__(self, law):
-        self.order, self.identity, self.rows = law.order, law.identity, None
+        super().__init__(law.order, law.identity, law.key)
         self._product, self.calls = law.product, 0
 
     def product(self, a, b):
@@ -655,13 +655,13 @@ def test_splits_stops_at_the_first_generator_that_does_not_commute():
     for name in ("symmetric(6)", "direct_product(symmetric(4),cyclic(30))",
                  "direct_product(symmetric(5),cyclic(6))"):
         G = preset_group(name)
-        law = _CountingLaw(G.mul.law)
-        ring = CrossedRing(1, G.order, Table(law), (1,) * G.order)
+        law = _CountingLaw(G.mul)
+        ring = CrossedRing(1, G.order, law, (1,) * G.order)
         assert not _splits(ring)
         assert law.calls < G.order // 4, (name, law.calls)
     # an abelian W still walks every generator and splits
     G = preset_group("direct_product(klein_four,cyclic(45))")
-    ring = CrossedRing(1, G.order, Table(_CountingLaw(G.mul.law)), (1,) * G.order)
+    ring = CrossedRing(1, G.order, _CountingLaw(G.mul), (1,) * G.order)
     assert _splits(ring)
 
 

@@ -143,8 +143,8 @@ def test_preset_errors():
                                   "direct_product(symmetric(7),cyclic(2))",
                                   "direct_product(cyclic(2),direct_product(dihedral(3),symmetric(7)))"])
 def test_preset_order_bound_before_any_table(name, monkeypatch):
-    # no law (the source of every product, and of a symmetric group's
-    # permutation list), table or group may be made before the refusal
+    # no law (the source of every product and row, and of a symmetric
+    # group's permutation list) or group may be made before the refusal
     def refuse(*args, **kwargs):
         raise AssertionError(f"{name}: work done before the order bound")
 
@@ -153,7 +153,6 @@ def test_preset_order_bound_before_any_table(name, monkeypatch):
         law = laws.pop()
         monkeypatch.setattr(law, "__init__", refuse)
         laws += law.__subclasses__()
-    monkeypatch.setattr(groups.Table, "__init__", refuse)
     monkeypatch.setattr(groups.FiniteGroup, "__init__", refuse)
     with pytest.raises(UnsupportedSize, match=str(groups.MAX_PRESET_ORDER)):
         preset_group(name)
@@ -419,9 +418,9 @@ def test_product_rules_match_the_table_path():
             return range(n) if n <= 60 else rng.sample(range(n), 8)
 
         for g in some():
-            assert G.law.row(g) == T.mul[g], (name, g)
-            assert G.law.column(g) == [T.mul[x][g] for x in range(n)], (name, g)
-            assert G.law.conjugates(g) == T.law.conjugates(g), (name, g)
+            assert G.mul.row(g) == T.mul[g], (name, g)
+            assert G.mul.column(g) == [T.mul[x][g] for x in range(n)], (name, g)
+            assert G.mul.conjugates(g) == T.mul.conjugates(g), (name, g)
             assert ([G.power(g, k) for k in range(-3, 9)]
                     == [T.power(g, k) for k in range(-3, 9)]), (name, g)
             for x in some():

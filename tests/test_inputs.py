@@ -159,6 +159,18 @@ def test_preset_at_depth_bound_builds():
         preset_group(_deep_preset(MAX_PRESET_DEPTH + 1))
 
 
+@pytest.mark.parametrize("raw, message", [
+    (b"\xff{}", "can't decode byte 0xff"),
+    (b'{"table": [[1' + b"0" * 5000 + b"]]}", "Exceeds the limit (4300 digits)"),
+])
+def test_unreadable_json_file_exits_2(tmp_path, capsys, raw, message):
+    # bytes that are not UTF-8 and an integer too long for int() both raised
+    # ValueError past the JSON decoder's own error
+    path = tmp_path / "g.json"
+    path.write_bytes(raw)
+    _exit_2(capsys, ["group-info", str(path)], message)
+
+
 @pytest.mark.parametrize("order", [True, "1", 1.0])
 def test_declared_order_must_be_int(tmp_path, capsys, order):
     # True == 1 used to pass as the order of a one-element table
