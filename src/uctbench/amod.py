@@ -250,7 +250,7 @@ def direct_sum(M: AModObject, N: AModObject) -> AModObject:
                 rows.append(tuple(ma.entries[i]) + (0,) * rb)
             for i in range(rb):
                 rows.append((0,) * ra + tuple(mb.entries[i]))
-            mats.append(IntMatrix.from_rows(rows))
+            mats.append(IntMatrix._make(rows))
         parts.append(ModulePart(orders, tuple(mats)))
     return AModObject(M.ring, (parts[0], parts[1]))
 
@@ -384,7 +384,7 @@ def _free_cover_kernel(pres: RingPresentation, orders: Sequence[int],
                      for x in kernel))
         if None in coords:
             raise RuntimeError("free-cover kernel is not generator-stable")
-        actions.append(IntMatrix.from_rows(zip(*coords)))
+        actions.append(IntMatrix._make(zip(*coords)))
     return _CoverKernel(tuple(gvecs), tuple(cols), tuple(kernel), tuple(actions))
 
 
@@ -401,7 +401,7 @@ class _Resolution:
 
 def _resolve(pres: RingPresentation, cover: _CoverKernel) -> _Resolution:
     syzygy = _free_cover_kernel(pres, (0,) * len(cover.kernel), cover.actions)
-    relators = (IntMatrix.from_rows(syzygy.gvecs) @ IntMatrix.from_rows(cover.kernel)).entries
+    relators = (IntMatrix._make(syzygy.gvecs) @ IntMatrix._make(cover.kernel)).entries
     return _Resolution(cover, syzygy, tuple(relators))
 
 
@@ -452,7 +452,8 @@ def _presented_hom(pres: RingPresentation, g: int, vectors: Sequence[Sequence[in
     s = Q.rank
     t = g * s
     trivial = [[Q.orders[x % s] if x == y else 0 for x in range(t)] for y in range(t)]
-    return lattice_coordinates(_evaluations(pres, vectors, Q), list(Q.orders) * len(vectors),
+    return lattice_coordinates(IntMatrix._make(_evaluations(pres, vectors, Q)),
+                               list(Q.orders) * len(vectors),
                                t, trivial + list(relations))
 
 
@@ -465,7 +466,8 @@ def _smith_basis(X, n: int, L: int) -> list[tuple[int, list[int]]]:
     diag += [L] * (n - len(diag))
     # U is invertible mod L, so the rows of U and of L I span Z^n: their
     # Hermite form is I, and the top-left block of its transform is U^-1.
-    _, W = hnf(U.entries + tuple(tuple(L if i == j else 0 for j in range(n)) for i in range(n)))
+    _, W = hnf(IntMatrix(U.entries + tuple(tuple(L if i == j else 0 for j in range(n))
+                                           for i in range(n))))
     return [(d, [W[l, i] % L for l in range(n)]) for i, d in enumerate(diag) if d > 1]
 
 
@@ -473,9 +475,9 @@ def _section(cover: _CoverKernel, P: ModulePart) -> list[tuple[int, ...]]:
     """A preimage in Z^(g * rho) of each coordinate vector of P: a solution
     of [cover columns | diag(orders)] x = e_t, cut to the cover part."""
     n = len(cover.cols)
-    solver = ExactSolver([[col[i] for col in cover.cols]
-                          + [o if k == i else 0 for k, o in enumerate(P.orders)]
-                          for i in range(P.rank)])
+    solver = ExactSolver(IntMatrix._make([col[i] for col in cover.cols]
+                                         + [o if k == i else 0 for k, o in enumerate(P.orders)]
+                                         for i in range(P.rank)))
     xs = [solver.solve(e) for e in IntMatrix.identity(P.rank).entries]
     if None in xs:
         raise RuntimeError("the free cover misses a coordinate vector")
@@ -513,7 +515,7 @@ def hom_group(M: AModObject, N: AModObject, degree: int = 0, *,
     if not n:
         return HomResult(FinAbGroup(), ())
     L = math.lcm(*(o for *_, Q in blocks for o in Q.orders))
-    chain = _smith_basis(list(zip(*(c + [0] * (n - len(c)) for c in rel_cols))), n, L)
+    chain = _smith_basis(IntMatrix._make(zip(*(c + [0] * (n - len(c)) for c in rel_cols))), n, L)
     lifts, gens = {}, []
     for _, col in chain:
         maps = [None, None]
@@ -533,7 +535,7 @@ def hom_group(M: AModObject, N: AModObject, degree: int = 0, *,
             if d not in lifts:
                 lifts[d] = _evaluations(pres, _section(res[d].cover, P), Q)
             lift = lifts[d]
-            maps[d] = IntMatrix.from_rows(
+            maps[d] = IntMatrix._make(
                 [[sum(lift[j * s + i][x] * v for x, v in y) % q for j in range(P.rank)]
                  for i, q in enumerate(Q.orders)])
         gens.append(HomMap(degree, (maps[0], maps[1])))
@@ -664,15 +666,17 @@ class UCTOrderResult:
 # ring's.  A cover needs at most r_A generators and its kernel at most
 # r_A * rho, so this bounds the width of every Hom and Ext lattice, and
 # memory grows with the square of that width.  At the bound, (Z/3)^40 over
-# Z[1/2] took 24 s and 490 MB, and the trivial (Z/7)^16 over the unsplit
-# Z[1/6][S3] 14 s and 201 MB, on a 2-core, 8 GB machine.
+# Z[1/2] took 13-14 s and 409 MB peak RSS, and the trivial (Z/7)^16 over the
+# unsplit Z[1/6][S3] 10 s and 69 MB, on a 2-core, 8 GB machine.
 MAX_LATTICE_WIDTH = 1600
 
 
 def uct_order(A: AModFamily, B: AModFamily) -> UCTOrderResult:
     """Order bookkeeping of Ext(F(A), F(SB)) -> KK -> Hom(F(A), F(B)):
-    the middle group's order is the product of the two ends, per degree.
-    Raises UnsupportedSize above MAX_LATTICE_WIDTH, before any elimination."""
+    the middle group's order is the product of the two ends, per degree,
+    each end summed over the summands where both modules are nonzero.
+    Every summand is checked first: UnsupportedSize above MAX_LATTICE_WIDTH
+    comes before any elimination."""
     if A.report != B.report:
         raise FamilyMismatch("families live over different target categories")
     # The checks come first, as hom_group would make them.
@@ -685,17 +689,16 @@ def uct_order(A: AModFamily, B: AModFamily) -> UCTOrderResult:
             raise UnsupportedSize(
                 f"summand {i}: module ranks times ring rank is {width},"
                 f" above {MAX_LATTICE_WIDTH}, the largest supported")
-    # One resolution of each source module serves both degrees of Hom and
-    # of Ext.
-    resolved = [_resolve_parts(presentation_of(MA.ring), MA) for MA in A.modules]
+    # Hom and Ext^1 with a zero module are 0.  One resolution of each
+    # remaining source module serves both degrees of Hom and of Ext.
+    pairs = [(MA, MB, _resolve_parts(presentation_of(MA.ring), MA))
+             for MA, MB in zip(A.modules, B.modules) if not (MA.is_zero() or MB.is_zero())]
     out = []
     for d in (0, 1):
-        hom_total = FinAbGroup.trivial()
-        ext_total = FinAbGroup.trivial()
-        for MA, MB, res in zip(A.modules, B.modules, resolved):
-            hom_total = hom_total.direct_sum(hom_group(MA, MB, d, _resolved=res).group)
-            ext_total = ext_total.direct_sum(ext_group(MA, suspend(MB), d, _resolved=res))
-        out.append(DegreeOrders(hom_total, ext_total))
+        homs = [hom_group(MA, MB, d, _resolved=res).group for MA, MB, res in pairs]
+        exts = [ext_group(MA, suspend(MB), d, _resolved=res) for MA, MB, res in pairs]
+        out.append(DegreeOrders(FinAbGroup.trivial().direct_sum(*homs),
+                                FinAbGroup.trivial().direct_sum(*exts)))
     return UCTOrderResult((out[0], out[1]))
 
 

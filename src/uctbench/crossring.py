@@ -273,7 +273,7 @@ def crossed_relations(ring: CrossedRing, z: IntMatrix, cosets: Sequence[IntMatri
     powers = [IntMatrix.identity(r)]
     for _ in range(max([len(phi) - 1, *ring.weyl_units])):
         powers.append(z @ powers[-1])
-    value = IntMatrix.from_rows(
+    value = IntMatrix._make(
         [sum(c * x for c, x in zip(phi, col)) for col in zip(*rows)]
         for rows in zip(*(p.entries for p in powers)))
     yield Relation("phi", 0, 0, _first_difference(value, IntMatrix.zero(r, r), orders))

@@ -26,7 +26,9 @@ Row = Sequence[int]
 class IntMatrix:
     """Immutable integer matrix stored as a tuple of row tuples.  A matrix
     with no rows cannot read its column count off its entries, so `zero`
-    records it in `width`; equality and hashing read the entries only."""
+    records it in `width`; equality and hashing read the entries only.
+    `from_rows` validates outside input (int() on each entry, no ragged
+    rows); `_make` builds the rows of the package's own ints as they are."""
 
     entries: tuple[tuple[int, ...], ...]
     width: Optional[int] = field(default=None, compare=False, repr=False)
@@ -37,6 +39,10 @@ class IntMatrix:
         if ent and any(len(r) != len(ent[0]) for r in ent):
             raise ValueError("ragged rows")
         return cls(ent)
+
+    @classmethod
+    def _make(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
+        return cls(tuple(map(tuple, rows)))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -101,9 +107,10 @@ class IntMatrix:
 
 
 def _as_lists(A) -> list[list[int]]:
+    # list input becomes int here, once, so results are built as they are
     if isinstance(A, IntMatrix):
         return A.tolists()
-    return [list(r) for r in A]
+    return [list(map(int, r)) for r in A]
 
 
 def _row_sub(M: list[list[int]], i: int, k: int, q: int) -> None:
@@ -168,7 +175,7 @@ def hnf(A) -> tuple[IntMatrix, IntMatrix]:
     c = len(M[0]) if M else 0
     M = [row + [int(i == k) for k in range(len(M))] for i, row in enumerate(M)]
     _echelon(M, c)
-    return IntMatrix.from_rows(row[:c] for row in M), IntMatrix.from_rows(row[c:] for row in M)
+    return IntMatrix._make(row[:c] for row in M), IntMatrix._make(row[c:] for row in M)
 
 
 def hermite_rows(A) -> list[tuple[int, ...]]:
@@ -256,9 +263,9 @@ def snf(A, modulus: int = 0) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     M = [row + [int(i == k) for k in range(r)] for i, row in enumerate(M)]
     M += [[int(j == k) for k in range(c)] + [0] * r for j in range(c)]
     _smith(M, r, c, modulus)
-    return (IntMatrix.from_rows(row[:c] for row in M[:r]),
-            IntMatrix.from_rows(row[c:] for row in M[:r]),
-            IntMatrix.from_rows(row[:c] for row in M[r:]))
+    return (IntMatrix._make(row[:c] for row in M[:r]),
+            IntMatrix._make(row[c:] for row in M[:r]),
+            IntMatrix._make(row[:c] for row in M[r:]))
 
 
 def congruence_kernel(A, moduli: Sequence[int]) -> list[tuple[int, ...]]:
@@ -287,7 +294,8 @@ def congruence_kernel(A, moduli: Sequence[int]) -> list[tuple[int, ...]]:
             for j in range(c)]
     rows += [[m if t == i else 0 for t in range(r)] + [0] * c
              for i, m in enumerate(moduli) if m]
-    return [row[r:] for row in hermite_rows(rows) if not any(row[:r])]
+    _echelon(rows, r + c)
+    return [tuple(row[r:]) for row in rows if any(row[r:]) and not any(row[:r])]
 
 
 def lattice_coordinates(A, moduli: Sequence[int], cols: int,
@@ -296,8 +304,9 @@ def lattice_coordinates(A, moduli: Sequence[int], cols: int,
     """Basis of {x in Z^cols : (A x)_i == 0 mod moduli[i]}, the identity when
     A has no rows, and the coordinates of each of `vectors` in that basis.
     Raises RuntimeError for a vector outside the lattice."""
-    M = _as_lists(A)
-    basis = congruence_kernel(M or IntMatrix.zero(0, cols), moduli)
+    if not (A.entries if isinstance(A, IntMatrix) else A):
+        A = IntMatrix.zero(0, cols)
+    basis = congruence_kernel(A, moduli)
     coords = hermite_coordinates(basis, vectors)
     if None in coords:
         raise RuntimeError("a vector lies outside the congruence lattice")
@@ -336,7 +345,7 @@ def lattice_kernel_localized(A, m: int, N: int = 1) -> IntMatrix:
         raise ValueError("modulus must be >= 1")
     M = _as_lists(A)
     # with no rows, only A itself can say how wide it is
-    return IntMatrix.from_rows(congruence_kernel(M or A, [m] * len(M)))
+    return IntMatrix._make(congruence_kernel(M or A, [m] * len(M)))
 
 
 class ExactSolver:
@@ -348,7 +357,7 @@ class ExactSolver:
         M = _as_lists(A)
         self.rows = len(M)
         self.cols = len(M[0]) if M else 0
-        H, W = hnf([[row[j] for row in M] for j in range(self.cols)])
+        H, W = hnf(IntMatrix._make(zip(*M)))
         self.H = [row for row in H.entries if any(row)]
         self.W = W.entries[:len(self.H)]
 
@@ -395,9 +404,11 @@ class FinAbGroup:
                 continue
             # Z/a + Z/b = Z/gcd + Z/lcm: pass d down the chain from its top,
             # each factor keeping the lcm and handing on the gcd; no
-            # factoring, so huge orders cost only gcds.
-            for i in range(len(chain) - 1, -1, -1):
-                chain[i], d = math.lcm(chain[i], d), math.gcd(chain[i], d)
+            # factoring, so huge orders cost only gcds.  A d dividing
+            # chain[0] divides every factor and would pass down unchanged.
+            if chain and chain[0] % d:
+                for i in range(len(chain) - 1, -1, -1):
+                    chain[i], d = math.lcm(chain[i], d), math.gcd(chain[i], d)
             if d > 1:
                 chain.insert(0, d)
         return cls(tuple(chain), rank)

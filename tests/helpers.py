@@ -6,7 +6,16 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from uctbench import green
-from uctbench.amod import AModObject, ModulePart, presentation_of
+from uctbench.amod import (
+    AModObject,
+    DegreeOrders,
+    ModulePart,
+    UCTOrderResult,
+    ext_group,
+    hom_group,
+    presentation_of,
+    suspend,
+)
 from uctbench.crossring import (
     CrossedElt,
     CrossedRing,
@@ -793,6 +802,22 @@ def reference_split_ring(ring: CrossedRing, characters=bfs_abelian_characters) -
     return out
 
 
+def reference_from_orders(orders) -> FinAbGroup:
+    """Invariant factors of a list of cyclic orders (0 means Z), by passing
+    every order down the whole gcd/lcm chain, with no shortcut."""
+    rank, chain = 0, []
+    for d in orders:
+        d = abs(int(d))
+        if d == 0:
+            rank += 1
+            continue
+        for i in range(len(chain) - 1, -1, -1):
+            chain[i], d = math.lcm(chain[i], d), math.gcd(chain[i], d)
+        if d > 1:
+            chain.insert(0, d)
+    return FinAbGroup(tuple(chain), rank)
+
+
 # ---------------------------------------------------------------------------
 # Hermite and Smith forms that repeat each operation on separate transform
 # matrices: oracles for the library's one elimination per normal form, whose
@@ -1227,3 +1252,16 @@ def reference_ext_group(M: AModObject, N: AModObject, degree: int = 0) -> FinAbG
     pres = reference_presentation(M.ring)
     return FinAbGroup.trivial().direct_sum(*(
         _reference_ext_block(M.parts[s], N.parts[(s + degree) % 2], pres) for s in (0, 1)))
+
+
+def reference_uct_order(A, B) -> UCTOrderResult:
+    """uct_order's sums taken over every flat summand, zero modules included,
+    one direct sum at a time."""
+    out = []
+    for d in (0, 1):
+        hom, ext = FinAbGroup.trivial(), FinAbGroup.trivial()
+        for MA, MB in zip(A.modules, B.modules):
+            hom = hom.direct_sum(hom_group(MA, MB, d).group)
+            ext = ext.direct_sum(ext_group(MA, suspend(MB), d))
+        out.append(DegreeOrders(hom, ext))
+    return UCTOrderResult((out[0], out[1]))

@@ -27,12 +27,13 @@ from uctbench.amod import (
 from uctbench.cli import _crossed_preset_names
 from uctbench.crossring import CrossedRing, target_category
 from uctbench.cyclotomic import CycEltN
-from uctbench.errors import FamilyMismatch, FreePartError, RingMismatch
+from uctbench.errors import FamilyMismatch, FreePartError, RingMismatch, UnsupportedSize
 from uctbench.groups import preset_group
 from uctbench.zlinalg import FinAbGroup, IntMatrix
 
 from helpers import (
     brute_hom_count,
+    candidate_parts,
     conjugated_part,
     coprime_primes,
     random_module,
@@ -40,6 +41,7 @@ from helpers import (
     reference_ext_group,
     reference_hom_group,
     reference_presentation,
+    reference_uct_order,
     regular_module_part,
     regular_power_part,
     signed_permuted_part,
@@ -550,6 +552,64 @@ def test_uct_order_resolves_each_source_part_once(monkeypatch):
         assert res.degrees[d].hom_group == hom_group(M, M, d).group
         assert res.degrees[d].ext_group == ext_group(M, suspend(M), d)
     assert res.kk_order(0) == res.kk_order(1) == 49
+
+
+def test_uct_order_matches_the_all_summand_sum_seeded():
+    # uct_order resolves and computes only the summands where both families
+    # carry a module; the reference sums Hom and Ext over every summand.
+    rng = random.Random(909)
+    placed = set()
+    for trial in range(16):
+        report = target_category(preset_group(
+            ("klein_four", "cyclic(5)", "symmetric(3)", "dihedral(4)")[trial % 4]))
+        flat = report.flat_summands()
+        usable = [i for i, s in enumerate(flat) if candidate_parts(s, 49)]
+        sides = {i: rng.choice(("A", "B", "both", "none"))
+                 for i in rng.sample(usable, min(len(usable), 4))}
+        placed.update(sides.values())
+        A, B = (AModFamily.from_modules(report, {
+            i: random_module(rng, flat[i], 49) for i, side in sides.items()
+            if side in (tag, "both")}) for tag in ("A", "B"))
+        assert uct_order(A, B) == reference_uct_order(A, B), (trial, sides)
+    assert placed == {"A", "B", "both", "none"}
+
+
+def _unchecked_family(report, modules):
+    # a family whose modules skip AModFamily's ring check, to reach
+    # uct_order's own
+    fam = object.__new__(AModFamily)
+    object.__setattr__(fam, "report", report)
+    object.__setattr__(fam, "modules", tuple(modules))
+    return fam
+
+
+def test_uct_order_checks_summands_whose_partner_is_zero(monkeypatch):
+    from uctbench import amod
+
+    klein = target_category(preset_group("klein_four"))
+    flat = klein.flat_summands()
+    free = AModFamily.from_modules(klein, {3: AModObject.build(flat[3], degree0=((0,), ()))})
+    other = AModFamily.from_modules(klein, {1: int_module(flat[1], 3)})
+    for A, B in ((free, other), (other, free)):
+        with pytest.raises(FreePartError):
+            uct_order(A, B)
+    # summand 0 of cyclic(5) is Z[1/5]; a module over Z[theta_5, 1/5] there
+    c5 = target_category(preset_group("cyclic(5)"))
+    zeros = AModFamily.zero(c5)
+    wrong = _unchecked_family(c5, (cyc_module(c5.flat_summands()[1], 11, 3),)
+                              + zeros.modules[1:])
+    for A, B in ((wrong, zeros), (zeros, wrong)):
+        with pytest.raises(RingMismatch):
+            uct_order(A, B)
+    # the width check still comes before any resolution
+    resolved = []
+    monkeypatch.setattr(amod, "MAX_LATTICE_WIDTH", 4)
+    monkeypatch.setattr(amod, "_resolve_parts", lambda *args: resolved.append(args))
+    A = AModFamily.from_modules(klein, {0: int_module(flat[0], 3, 3, 3), 2: int_module(flat[2], 5)})
+    B = AModFamily.from_modules(klein, {0: int_module(flat[0], 3, 3)})
+    with pytest.raises(UnsupportedSize, match="summand 0: .* is 6, above 4"):
+        uct_order(A, B)
+    assert not resolved
 
 
 def test_family_mismatch():

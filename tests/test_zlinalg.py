@@ -10,6 +10,7 @@ from uctbench.zlinalg import (
     ExactSolver,
     FinAbGroup,
     IntMatrix,
+    SolutionGroup,
     cokernel,
     congruence_kernel,
     hermite_rows,
@@ -24,6 +25,7 @@ from helpers import (
     ReferenceSolver,
     dense_matmul,
     det_unimodular,
+    reference_from_orders,
     reference_hnf,
     reference_snf,
     triple_loop_matmul,
@@ -427,3 +429,70 @@ def test_cokernel_and_finabgroup():
     assert str(FinAbGroup((2, 6), 1)) == "Z x C2 x C6"
     with pytest.raises(ValueError):
         FinAbGroup((4, 2))
+
+
+def test_from_orders_matches_the_full_chain_pass_seeded():
+    # An order dividing the chain's smallest factor goes to the front with
+    # no gcd/lcm pass; the result must equal the pass over every order.
+    rng = random.Random(808)
+    big = [2 ** 61 - 1, 2 ** 89 - 1, 3 ** 40, 10 ** 30]
+    kinds = {
+        "zeros": lambda: 0,
+        "ones": lambda: rng.choice((1, -1)),
+        "equal": lambda: 6,
+        "chained": lambda: rng.choice((2, 4, 12, 24, 72)),
+        "coprime": lambda: rng.choice((2, 3, 5, 7, 11, 13)),
+        "large": lambda: rng.choice(big) * rng.choice((1, 2, 3)),
+    }
+    for _ in range(400):
+        picked = rng.sample(sorted(kinds), rng.randint(1, 3))
+        orders = [kinds[rng.choice(picked)]() for _ in range(rng.randint(0, 30))]
+        assert FinAbGroup.from_orders(orders) == reference_from_orders(orders), orders
+    assert FinAbGroup.from_orders([3] * 1600) == FinAbGroup((3,) * 1600)
+
+
+class _Int(int):
+    """An int subclass, as list input may hold besides bools."""
+
+
+def _entries(x):
+    """Every integer in a solver result, with IntMatrix and SolutionGroup
+    opened up."""
+    if isinstance(x, IntMatrix):
+        x = x.entries
+    elif isinstance(x, SolutionGroup):
+        x = (x.generators, x.group.factors, (x.exponent,))
+    if isinstance(x, (tuple, list)):
+        return [v for item in x for v in _entries(item)]
+    return [x]
+
+
+def test_list_input_becomes_int_at_the_solver_entry_points():
+    # List rows go through int() once, where they enter; every matrix
+    # computed from them afterwards is built as it is, so no bool or int
+    # subclass may survive into a result.
+    # row 0 is never touched by the Hermite elimination, so its entries
+    # reach the result only as converted at the entry point
+    rows = [[True, _Int(4), False, True], [False, _Int(6), False, _Int(3)], [0, 0, True, _Int(-5)]]
+    square = [row[:3] for row in rows]
+    M, S = IntMatrix.from_rows(rows), IntMatrix.from_rows(square)
+    calls = {
+        "hnf": lambda A: hnf(A),
+        "snf": lambda A: snf(A),
+        "snf mod 12": lambda A: snf(A, 12),
+        "hermite_rows": lambda A: hermite_rows(A),
+        "congruence_kernel": lambda A: congruence_kernel(A, [4, 6, 0]),
+        "lattice_kernel_localized": lambda A: lattice_kernel_localized(A, 6),
+        "solve_mod": lambda A: solve_mod(A, [4, 6, 9]),
+    }
+    for name, call in calls.items():
+        got, want = call(rows), call(M)
+        assert got == want, name
+        assert all(type(x) is int for x in _entries(got)), name
+    for A in (square, S):
+        solver = ExactSolver(A)
+        x = solver.solve([True, False, _Int(1)])
+        assert x == ExactSolver(S).solve([1, 0, 1]) == (1, 0, 1)
+        assert all(type(v) is int for v in _entries([solver.H, solver.W, x]))
+    with pytest.raises(ValueError, match="ragged"):
+        IntMatrix.from_rows([[1, 2], [3]])
