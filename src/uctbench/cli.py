@@ -24,7 +24,7 @@ import json
 import os
 import random
 import sys
-from functools import partial
+from functools import lru_cache, partial
 from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -425,7 +425,10 @@ def cmd_uct(args) -> int:
 # entry point
 
 
-def build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=1)
+def _parser(suites: tuple[str, ...]) -> argparse.ArgumentParser:
+    # built on the first main() call and kept; keyed on the suite names, so
+    # that a suite registered later is offered
     parser = argparse.ArgumentParser(
         prog="workbench",
         description="Exact-arithmetic workbench for cyclic-subgroup "
@@ -445,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_target_category)
 
     p = sub.add_parser("verify", help="run an identity suite")
-    p.add_argument("suite", choices=sorted(SUITES))
+    p.add_argument("suite", choices=suites)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
@@ -461,8 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser(tuple(sorted(SUITES))).parse_args(argv)
     try:
         return args.fn(args)
     except WorkbenchError as exc:

@@ -106,9 +106,13 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     def broken(bound, seed):
         return [("always", lambda: (1, "forced counterexample"))]
 
-    monkeypatch.setitem(SUITES, "broken", broken)
     code, out, _ = run(capsys, "verify", "psi-identities", "--max-n", "4")
     assert code == 0
+    # main keeps its parser after that call: a suite registered later parses
+    monkeypatch.setitem(SUITES, "broken", broken)
+    assert run(capsys, "verify", "broken", "--max-n", "1") == (
+        1, "suite broken: FAIL at always: forced counterexample\n"
+           "(1 checks ran, max n 1, seed 0)\n", "")
     # direct dispatch through the suite table
     import uctbench.cli as cli
 
@@ -121,6 +125,60 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert cli.cmd_verify(Args()) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "forced counterexample" in out
+
+
+def _call_catching_exit(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_repeated_calls_match_first_calls(tmp_path, capsys):
+    import uctbench.cli as cli
+
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps({"modules": [{"summand": 0, "degree0": {"orders": [3]}}]}))
+    uct = ("uct", "preset:cyclic(2)", "--a", str(a), "--b", str(a))
+    argvs = [
+        ("group-info", "preset:klein_four"), ("group-info", "preset:klein_four", "--json"),
+        ("target-category", "preset:symmetric(3)"),
+        ("target-category", "preset:cyclic(5)", "--json"),
+        ("verify", "crt", "--max-n", "6"), ("verify", "psi-identities", "--max-n", "5", "--json"),
+        uct, uct + ("--json",), ("group-info", "preset:monster"),
+        ("frobnicate",), ("verify", "nosuch", "--max-n", "1"), ("uct", "preset:cyclic(2)"),
+        ("verify", "crt", "--max-n", "x"), ("verify", "crt", "--max-n", "2", "--bogus"), (),
+        ("--help",), ("verify", "--help"), ("uct", "-h"), ("--version",),
+    ]
+    # a freshly built parser, then the kept one, with the argparse exits
+    # interleaved among ordinary calls
+    cli._parser.cache_clear()
+    first = [_call_catching_exit(capsys, argv) for argv in argvs]
+    for _ in range(2):
+        assert [_call_catching_exit(capsys, argv) for argv in argvs] == first
+    assert cli._parser.cache_info().misses == 1
+    codes = [code for code, _, _ in first]
+    assert codes[:8] == [0] * 8 and codes[8] == 2
+    assert codes[9:15] == [("exit", 2)] * 6 and codes[15:] == [("exit", 0)] * 4
+    assert first[-1][1] == f"{cli.__version__}\n"
+
+
+def test_parser_is_built_on_the_first_call_not_at_import():
+    script = (
+        "import contextlib, io\n"
+        "from uctbench import cli\n"
+        "built = [cli._parser.cache_info().misses]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for _ in range(3):\n"
+        "        cli.main(['group-info', 'preset:cyclic(1)'])\n"
+        "        built.append(cli._parser.cache_info().misses)\n"
+        "print(built)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 1, 1, 1]\n"
 
 
 @pytest.mark.parametrize("suite, largest", [
