@@ -9,13 +9,14 @@ CycEltN (phi(n) slots, product mod Phi_n) add only their length and their
 product.  A CycPoly product adds one rotation of the denser factor per
 nonzero coefficient of the sparser one while the sparser factor has at most
 _ROTATIONS_UP_TO nonzero terms; denser products go through Kronecker
-substitution (one big-integer multiply, `_kronecker`), then fold slot i + n
-onto slot i.  A product by a monomial z^e is a rotation of the coefficient
-tuple, `CycPoly.shift(e)`.  A CycEltN product convolves the nonzero terms,
-then reduces mod Phi_n.  Only the public constructors validate: sums and
-products of valid values are valid, so arithmetic results come from
-`_CoeffVector._make`, which normalises and checks nothing (and returns at
-once over denominator 1).
+substitution (`_kronecker`: each factor packed into one integer of byte
+slots, one big-integer multiply, the slots read back off its bytes), then
+fold slot i + n onto slot i.  A product by a monomial z^e is a rotation of
+the coefficient tuple, `CycPoly.shift(e)`.  A CycEltN product convolves the
+nonzero terms, then reduces mod Phi_n.  Only the public constructors
+validate: sums and products of valid values are valid, so arithmetic results
+come from `_CoeffVector._make`, which normalises and checks nothing (and
+returns at once over denominator 1).
 
 The n-th cyclotomic polynomial is computed by exact division of z^n - 1 by
 the product over proper divisors, and cached together with a table of the
@@ -32,6 +33,7 @@ Z[theta_n, 1/N] and in the crossed rings.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -213,34 +215,43 @@ def _reduce_mod_phi(n: int, vec, k: int = 1) -> tuple[int, ...]:
 
 # A CycPoly product takes one rotation per nonzero term of its sparser
 # factor up to this many terms, and Kronecker substitution above it: against
-# a dense factor, the two cost the same at 10-16 terms for n from 12 to 150.
-_ROTATIONS_UP_TO = 12
+# a dense factor, the two cost the same at 4-6 terms for n from 12 to 150
+# (6 at n = 12, 4-5 from n = 36 up).
+_ROTATIONS_UP_TO = 4
 
 
 def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The linear product of integer vectors a and b, len(a) + len(b) - 1
     slots, by Kronecker substitution (von zur Gathen and Gerhard, Modern
     Computer Algebra; Harvey, J. Symbolic Comput. 44, 2009): pack each
-    factor into one integer at radix 2^bits, first entry most significant,
-    multiply once, and read the signed slots off the hex digits of the
-    product.  Every slot is bounded by max|a| * max|b| * min(len a, len b),
-    so bits, a multiple of 4, leaves a sign bit above that bound; adding
-    2^(bits - 1) to every slot makes each one a whole, nonnegative run of
-    hex digits."""
+    factor into one integer of nb-byte slots, first entry least significant,
+    multiply once, and read the signed slots off the product's bytes.  Every
+    slot is bounded by max|a| * max|b| * min(len a, len b), so nb leaves a
+    sign bit above that bound: 1, 2, 4 or 8 bytes, each one struct code, or
+    exactly as many bytes as needed above 8.  Entries go in as two's
+    complement; with h = 2^(8 nb - 1) in each of the product's slots, xor
+    with h adds 2^(8 nb - 1) to every slot (past the factor's end too), so
+    subtracting h leaves the factor's value at 2^(8 nb).  The product's
+    slots come out by the same two steps in reverse."""
     size = len(a) + len(b) - 1
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     if not bound:
         return [0] * size
-    w = (bound.bit_length() + 4) // 4  # hex digits per slot
-    bits = 4 * w
-    x = y = 0
-    for c in a:
-        x = (x << bits) + c
-    for c in b:
-        y = (y << bits) + c
-    h = format(x * y + int(("8" + "0" * (w - 1)) * size, 16), "x").zfill(w * size)
-    half = 1 << (bits - 1)
-    return [int(h[j:j + w], 16) - half for j in range(0, w * size, w)]
+    nb = (bound.bit_length() + 8) // 8  # bytes per slot, sign bit included
+    if nb <= 8:
+        nb = 1 << (nb - 1).bit_length()
+        code = "<%d" + "bhiq"[nb.bit_length() - 1]
+        packed = struct.pack(code % len(a), *a), struct.pack(code % len(b), *b)
+    else:
+        packed = [b"".join([c.to_bytes(nb, "little", signed=True) for c in v])
+                  for v in (a, b)]
+    h = int.from_bytes((bytes(nb - 1) + b"\x80") * size, "little")
+    x, y = [(int.from_bytes(p, "little") ^ h) - h for p in packed]
+    raw = ((x * y + h) ^ h).to_bytes(nb * size, "little")
+    if nb <= 8:
+        return list(struct.unpack(code % size, raw))
+    return [int.from_bytes(raw[j:j + nb], "little", signed=True)
+            for j in range(0, nb * size, nb)]
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +470,8 @@ def psi(n: int, k: int, N: int | None = None) -> CycPoly:
     if n < 1 or k < 1 or n % k:
         raise NotADivisor(f"k={k} must divide n={n}")
     _require_inverted(n, N)
-    return CycPoly(n, N, tuple([_ramanujan_sum(k, e) for e in range(n)]), n)
+    value = {g: _ramanujan_sum(k, g) for g in divisors(k)}  # c_k(e) = c_k(gcd(k, e))
+    return CycPoly(n, N, tuple([value[math.gcd(k, e)] for e in range(n)]), n)
 
 
 # ---------------------------------------------------------------------------

@@ -294,10 +294,9 @@ def _operands(rng, size):
     """Seeded operands of every density: all zero, a monomial, entries in
     {-1, 0, 1}, entries in {-10**30, 0, 10**30}, a random density; for two
     widths b, a constant +-2^b vector and one of entries +-(2^b - 1) and
-    +-2^b, whose products reach the slot bound of `_kronecker` and sit on
-    its hex-digit borders; and exactly _ROTATIONS_UP_TO and one more nonzero
-    terms, either side of the CycPoly switch from rotations to Kronecker
-    substitution."""
+    +-2^b, whose products reach the slot bound of `_kronecker`; and exactly
+    _ROTATIONS_UP_TO and one more nonzero terms, either side of the CycPoly
+    switch from rotations to Kronecker substitution."""
     mono = [0] * size
     mono[rng.randrange(size)] = rng.choice((1, -1, 7))
     density = rng.random()
@@ -322,6 +321,20 @@ def _operands(rng, size):
 
 def test_psi_matches_product_formula():
     for n in range(1, 121):
+        for k in divisors(n):
+            assert psi(n, k) == product_formula_psi(n, k), (n, k)
+
+
+def test_psi_matches_product_formula_over_larger_n():
+    # N = 2n and 6n invert primes outside n; n from 121 to 400 are the
+    # psi-identities widths above test_psi_matches_product_formula, and 360
+    # is the n <= 400 with the most divisors
+    for n in range(1, 121):
+        for k in divisors(n):
+            want = product_formula_psi(n, k)
+            for N in (2 * n, 6 * n):
+                assert psi(n, k, N) == want.with_inverted(N), (n, k, N)
+    for n in random.Random(16).sample(range(121, 401), 40) + [360]:
         for k in divisors(n):
             assert psi(n, k) == product_formula_psi(n, k), (n, k)
 
@@ -373,6 +386,33 @@ def test_kronecker_is_the_linear_double_loop():
             assert _kronecker(b, a) == double_loop_linear(b, a), (a, b)
     assert _kronecker([0, 0, 0], [5, -7]) == [0, 0, 0, 0]
     assert _kronecker([-3], [0] * 4) == [0] * 4
+
+
+def test_kronecker_at_every_slot_width_border():
+    # products whose slots reach just below and exactly 2^bits, bits =
+    # 8 nb - 1, for slot widths nb = 1, 2, 4 and 8 bytes (2^bits steps up to
+    # the next width), and far above 8 bytes: constant factors of length m
+    # meet in a middle slot m * x * s, and one entry against +-1 fills every
+    # slot
+    cases = []
+    for bits in (7, 15, 31, 63, 200):
+        for v in (2 ** bits - 1, 2 ** bits):
+            m = next((d for d in range(2, 200) if v % d == 0), 1)
+            for s in (1, -1):
+                cases.append(([v // m] * m, [s] * m))
+                cases.append(([s * v], [1, -1, 0, 1]))
+    for a, b in cases:
+        got = _kronecker(a, b)
+        assert got == double_loop_linear(a, b), (a, b)
+        assert max(map(abs, got)) == abs(a[0] * b[0]) * min(len(a), len(b)), (a, b)
+    # unequal lengths, factors of one sign and zero factors at each width
+    rng = random.Random(15)
+    for la, lb in ((1, 150), (150, 1), (17, 5), (5, 17)):
+        for top in (1, 2 ** 7, 2 ** 15, 2 ** 31, 2 ** 63, 10 ** 30):
+            a = [-rng.randint(1, top) for _ in range(la)]
+            b = [-rng.randint(1, top) for _ in range(lb)]
+            for x, y in ((a, b), (a, [-c for c in b]), ([0] * la, b), (a, [0] * lb)):
+                assert _kronecker(x, y) == double_loop_linear(x, y), (x, y)
 
 
 def test_reduce_mod_phi_is_spread_then_dense_reduce():
