@@ -9,6 +9,8 @@ Each normal form is one elimination over one matrix (`_echelon`, `_smith`).
 A transform is an identity block beside or below the matrix that the row or
 column operations carry along, and only `hnf` and `snf` add one:
 `hermite_rows`, `congruence_kernel` and `cokernel` eliminate the bare matrix.
+`congruence_kernel` eliminates only the rows that stay nonzero mod their
+moduli, and `inverse_mod` inverts mod L by Gauss-Jordan, with no Hermite form.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        unit = (0,) * n + (1,) + (0,) * n
+        return cls(tuple(unit[n - i:2 * n - i] for i in range(n)), n)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
@@ -173,7 +176,7 @@ def hnf(A) -> tuple[IntMatrix, IntMatrix]:
     """
     M = _as_lists(A)
     c = len(M[0]) if M else 0
-    M = [row + [int(i == k) for k in range(len(M))] for i, row in enumerate(M)]
+    M = [row + list(e) for row, e in zip(M, IntMatrix.identity(len(M)).entries)]
     _echelon(M, c)
     return IntMatrix._make(row[:c] for row in M), IntMatrix._make(row[c:] for row in M)
 
@@ -260,12 +263,37 @@ def snf(A, modulus: int = 0) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     M = _as_lists(A)
     r = len(M)
     c = len(M[0]) if M else 0
-    M = [row + [int(i == k) for k in range(r)] for i, row in enumerate(M)]
-    M += [[int(j == k) for k in range(c)] + [0] * r for j in range(c)]
+    M = [row + list(e) for row, e in zip(M, IntMatrix.identity(r).entries)]
+    M += [list(e) + [0] * r for e in IntMatrix.identity(c).entries]
     _smith(M, r, c, modulus)
     return (IntMatrix._make(row[:c] for row in M[:r]),
             IntMatrix._make(row[c:] for row in M[:r]),
             IntMatrix._make(row[:c] for row in M[r:]))
+
+
+def inverse_mod(U, L: int) -> list[list[int]]:
+    """U^-1 mod L, entries in [0, L), for a square U invertible mod L, by
+    Gauss-Jordan on [U | I] mod L; Euclidean row steps give each column a
+    unit pivot.  U^-1 is unique mod L, so no pivot order changes it."""
+    M = _as_lists(U)
+    n = len(M)
+    M = [[x % L for x in row] + list(e) for row, e in zip(M, IntMatrix.identity(n).entries)]
+    for col in range(n):
+        while (p := next((i for i in range(col, n) if math.gcd(M[i][col], L) == 1), None)) is None:
+            nz = sorted((M[i][col], i) for i in range(col, n) if M[i][col])
+            if len(nz) < 2:
+                raise ValueError(f"matrix is not invertible mod {L}")
+            (a, k), *rest = nz
+            for b, i in rest:
+                M[i] = [(x - b // a * y) % L for x, y in zip(M[i], M[k])]
+        M[col], M[p] = M[p], M[col]
+        inv = pow(M[col][col], -1, L)
+        if inv != 1:
+            M[col] = [x * inv % L for x in M[col]]
+        for i in [i for i in range(n) if M[i][col] and i != col]:
+            f = M[i][col]
+            M[i] = [(x - f * y) % L for x, y in zip(M[i], M[col])]
+    return [row[n:] for row in M]
 
 
 def congruence_kernel(A, moduli: Sequence[int]) -> list[tuple[int, ...]]:
@@ -288,6 +316,14 @@ def congruence_kernel(A, moduli: Sequence[int]) -> list[tuple[int, ...]]:
     c = len(M[0])
     if c == 0:
         return []
+    # The lattice reads a row only mod its modulus m: reduce it into [0, |m|)
+    # when m is nonzero, and drop a row that vanishes with its modulus.
+    M = [row if m == 0 else [x % abs(m) for x in row] for row, m in zip(M, moduli)]
+    moduli = [m for row, m in zip(M, moduli) if any(row)]
+    M = [row for row in M if any(row)]
+    if not M:
+        return list(IntMatrix.identity(c).entries)
+    r = len(M)
     # The rows (A e_j | e_j) and (m_i e_i | 0) span the pairs (A x + m k, x);
     # the Hermite rows with zero head are the Hermite basis of the lattice.
     rows = [[M[i][j] for i in range(r)] + [int(t == j) for t in range(c)]
@@ -317,7 +353,11 @@ def hermite_coordinates(basis: Sequence[Row], vectors: Iterable[Row],
                         ) -> list[Optional[tuple[int, ...]]]:
     """Coordinates of each of `vectors` in the Z-span of the nonzero Hermite
     rows `basis`, or None for a vector outside that span."""
-    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    if basis and len(basis) == len(basis[0]) and all(row[i] == 1 for i, row in enumerate(basis)):
+        # square echelon rows with unit pivots, reduced above them: I
+        return [tuple(v) for v in vectors]
+    # each row's nonzero entries, read once; the pivot comes first
+    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in basis]
     out = []
     for v in vectors:
         # Hermite rows are echelon with positive pivots: eliminate down the
@@ -325,12 +365,13 @@ def hermite_coordinates(basis: Sequence[Row], vectors: Iterable[Row],
         # do not touch.
         rest = list(v)
         y = []
-        for row, p in zip(basis, pivots):
-            q = rest[p] // row[p]
+        for row in sparse:
+            p, piv = row[0]
+            q = rest[p] // piv
             y.append(q)
             if q:
-                for j in range(p, len(rest)):
-                    rest[j] -= q * row[j]
+                for j, x in row:
+                    rest[j] -= q * x
         out.append(None if any(rest) else tuple(y))
     return out
 

@@ -38,10 +38,9 @@ from uctbench.zlinalg import (
     FinAbGroup,
     IntMatrix,
     cokernel,
-    congruence_kernel,
-    hermite_coordinates,
+    hermite_rows,
     hnf,
-    lattice_coordinates,
+    snf,
 )
 
 
@@ -1036,6 +1035,57 @@ def reference_smith_basis(X, n: int) -> list[tuple[int, list[int]]]:
 
 
 # ---------------------------------------------------------------------------
+# the solver kernels as they were before they skipped work: oracles for the
+# reduced congruence kernel, the sparse Hermite coordinates and U^-1 mod L by
+# Gauss-Jordan
+
+
+def reference_congruence_kernel(A, moduli):
+    """Hermite basis of {x : (A x)_i == 0 mod moduli[i]} from one Hermite form
+    of the whole unreduced stack (A e_j | e_j), (m_i e_i | 0): no row reduced
+    mod its modulus, none dropped."""
+    M = [list(row) for row in (A.entries if isinstance(A, IntMatrix) else A)]
+    if not M:
+        return list(IntMatrix.identity(A.cols).entries)
+    r, c = len(M), len(M[0])
+    if c == 0:
+        return []
+    rows = [[M[i][j] for i in range(r)] + [int(t == j) for t in range(c)] for j in range(c)]
+    rows += [[m if t == i else 0 for t in range(r)] + [0] * c
+             for i, m in enumerate(moduli) if m]
+    return [row[r:] for row in hermite_rows(rows) if not any(row[:r])]
+
+
+def reference_hermite_coordinates(basis, vectors):
+    """Coordinates in the Hermite rows `basis` by dense back substitution:
+    every column from each pivot on, zero or not."""
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    out = []
+    for v in vectors:
+        rest, y = list(v), []
+        for row, p in zip(basis, pivots):
+            q = rest[p] // row[p]
+            y.append(q)
+            for j in range(p, len(rest)):
+                rest[j] -= q * row[j]
+        out.append(None if any(rest) else tuple(y))
+    return out
+
+
+def reference_smith_basis_mod(X, n: int, L: int) -> list[tuple[int, list[int]]]:
+    """Each invariant factor d > 1 of Z^n / X, where X spans L Z^n, from one
+    Smith form mod L, with the column of U^-1 mod L that generates it, read
+    off an exact Hermite form of the rows of U and of L I: their Hermite form
+    is I, and the top-left block of its transform is U^-1."""
+    D, U, _ = snf(X, L)
+    diag = [math.gcd(d, L) for d in D.diagonal()]
+    diag += [L] * (n - len(diag))
+    _, W = hnf(IntMatrix(U.entries + tuple(tuple(L if i == j else 0 for j in range(n))
+                                           for i in range(n))))
+    return [(d, [W[l, i] % L for l in range(n)]) for i, d in enumerate(diag) if d > 1]
+
+
+# ---------------------------------------------------------------------------
 # reference versions of the module solver: Hom as the lattice of matrices
 # commuting with every generator, Ext^1 as that lattice on the cover's
 # kernel modulo the restrictions of the maps out of the cover
@@ -1072,7 +1122,10 @@ def _hom_lattice(width: int, src_mats: Sequence[IntMatrix], Q: ModulePart,
     vectors = [[Q.orders[i] if k == i * width + j else 0 for k in range(t)]
                for i in range(s) for j in range(width)]
     vectors += [[mat[i][l] for i in range(s) for l in range(width)] for mat in relations]
-    basis, coords = lattice_coordinates(rows, moduli, t, vectors)
+    basis = reference_congruence_kernel(rows or IntMatrix.zero(0, t), moduli)
+    coords = reference_hermite_coordinates(basis, vectors)
+    if None in coords:
+        raise RuntimeError("a vector lies outside the congruence lattice")
     if len(basis) != t:
         raise RuntimeError("solution lattice must have full rank")
     return basis, coords
@@ -1169,7 +1222,7 @@ def _free_cover_kernel(pres: ReferencePresentation, orders: Sequence[int],
     span = [tuple(o if i == j else 0 for i in range(r)) for j, o in enumerate(orders) if o]
     gvecs, cols = [], []
     for e in IntMatrix.identity(r).entries:
-        if hermite_coordinates(span, [e])[0] is None:
+        if reference_hermite_coordinates(span, [e])[0] is None:
             gvecs.append(e)
             new = [wm.matvec(e) for wm in word_mats]
             cols += new
@@ -1179,7 +1232,7 @@ def _free_cover_kernel(pres: ReferencePresentation, orders: Sequence[int],
         cols += [wm.matvec(gvecs[-1]) for wm in word_mats]
     n = len(cols)
     rows = [[col[i] for col in cols] for i in range(r)]
-    kernel = congruence_kernel(rows or IntMatrix.zero(0, n), list(orders))
+    kernel = reference_congruence_kernel(rows or IntMatrix.zero(0, n), list(orders))
     lam = len(kernel)
     B = tuple(tuple(kernel[l][x] for l in range(lam)) for x in range(n))
     solver = ReferenceSolver([list(row) for row in B]) if lam else None

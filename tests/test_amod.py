@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -41,6 +42,7 @@ from helpers import (
     reference_ext_group,
     reference_hom_group,
     reference_presentation,
+    reference_smith_basis_mod,
     reference_uct_order,
     regular_module_part,
     regular_power_part,
@@ -771,3 +773,78 @@ def test_solver_path_takes_no_exact_smith_form(monkeypatch):
     zlinalg.solve_mod([[2, 4, 6], [3, 0, 9]], [8, 27])
     green.descend(CycEltN(6, 1, (1, 1)), 3)
     assert moduli and 0 not in moduli
+
+
+def test_smith_basis_matches_the_hermite_route_seeded(monkeypatch):
+    # U^-1 mod L by Gauss-Jordan against the exact Hermite form of the rows
+    # of U and of L I: the generator columns must be equal, on seeded
+    # relations that span L Z^n and on every Smith basis that hom_group asks
+    # for on the dense pairs and on random modules.
+    from uctbench import amod
+
+    rng = random.Random(27)
+    for L in (7, 49, 3 ** 5, 7 * 11 * 13, 3 ** 5 * 5 ** 2, 15):
+        for n in (0, 1, 2, 4, 7):
+            cols = [[rng.randint(-3 * L, 3 * L) if rng.random() < 0.5 else 0 for _ in range(n)]
+                    for _ in range(rng.randint(0, n + 2))]
+            cols += [[L if i == j else 0 for i in range(n)] for j in range(n)]
+            X = IntMatrix._make(zip(*cols)) if n else IntMatrix.zero(0, len(cols))
+            assert amod._smith_basis(X, n, L) == reference_smith_basis_mod(X, n, L), (L, cols)
+    seen = []
+    real = amod._smith_basis
+
+    def checked(X, n, L):
+        got = real(X, n, L)
+        assert got == reference_smith_basis_mod(X, n, L), (n, L)
+        seen.append(n)
+        return got
+
+    monkeypatch.setattr(amod, "_smith_basis", checked)
+    for case in DENSE_CASES[:3] + DENSE_CASES[5:]:
+        hom_group(*dense_pair(0, *case))
+    for summand in (Z2_INT, Z3_CYC, S3_CROSSED, S3_UNSPLIT):
+        for _ in range(4):
+            M, N = random_module(rng, summand), random_module(rng, summand)
+            for degree in (0, 1):
+                hom_group(M, N, degree)
+    assert len(seen) > 10 and max(seen) >= 8
+
+
+def test_uct_order_keeps_every_solver_layer_and_no_stack_hermite_form(monkeypatch):
+    # The benchmark's heaviest integral shape, (Z/q)^8 over summand 1 of
+    # symmetric(3): one uct_order still reaches every solver layer, and takes
+    # Hermite forms only to solve, in ExactSolver; U^-1 mod L comes without
+    # the Hermite form of the 2n x n stack of U and L I.
+    from uctbench import amod
+
+    calls, hnf_callers = collections.Counter(), set()
+    real_hnf, real_init = zlinalg.hnf, zlinalg.ExactSolver.__init__
+
+    def hnf_spy(A):
+        calls["hnf"] += 1
+        hnf_callers.add(sys._getframe(1).f_code)
+        return real_hnf(A)
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+
+    assert not hasattr(amod, "hnf")
+    monkeypatch.setattr(zlinalg, "hnf", hnf_spy)
+    for owner, name in ((amod, "snf"), (amod, "hom_group"), (amod, "ext_group"),
+                        (zlinalg.ExactSolver, "__init__"), (zlinalg.ExactSolver, "solve")):
+        count(owner, name)
+    summand = S3_REPORT.flat_summands()[1]
+    rng = random.Random(8)
+    M, N = (AModObject(summand, (signed_permuted_part(rng, regular_power_part(summand, 11, 8)),
+                                 AModObject.zero(summand).parts[1])) for _ in range(2))
+    res = uct_order(AModFamily.from_modules(S3_REPORT, {1: M}),
+                    AModFamily.from_modules(S3_REPORT, {1: N}))
+    assert res.degrees[0].hom_group == res.degrees[1].ext_group == FinAbGroup((11,) * 64)
+    for name in ("hnf", "snf", "__init__", "solve", "hom_group", "ext_group"):
+        assert calls[name], name
+    assert hnf_callers == {real_init.__code__}

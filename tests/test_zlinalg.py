@@ -13,8 +13,10 @@ from uctbench.zlinalg import (
     SolutionGroup,
     cokernel,
     congruence_kernel,
+    hermite_coordinates,
     hermite_rows,
     hnf,
+    inverse_mod,
     lattice_coordinates,
     lattice_kernel_localized,
     snf,
@@ -25,7 +27,9 @@ from helpers import (
     ReferenceSolver,
     dense_matmul,
     det_unimodular,
+    reference_congruence_kernel,
     reference_from_orders,
+    reference_hermite_coordinates,
     reference_hnf,
     reference_snf,
     triple_loop_matmul,
@@ -357,6 +361,66 @@ def test_lattice_coordinates():
         assert coords == [tuple(y) for y in combos]
     with pytest.raises(RuntimeError, match="outside"):
         lattice_coordinates([[1, 0]], [2], 2, [[1, 0]])
+
+
+MODULI = (7, 49, 3 ** 5, 7 * 11 * 13, 3 ** 5 * 5 ** 2)
+
+
+def test_reduced_kernel_and_sparse_coordinates_match_the_references_seeded():
+    # The kernel reduced mod its moduli, with vanishing rows dropped, against
+    # one Hermite form of the whole unreduced stack; the sparse coordinates
+    # against dense back substitution, inside and outside the span.
+    rng = random.Random(25)
+    shapes = [(0, 0), (0, 4), (3, 0), (1, 1)]
+    shapes += [(rng.randint(1, 5), rng.randint(1, 6)) for _ in range(120)]
+    outside = 0
+    for r, c in shapes:
+        moduli = [rng.choice(MODULI + (0,)) for _ in range(r)]
+        A = rand_matrix(rng, r, c, -400, 400)
+        for i, m in enumerate(moduli):
+            kind = rng.random()
+            if kind < 0.3:    # a row that vanishes mod its modulus
+                A[i] = [m * rng.randint(-3, 3) for _ in range(c)]
+            elif kind < 0.5:  # a row with many zeros
+                A[i] = [x if rng.random() < 0.3 else 0 for x in A[i]]
+        if rng.random() < 0.1:  # every row vanishes mod its modulus
+            moduli = [rng.choice(MODULI) for _ in range(r)]
+            A = [[m * rng.randint(-2, 2) for _ in range(c)] for m in moduli]
+        M = IntMatrix.from_rows(A) if r else IntMatrix.zero(0, c)
+        basis = congruence_kernel(M, moduli)
+        assert basis == reference_congruence_kernel(M, moduli), (A, moduli)
+        vectors = [[sum(rng.randint(-3, 3) * b[x] for b in basis) for x in range(c)]
+                   for _ in range(3)]
+        vectors += [[rng.randint(-50, 50) for _ in range(c)] for _ in range(2)]
+        coords = hermite_coordinates(basis, vectors)
+        assert coords == reference_hermite_coordinates(basis, vectors), (A, moduli)
+        outside += coords.count(None)
+    assert outside
+    # a vanishing row constrains nothing, whatever its modulus
+    assert congruence_kernel([[49, -98], [0, 0]], [7, 0]) == list(IntMatrix.identity(2).entries)
+    assert hermite_coordinates([(2, 1), (0, 3)], [(1, 0), (2, 4), (4, 5)]) == [None, (1, 1), (2, 1)]
+
+
+def test_inverse_mod_seeded():
+    # U^-1 mod L for U invertible mod L, also where no entry of a column is
+    # a unit and the pivot comes from Euclidean steps (L = 15: 3 and 5)
+    rng = random.Random(26)
+    for L in MODULI + (15, 2):
+        for n in (0, 1, 2, 3, 6):
+            U = [[int(i == j) for j in range(n)] for i in range(n)]
+            for _ in range(4 * n):
+                i, k = rng.sample(range(n), 2) if n > 1 else (0, 0)
+                f = rng.randint(-9, 9) if i != k else 0
+                U[i] = [(x + f * y) * (L - 1) + L * rng.randint(-2, 2)
+                        for x, y in zip(U[i], U[k])]
+            inv = inverse_mod(U, L)
+            assert all(0 <= x < L for row in inv for x in row)
+            prod = IntMatrix.from_rows(U) @ IntMatrix.from_rows(inv) if n else IntMatrix(())
+            assert [[x % L for x in row] for row in prod.entries] == \
+                IntMatrix.identity(n).tolists(), (U, L)
+    assert inverse_mod([[3, 5], [5, 3]], 15) == [[12, 5], [5, 12]]
+    with pytest.raises(ValueError, match="invertible"):
+        inverse_mod([[3, 6], [1, 2]], 15)
 
 
 def test_exact_solver_matches_smith_oracle_seeded():
