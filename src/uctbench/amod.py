@@ -343,21 +343,18 @@ class HomResult:
 class _CoverKernel:
     """An irredundant free cover R^g ->> X of a module part or lattice X: the
     generators (vectors of X), the cover's columns (the image of basis word
-    beta on generator j at index j * rho + beta), the Hermite rows of the
-    kernel K in the cover coordinates Z^(g * rho), and the ring generators'
-    actions on K in that basis."""
+    beta on generator j at index j * rho + beta) and the Hermite rows of the
+    kernel K in the cover coordinates Z^(g * rho)."""
 
     gvecs: tuple[tuple[int, ...], ...]
     cols: tuple[tuple[int, ...], ...]
     kernel: tuple[tuple[int, ...], ...]
-    actions: tuple[IntMatrix, ...]
 
 
 def _free_cover_kernel(pres: RingPresentation, orders: Sequence[int],
                        mats: Sequence[IntMatrix],
                        extra_generators: Sequence[Sequence[int]] = ()) -> _CoverKernel:
     r = len(orders)
-    rho = pres.rank
     word_mats = _basis_actions(pres, mats, r)
     # Irredundant cover: e_j becomes a generator only when it lies outside
     # the Z-span of the order rows o_i e_i and of the R-span of the
@@ -376,16 +373,7 @@ def _free_cover_kernel(pres: RingPresentation, orders: Sequence[int],
         cols += [wm.matvec(v) for wm in word_mats]
     rows = [[col[i] for col in cols] for i in range(r)]
     kernel = congruence_kernel(rows or IntMatrix.zero(0, len(cols)), list(orders))
-    actions = []
-    for G in pres.gen_mats:
-        # G acts on each cover slot's copy of R by its left-regular matrix.
-        coords = hermite_coordinates(
-            kernel, ([c for k in range(0, len(cols), rho) for c in G.matvec(x[k:k + rho])]
-                     for x in kernel))
-        if None in coords:
-            raise RuntimeError("free-cover kernel is not generator-stable")
-        actions.append(IntMatrix._make(zip(*coords)))
-    return _CoverKernel(tuple(gvecs), tuple(cols), tuple(kernel), tuple(actions))
+    return _CoverKernel(tuple(gvecs), tuple(cols), tuple(kernel))
 
 
 @dataclass(frozen=True)
@@ -400,8 +388,18 @@ class _Resolution:
 
 
 def _resolve(pres: RingPresentation, cover: _CoverKernel) -> _Resolution:
-    syzygy = _free_cover_kernel(pres, (0,) * len(cover.kernel), cover.actions)
-    relators = (IntMatrix._make(syzygy.gvecs) @ IntMatrix._make(cover.kernel)).entries
+    # The ring generators' actions on K in its Hermite basis: G acts on each
+    # cover slot's copy of R by its left-regular matrix.
+    rho, K = pres.rank, cover.kernel
+    actions = []
+    for G in pres.gen_mats:
+        coords = hermite_coordinates(
+            K, ([c for k in range(0, len(x), rho) for c in G.matvec(x[k:k + rho])] for x in K))
+        if None in coords:
+            raise RuntimeError("free-cover kernel is not generator-stable")
+        actions.append(IntMatrix._make(zip(*coords)))
+    syzygy = _free_cover_kernel(pres, (0,) * len(K), actions)
+    relators = (IntMatrix._make(syzygy.gvecs) @ IntMatrix._make(K)).entries
     return _Resolution(cover, syzygy, tuple(relators))
 
 
@@ -576,20 +574,6 @@ def ext_group(M: AModObject, N: AModObject, degree: int = 0,
     return a.direct_sum(b)
 
 
-def ext_second_step(M: AModObject, N: AModObject, degree: int = 0) -> FinAbGroup:
-    """Ext^1 of the first syzygy against N, i.e. Ext^2(M, N): ext_group with
-    each part's resolution moved one step on, to its kernel K.
-
-    Hereditarity of the localized rings predicts this is always trivial; it
-    is exposed as a verification probe, not used by uct_order.
-    """
-    _check_same_ring(M.ring, N.ring, "ext")
-    _reject_free(M, N)
-    pres = presentation_of(M.ring)
-    res = [r and _resolve(pres, r.syzygy) for r in _resolve_parts(pres, M)]
-    return ext_group(M, N, degree, _resolved=res)
-
-
 # ---------------------------------------------------------------------------
 # families and the UCT order
 
@@ -663,9 +647,10 @@ class UCTOrderResult:
 # r_B are the Z-ranks of the two modules (both degrees) and rho is the
 # ring's.  A cover needs at most r_A generators and its kernel at most
 # r_A * rho, so this bounds the width of every Hom and Ext lattice, and
-# memory grows with the square of that width.  At the bound, (Z/3)^40 over
-# Z[1/2] took 4.4-7.6 s and 232 MB peak RSS, and the trivial (Z/7)^16 over
-# the unsplit Z[1/6][S3] 7.8-8.9 s and 62 MB, on a 2-core, 8 GB machine.
+# memory grows with the square of that width.  At the bound, as `workbench
+# uct` with interpreter start over four runs on a 2-core, 8 GB machine whose
+# speed swings, (Z/3)^40 over Z[1/2] took 3.5-4.1 s and 232 MB peak RSS,
+# and the trivial (Z/7)^16 over the unsplit Z[1/6][S3] 7.5-10.9 s and 61 MB.
 MAX_LATTICE_WIDTH = 1600
 
 

@@ -158,6 +158,11 @@ class CrossedElt:
         # (a_w w)(b_v v) = a_w galois(b_v, u_w) wv.  Every product is taken
         # over the one denominator da * db, so the products that land in a
         # coset add up as integer vectors, reduced mod Phi_n once per coset.
+        # The loop over nonzero terms stays, instead of one `_kronecker` per
+        # pair of cosets: the coefficients here are short and sparse, and
+        # `verify crossed-relations --max-n 20` took 0.24-0.37 s of CPU with
+        # this loop and 0.66-0.80 s with Kronecker substitution (best of
+        # five calls in one process, three processes each, on a 2-vCPU host).
         da = math.lcm(*(a.den for a in self.coeffs))
         db = math.lcm(*(b.den for b in other.coeffs))
         twisted: dict[int, list] = {}

@@ -11,6 +11,8 @@ from uctbench.amod import (
     DegreeOrders,
     ModulePart,
     UCTOrderResult,
+    _resolve,
+    _resolve_parts,
     ext_group,
     hom_group,
     presentation_of,
@@ -1318,3 +1320,14 @@ def reference_uct_order(A, B) -> UCTOrderResult:
             ext = ext.direct_sum(ext_group(MA, suspend(MB), d))
         out.append(DegreeOrders(hom, ext))
     return UCTOrderResult((out[0], out[1]))
+
+
+def ext_second_step(M: AModObject, N: AModObject, degree: int = 0) -> FinAbGroup:
+    """Ext^1 of the first syzygy against N, i.e. Ext^2(M, N): ext_group with
+    each part's resolution moved one step on, to its kernel K.  Hereditarity
+    of the localized rings predicts it is always trivial; the tests probe
+    that, and uct_order never needs it.  ext_group makes the ring and
+    finiteness checks."""
+    pres = presentation_of(M.ring)
+    res = [r and _resolve(pres, r.syzygy) for r in _resolve_parts(pres, M)]
+    return ext_group(M, N, degree, _resolved=res)

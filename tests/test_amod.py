@@ -17,7 +17,6 @@ from uctbench.amod import (
     AModObject,
     direct_sum,
     ext_group,
-    ext_second_step,
     family_from_json,
     hom_group,
     presentation_of,
@@ -37,6 +36,7 @@ from helpers import (
     candidate_parts,
     conjugated_part,
     coprime_primes,
+    ext_second_step,
     random_module,
     rank_mod_prime,
     reference_ext_group,
@@ -554,6 +554,44 @@ def test_uct_order_resolves_each_source_part_once(monkeypatch):
         assert res.degrees[d].hom_group == hom_group(M, M, d).group
         assert res.degrees[d].ext_group == ext_group(M, suspend(M), d)
     assert res.kk_order(0) == res.kk_order(1) == 49
+
+
+def test_uct_order_acts_only_on_the_kernels_of_source_parts(monkeypatch):
+    # Only the next resolution step reads the ring generators' actions on a
+    # cover's kernel K, so one uct_order computes them once per nonzero
+    # source part, on that part's K, and never on the kernel of a syzygy's
+    # cover.  ext_second_step resolves one step further, so it also acts on
+    # those kernels, and Ext^2 stays trivial.
+    from uctbench import amod
+
+    pres = presentation_of(Z3_CYC)
+    (z,) = pres.gen_mats
+    rho = pres.rank
+    M = direct_sum(cyc_module(Z3_CYC, 7, 2, 0), cyc_module(Z3_CYC, 7, 4, 1))
+    kernels = [_free_cover_kernel(pres, P.orders, P.mats).kernel for P in M.parts]
+
+    def z_image(x):
+        # z acts on each cover slot's copy of R by its left-regular matrix
+        return tuple(c for k in range(0, len(x), rho) for c in z.matvec(x[k:k + rho]))
+
+    acted_on = []
+    real = amod.hermite_coordinates
+
+    def spy(basis, vectors):
+        vectors = [tuple(v) for v in vectors]
+        # a kernel action: the coordinates of z K in the Hermite basis of K
+        if len(vectors) == len(basis) and vectors == [z_image(x) for x in basis]:
+            acted_on.append(tuple(map(tuple, basis)))
+        return real(basis, vectors)
+
+    monkeypatch.setattr(amod, "hermite_coordinates", spy)
+    fam = AModFamily.from_modules(Z3_REPORT, {1: M})
+    assert uct_order(fam, fam).kk_order(0) == 49
+    assert acted_on == kernels
+    acted_on.clear()
+    for d in (0, 1):
+        assert ext_second_step(M, M, d).is_trivial()
+    assert len(acted_on) == 8 and acted_on[:2] == acted_on[4:6] == kernels
 
 
 def test_uct_order_matches_the_all_summand_sum_seeded():

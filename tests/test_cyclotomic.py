@@ -377,6 +377,18 @@ def test_cyceltn_products_match_double_loop():
                     assert got == CycEltN(n, 1, tuple(double_loop_mod_phi(n, a, b))), (n, a, b)
 
 
+def test_intpoly_products_match_double_loop():
+    # IntPoly drops trailing zeros, so the operands also meet at unequal
+    # lengths and as the zero polynomial
+    rng = random.Random(13)
+    for la, lb in ((1, 1), (1, 9), (5, 17), (30, 30), (64, 33)):
+        for a in _operands(rng, la):
+            for b in _operands(rng, lb):
+                want = IntPoly(tuple(double_loop_linear(a, b)))
+                assert IntPoly(tuple(a)) * IntPoly(tuple(b)) == want, (a, b)
+                assert IntPoly(tuple(b)) * IntPoly(tuple(a)) == want, (a, b)
+
+
 def test_kronecker_is_the_linear_double_loop():
     rng = random.Random(14)
     for la, lb in ((1, 1), (1, 9), (9, 1), (5, 17), (30, 30), (64, 33), (150, 150)):
