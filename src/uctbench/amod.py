@@ -371,8 +371,7 @@ def _free_cover_kernel(pres: RingPresentation, orders: Sequence[int],
     for v in extra_generators:
         gvecs.append(tuple(v))
         cols += [wm.matvec(v) for wm in word_mats]
-    rows = [[col[i] for col in cols] for i in range(r)]
-    kernel = congruence_kernel(rows or IntMatrix.zero(0, len(cols)), list(orders))
+    kernel = congruence_kernel(cols, orders)
     return _CoverKernel(tuple(gvecs), tuple(cols), tuple(kernel))
 
 
@@ -419,25 +418,26 @@ def _resolve_parts(pres: RingPresentation, M: AModObject,
             if P.rank or extra.get(d) else None for d, P in enumerate(M.parts)]
 
 
-def _evaluations(pres: RingPresentation, vectors: Sequence[Sequence[int]],
+def _evaluations(pres: RingPresentation, g: int, vectors: Sequence[Sequence[int]],
                  Q: ModulePart) -> list[list[int]]:
     """The map Q^g -> Q^len(vectors) taking generator images y to the values
     f_y(c) = sum_{j, beta} c[j rho + beta] W_Q[beta] y_j at the given vectors
-    c of Z^(g * rho), where f_y: R^g -> Q sends slot j's 1 to y_j.  Rows are
-    indexed (vector, coordinate of Q), columns (slot j, coordinate of Q)."""
+    c of Z^(g * rho), where f_y: R^g -> Q sends slot j's 1 to y_j, as its
+    g * s columns: column (j, t) is the image of y_j = e_t, its entries
+    indexed (vector, coordinate of Q)."""
     s, rho = Q.rank, pres.rank
     words = [w.entries for w in _basis_actions(pres, Q.mats, s)]
-    rows = []
-    for c in vectors:
-        block = [[0] * (len(c) // rho * s) for _ in range(s)]
+    cols = [[0] * (len(vectors) * s) for _ in range(g * s)]
+    for v, c in enumerate(vectors):
         for x, cx in enumerate(c):
             if cx:
                 j, beta = divmod(x, rho)
-                for row, wrow in zip(block, words[beta]):
-                    for t, v in enumerate(wrow, j * s):
-                        row[t] += cx * v
-        rows += block
-    return rows
+                block = cols[j * s:(j + 1) * s]
+                for i, wrow in enumerate(words[beta], v * s):
+                    for col, w in zip(block, wrow):
+                        if w:
+                            col[i] += cx * w
+    return cols
 
 
 def _presented_hom(pres: RingPresentation, g: int, vectors: Sequence[Sequence[int]],
@@ -450,9 +450,8 @@ def _presented_hom(pres: RingPresentation, g: int, vectors: Sequence[Sequence[in
     s = Q.rank
     t = g * s
     trivial = [[Q.orders[x % s] if x == y else 0 for x in range(t)] for y in range(t)]
-    return lattice_coordinates(IntMatrix._make(_evaluations(pres, vectors, Q)),
-                               list(Q.orders) * len(vectors),
-                               t, trivial + list(relations))
+    return lattice_coordinates(_evaluations(pres, g, vectors, Q),
+                               list(Q.orders) * len(vectors), trivial + list(relations))
 
 
 def _smith_basis(X, n: int, L: int) -> list[tuple[int, list[int]]]:
@@ -471,9 +470,8 @@ def _section(cover: _CoverKernel, P: ModulePart) -> list[tuple[int, ...]]:
     """A preimage in Z^(g * rho) of each coordinate vector of P: a solution
     of [cover columns | diag(orders)] x = e_t, cut to the cover part."""
     n = len(cover.cols)
-    solver = ExactSolver(IntMatrix._make([col[i] for col in cover.cols]
-                                         + [o if k == i else 0 for k, o in enumerate(P.orders)]
-                                         for i in range(P.rank)))
+    torsion = [tuple(o if k == i else 0 for i in range(P.rank)) for k, o in enumerate(P.orders)]
+    solver = ExactSolver(list(cover.cols) + torsion)
     xs = [solver.solve(e) for e in IntMatrix.identity(P.rank).entries]
     if None in xs:
         raise RuntimeError("the free cover misses a coordinate vector")
@@ -505,7 +503,7 @@ def hom_group(M: AModObject, N: AModObject, degree: int = 0, *,
         # mod L a free part would read as Z/L, so finiteness is checked here
         if len(basis) != t:
             raise RuntimeError("Hom of finite modules must be finite")
-        blocks.append((d, n, basis, P, Q))
+        blocks.append((d, g, n, basis, P, Q))
         rel_cols += [[0] * n + list(c) for c in coords]
         n += t
     if not n:
@@ -515,7 +513,7 @@ def hom_group(M: AModObject, N: AModObject, degree: int = 0, *,
     lifts, gens = {}, []
     for _, col in chain:
         maps = [None, None]
-        for d, offset, basis, P, Q in blocks:
+        for d, g, offset, basis, P, Q in blocks:
             s = Q.rank
             # the generator images: this column's combination of the basis
             # rows, summed over its nonzero coefficients only
@@ -529,7 +527,7 @@ def hom_group(M: AModObject, N: AModObject, degree: int = 0, *,
             # The map's column t is f_y at a preimage of P's coordinate
             # vector e_t: f sums y's entries times the columns of the lift.
             if d not in lifts:
-                lifts[d] = list(zip(*_evaluations(pres, _section(res[d].cover, P), Q)))
+                lifts[d] = _evaluations(pres, g, _section(res[d].cover, P), Q)
             f = [0] * (P.rank * s)
             for x, v in y:
                 f = [a + v * b for a, b in zip(f, lifts[d][x])]
@@ -546,7 +544,7 @@ def _ext_block(pres: RingPresentation, res: Optional[_Resolution], Q: ModulePart
     if res is None or Q.rank == 0 or not res.relators:
         return FinAbGroup.trivial()
     # column (j, t) of d0: the map sending slot j to Q's coordinate vector e_t
-    images = list(zip(*_evaluations(pres, res.relators, Q)))
+    images = _evaluations(pres, len(res.cover.gvecs), res.relators, Q)
     basis, coords = _presented_hom(pres, len(res.syzygy.gvecs), res.syzygy.kernel, Q, images)
     # the trivial images are among the relations, so lcm(Q.orders) kills
     # the quotient

@@ -112,9 +112,7 @@ def p_idempotent(n: int, k: int, N: Optional[int] = None) -> RepElt:
 def _descent_solver(n: int, k: int) -> zlinalg.ExactSolver:
     w = n // k
     # column s is theta_k^s = theta_n^(w s), z -> z^(w s) applied to z
-    cols = [_reduce_mod_phi(n, (0, 1), w * s) for s in range(totient(k))]
-    rows = [[col[i] for col in cols] for i in range(totient(n))]
-    return zlinalg.ExactSolver(rows)
+    return zlinalg.ExactSolver([_reduce_mod_phi(n, (0, 1), w * s) for s in range(totient(k))])
 
 
 def descend(v: CycEltN, k: int) -> CycEltN:

@@ -11,6 +11,9 @@ column operations carry along, and only `hnf` and `snf` add one:
 `hermite_rows`, `congruence_kernel` and `cokernel` eliminate the bare matrix.
 `congruence_kernel` eliminates only the rows that stay nonzero mod their
 moduli, and `inverse_mod` inverts mod L by Gauss-Jordan, with no Hermite form.
+The kernel, solve and cokernel entry points (`congruence_kernel`,
+`lattice_coordinates`, `ExactSolver`, `cokernel`) take A by its columns, so
+only the rows given to `lattice_kernel_localized` need a recorded width.
 """
 
 from __future__ import annotations
@@ -296,53 +299,47 @@ def inverse_mod(U, L: int) -> list[list[int]]:
     return [row[n:] for row in M]
 
 
-def congruence_kernel(A, moduli: Sequence[int]) -> list[tuple[int, ...]]:
-    """Basis of the lattice {x in Z^cols : (A x)_i == 0 mod moduli[i]}, in
-    Hermite form.
+def congruence_kernel(columns: Sequence[Row], moduli: Sequence[int]) -> list[tuple[int, ...]]:
+    """Basis of the lattice {x in Z^c : (A x)_i == 0 mod moduli[i]}, in
+    Hermite form, for A given by its c columns, each of length len(moduli).
 
-    A modulus of 0 demands exact vanishing of that row.  A matrix with no
-    rows constrains nothing, so its kernel is all of Z^cols; it must be an
-    IntMatrix that records its width (`IntMatrix.zero(0, cols)`).
+    A modulus of 0 demands exact vanishing of that row.  No columns give the
+    empty basis; columns of length 0 constrain nothing, so the basis is the
+    c x c identity.
     """
-    M = _as_lists(A)
-    r = len(M)
-    if len(moduli) != r:
+    cols = _as_lists(columns)
+    if set(map(len, cols)) - {len(moduli)}:
         raise ValueError("one modulus per row required")
-    if not M:
-        if isinstance(A, IntMatrix) and A.width is not None:
-            return list(IntMatrix.identity(A.width).entries)
-        raise ValueError("a matrix with no rows needs its width: "
-                         "give it as IntMatrix.zero(0, cols)")
-    c = len(M[0])
+    c = len(cols)
     if c == 0:
         return []
     # The lattice reads a row only mod its modulus m: reduce it into [0, |m|)
     # when m is nonzero, and drop a row that vanishes with its modulus.
-    M = [row if m == 0 else [x % abs(m) for x in row] for row, m in zip(M, moduli)]
-    moduli = [m for row, m in zip(M, moduli) if any(row)]
-    M = [row for row in M if any(row)]
-    if not M:
+    if any(moduli):
+        mods = [abs(m) for m in moduli]
+        cols = [[x % m if m else x for x, m in zip(col, mods)] for col in cols]
+    keep = [i for i, row in enumerate(zip(*cols)) if any(row)]
+    if not keep:
         return list(IntMatrix.identity(c).entries)
-    r = len(M)
+    r = len(keep)
     # The rows (A e_j | e_j) and (m_i e_i | 0) span the pairs (A x + m k, x);
-    # the Hermite rows with zero head are the Hermite basis of the lattice.
-    rows = [[M[i][j] for i in range(r)] + [int(t == j) for t in range(c)]
-            for j in range(c)]
-    rows += [[m if t == i else 0 for t in range(r)] + [0] * c
-             for i, m in enumerate(moduli) if m]
+    # the Hermite rows with zero head are the Hermite basis of the lattice
+    # (Cohen, A Course in Computational Algebraic Number Theory, 2.4).
+    rows = [[col[i] for i in keep] + [int(t == j) for t in range(c)]
+            for j, col in enumerate(cols)]
+    rows += [[moduli[i] if t == k else 0 for t in range(r)] + [0] * c
+             for k, i in enumerate(keep) if moduli[i]]
     _echelon(rows, r + c)
     return [tuple(row[r:]) for row in rows if any(row[r:]) and not any(row[:r])]
 
 
-def lattice_coordinates(A, moduli: Sequence[int], cols: int,
+def lattice_coordinates(columns: Sequence[Row], moduli: Sequence[int],
                         vectors: Iterable[Row],
                         ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Basis of {x in Z^cols : (A x)_i == 0 mod moduli[i]}, the identity when
-    A has no rows, and the coordinates of each of `vectors` in that basis.
-    Raises RuntimeError for a vector outside the lattice."""
-    if not (A.entries if isinstance(A, IntMatrix) else A):
-        A = IntMatrix.zero(0, cols)
-    basis = congruence_kernel(A, moduli)
+    """`congruence_kernel(columns, moduli)` and the coordinates of each of
+    `vectors` in that basis.  Raises RuntimeError for a vector outside the
+    lattice."""
+    basis = congruence_kernel(columns, moduli)
     coords = hermite_coordinates(basis, vectors)
     if None in coords:
         raise RuntimeError("a vector lies outside the congruence lattice")
@@ -384,21 +381,22 @@ def lattice_kernel_localized(A, m: int, N: int = 1) -> IntMatrix:
     """
     if m < 1:
         raise ValueError("modulus must be >= 1")
-    M = _as_lists(A)
-    # with no rows, only A itself can say how wide it is
-    return IntMatrix._make(congruence_kernel(M or A, [m] * len(M)))
+    A = A if isinstance(A, IntMatrix) else IntMatrix.from_rows(A)
+    if not A.entries and A.width is None:
+        raise ValueError("a matrix with no rows needs its width: "
+                         "give it as IntMatrix.zero(0, cols)")
+    return IntMatrix._make(congruence_kernel(A.transpose().entries, [m] * A.rows))
 
 
 class ExactSolver:
-    """Reusable exact solver for A x = b over Z: one Hermite form W A^T = H,
-    then per right side the coordinates y of b in the nonzero rows of H and
-    x = sum_l y_l W_l, or None when b lies outside the column lattice of A."""
+    """Reusable exact solver for A x = b over Z, A given by its columns: one
+    Hermite form W A^T = H of the columns as rows, then per right side the
+    coordinates y of b in the nonzero rows of H and x = sum_l y_l W_l, or
+    None when b lies outside the column lattice of A."""
 
-    def __init__(self, A):
-        M = _as_lists(A)
-        self.rows = len(M)
-        self.cols = len(M[0]) if M else 0
-        H, W = hnf(IntMatrix._make(zip(*M)))
+    def __init__(self, columns):
+        H, W = hnf(columns)
+        self.rows, self.cols = H.cols, W.rows
         self.H = [row for row in H.entries if any(row)]
         self.W = W.entries[:len(self.H)]
 
@@ -489,9 +487,11 @@ def cokernel(columns: Sequence[Sequence[int]], ambient_rank: int,
         return FinAbGroup.trivial()
     if not columns:
         return FinAbGroup(free_rank=ambient_rank)
-    X = [[col[i] for col in columns] for i in range(ambient_rank)]
-    _smith(X, ambient_rank, len(columns), exponent)
-    diag = [X[i][i] for i in range(min(ambient_rank, len(columns)))]
+    # A matrix and its transpose have the same Smith invariants, so the
+    # columns are eliminated as the rows they are held in.
+    X = [list(col) for col in columns]
+    _smith(X, len(X), ambient_rank, exponent)
+    diag = [X[i][i] for i in range(min(ambient_rank, len(X)))]
     if exponent:
         diag = [math.gcd(d, exponent) for d in diag] + [exponent] * (ambient_rank - len(diag))
     nonzero = [d for d in diag if d]
@@ -515,14 +515,14 @@ def solve_mod(A, moduli: Sequence[int]) -> SolutionGroup:
     """
     if any(m < 1 for m in moduli):
         raise ValueError("moduli must be >= 1")
-    M = _as_lists(A)
-    c = len(M[0]) if M else 0
+    M = A if isinstance(A, IntMatrix) else IntMatrix.from_rows(A)
+    c = len(M.entries[0]) if M.entries else 0
     L = math.lcm(*moduli) if moduli else 1
     if c == 0:
         return SolutionGroup((), FinAbGroup.trivial(), L)
     # Quotient of the solution lattice by L * Z^c.
     basis, rel_cols = lattice_coordinates(
-        M, moduli, c, ([L if i == j else 0 for i in range(c)] for j in range(c)))
+        M.transpose().entries, moduli, ([L if i == j else 0 for i in range(c)] for j in range(c)))
     group = cokernel(rel_cols, len(basis), L)
     gens = tuple(tuple(x % L for x in row) for row in basis)
     return SolutionGroup(gens, group, L)

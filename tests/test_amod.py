@@ -395,6 +395,41 @@ def test_ext_dense_conjugation_over_unsplit_s3():
         assert ext_group(trivial, N) == hom_group(trivial, N).group == FinAbGroup((7,))
 
 
+def test_evaluations_match_their_definition_seeded():
+    # Column x of _evaluations is the map for y = e_x, so the columns
+    # weighted by y must stack the values f_y(c) = sum c[j rho + beta]
+    # W_Q[beta] y_j over the vectors c, each term one matrix-vector product.
+    from uctbench import amod
+
+    rng = random.Random(41)
+    for summand in (S3_UNSPLIT, S3_CROSSED, THETA5):
+        pres = presentation_of(summand)
+        rho = pres.rank
+        for q, k in ((7, 1), (11, 2)):
+            Q = conjugated_part(rng, regular_power_part(summand, q, k), q)
+            s = Q.rank
+            words = amod._basis_actions(pres, Q.mats, s)
+            for g in (1, 2, 3):
+                vectors = [[rng.randint(-3, 3) if rng.random() < 0.5 else 0
+                            for _ in range(g * rho)] for _ in range(rng.randint(0, 3))]
+                cols = amod._evaluations(pres, g, vectors, Q)
+                assert len(cols) == g * s
+                assert all(len(col) == len(vectors) * s for col in cols)
+                for _ in range(3):
+                    y = [rng.randint(-5, 5) for _ in range(g * s)]
+                    want = []
+                    for c in vectors:
+                        value = [0] * s
+                        for x, cx in enumerate(c):
+                            j, beta = divmod(x, rho)
+                            image = words[beta].matvec(y[j * s:(j + 1) * s])
+                            value = [a + cx * b for a, b in zip(value, image)]
+                        want += value
+                    got = [sum(v * col[i] for v, col in zip(y, cols))
+                           for i in range(len(vectors) * s)]
+                    assert got == want, (summand.describe(), q, k, g, vectors)
+
+
 def test_cover_of_rank_zero_has_no_kernel():
     # r = 0 and no columns: the congruence kernel is Z^0, with no rows
     for summand in target_category(preset_group("symmetric(3)")).flat_summands():

@@ -173,14 +173,14 @@ def test_eliminations_match_two_and_three_matrix_references_seeded():
                 orders = list(diag) + [0] * (r - len(diag))
             want = FinAbGroup.from_orders(orders) if cols else FinAbGroup(free_rank=r)
             assert cokernel(cols, r, L) == want, (A, L)
-        if r and c:  # a list of no rows has no width
+        if r and c:
             moduli = [rng.choice((0, 1, 2, 6, 12, 49)) for _ in range(r)]
             rows = [col + [int(t == j) for t in range(c)] for j, col in enumerate(cols)]
             rows += [[m if t == i else 0 for t in range(r)] + [0] * c
                      for i, m in enumerate(moduli) if m]
             want = [row[r:] for row in reference_hnf(rows)[0].entries
                     if not any(row[:r]) and any(row[r:])]
-            assert congruence_kernel(A, moduli) == want, (A, moduli)
+            assert congruence_kernel(cols, moduli) == want, (A, moduli)
 
 
 def test_snf_coprime_diagonal():
@@ -224,7 +224,7 @@ def test_snf_invariant_under_permutation():
 
 def test_kernel_basis_exact():
     # x + y + z = 0 has rank-2 kernel.
-    basis = congruence_kernel([[1, 1, 1]], [0])
+    basis = congruence_kernel([[1], [1], [1]], [0])
     assert len(basis) == 2
     for v in basis:
         assert sum(v) == 0
@@ -234,14 +234,14 @@ def test_kernel_basis_spans_random():
     rng = random.Random(4)
     for _ in range(15):
         A = rand_matrix(rng, 3, 5, -4, 4)
-        basis = congruence_kernel(A, [0] * len(A))
+        basis = congruence_kernel(list(zip(*A)), [0] * len(A))
         M = IntMatrix.from_rows(A)
         for v in basis:
             assert all(x == 0 for x in M.matvec(v))
         # Brute-force small kernel vectors must lie in the span.
         if basis:
             Bcols = [[row[i] for row in basis] for i in range(5)]
-            solver = ExactSolver(Bcols)
+            solver = ExactSolver(basis)
             for _ in range(20):
                 x = [rng.randint(-2, 2) for _ in range(5)]
                 y = solver.solve(x)
@@ -311,7 +311,8 @@ def test_kernel_of_no_rows_is_everything_or_needs_a_width():
     # is recorded, and a named error when nothing records it
     for c in (0, 1, 3):
         identity = IntMatrix.identity(c)
-        assert congruence_kernel(IntMatrix.zero(0, c), []) == list(identity.entries)
+        assert congruence_kernel(IntMatrix.zero(0, c).transpose().entries, []) == \
+            list(identity.entries)
         assert lattice_kernel_localized(IntMatrix.zero(0, c), 5) == identity
         assert IntMatrix.zero(0, c).cols == c
         # transposes keep the shape of an empty matrix: 0 x c <-> c x 0
@@ -321,12 +322,22 @@ def test_kernel_of_no_rows_is_everything_or_needs_a_width():
         # and so do products with no rows: 0 x c @ c x 5 is 0 x 5
         p = IntMatrix.zero(0, c) @ IntMatrix.zero(c, 5)
         assert (p.rows, p.cols) == (0, 5)
-        assert congruence_kernel(p, []) == list(IntMatrix.identity(5).entries)
+        assert congruence_kernel(p.transpose().entries, []) == list(IntMatrix.identity(5).entries)
     for no_width in ([], IntMatrix(()), IntMatrix.from_rows([])):
         with pytest.raises(ValueError, match="width"):
-            congruence_kernel(no_width, [])
-        with pytest.raises(ValueError, match="width"):
             lattice_kernel_localized(no_width, 5)
+
+
+def test_congruence_kernel_takes_columns():
+    # The columns fix the column count and the moduli the row count: no
+    # columns give the empty basis, columns of length 0 constrain nothing,
+    # and a column whose length is not the number of moduli is refused.
+    assert congruence_kernel([], []) == congruence_kernel([], [5, 0]) == []
+    for c in (1, 3):
+        assert congruence_kernel([()] * c, []) == list(IntMatrix.identity(c).entries)
+    for columns, moduli in (([[1, 2], [3]], [4, 5]), ([[1]], []), ([()], [2]), ([[1, 2]], [3])):
+        with pytest.raises(ValueError, match="one modulus per row required"):
+            congruence_kernel(columns, moduli)
 
 
 def test_lattice_kernel_contains_m_times_lattice():
@@ -336,15 +347,14 @@ def test_lattice_kernel_contains_m_times_lattice():
         m = rng.randint(1, 12)
         B = lattice_kernel_localized(A, m)
         assert B.rows == 4  # full rank
-        Bcols = [[row[i] for row in B.entries] for i in range(4)]
-        solver = ExactSolver(Bcols)
+        solver = ExactSolver(B.entries)
         for j in range(4):
             target = [m if i == j else 0 for i in range(4)]
             assert solver.solve(target) is not None
 
 
 def test_lattice_coordinates():
-    basis, coords = lattice_coordinates([], [], 3, [[4, 0, -1]])
+    basis, coords = lattice_coordinates([()] * 3, [], [[4, 0, -1]])
     assert basis == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert coords == [(4, 0, -1)]
     rng = random.Random(11)
@@ -352,15 +362,15 @@ def test_lattice_coordinates():
         rows, cols = rng.randint(1, 3), rng.randint(1, 4)
         A = rand_matrix(rng, rows, cols, -6, 6)
         moduli = [rng.randint(1, 9) for _ in range(rows)]
-        basis = congruence_kernel(A, moduli)
+        basis = congruence_kernel(list(zip(*A)), moduli)
         combos = [[rng.randint(-3, 3) for _ in basis] for _ in range(3)]
         vectors = [[sum(c * b[x] for c, b in zip(y, basis)) for x in range(cols)]
                    for y in combos]
-        got_basis, coords = lattice_coordinates(A, moduli, cols, vectors)
+        got_basis, coords = lattice_coordinates(list(zip(*A)), moduli, vectors)
         assert got_basis == basis
         assert coords == [tuple(y) for y in combos]
     with pytest.raises(RuntimeError, match="outside"):
-        lattice_coordinates([[1, 0]], [2], 2, [[1, 0]])
+        lattice_coordinates([[1], [0]], [2], [[1, 0]])
 
 
 MODULI = (7, 49, 3 ** 5, 7 * 11 * 13, 3 ** 5 * 5 ** 2)
@@ -387,7 +397,7 @@ def test_reduced_kernel_and_sparse_coordinates_match_the_references_seeded():
             moduli = [rng.choice(MODULI) for _ in range(r)]
             A = [[m * rng.randint(-2, 2) for _ in range(c)] for m in moduli]
         M = IntMatrix.from_rows(A) if r else IntMatrix.zero(0, c)
-        basis = congruence_kernel(M, moduli)
+        basis = congruence_kernel(M.transpose().entries, moduli)
         assert basis == reference_congruence_kernel(M, moduli), (A, moduli)
         vectors = [[sum(rng.randint(-3, 3) * b[x] for b in basis) for x in range(c)]
                    for _ in range(3)]
@@ -397,7 +407,7 @@ def test_reduced_kernel_and_sparse_coordinates_match_the_references_seeded():
         outside += coords.count(None)
     assert outside
     # a vanishing row constrains nothing, whatever its modulus
-    assert congruence_kernel([[49, -98], [0, 0]], [7, 0]) == list(IntMatrix.identity(2).entries)
+    assert congruence_kernel([[49, 0], [-98, 0]], [7, 0]) == list(IntMatrix.identity(2).entries)
     assert hermite_coordinates([(2, 1), (0, 3)], [(1, 0), (2, 4), (4, 5)]) == [None, (1, 1), (2, 1)]
 
 
@@ -435,15 +445,15 @@ def test_exact_solver_matches_smith_oracle_seeded():
             b = IntMatrix.from_rows(A).matvec([rng.randint(-4, 4) for _ in range(cols)])
         else:
             b = [rng.randint(-9, 9) for _ in range(rows)]
-        ours, theirs = ExactSolver(A).solve(b), ReferenceSolver(A).solve(b)
+        ours, theirs = ExactSolver(list(zip(*A))).solve(b), ReferenceSolver(A).solve(b)
         assert (ours is None) == (theirs is None), (A, b)
         for x in (ours, theirs):
             if x is not None:
                 assert IntMatrix.from_rows(A).matvec(x) == tuple(b), (A, b)
         outcomes.add(ours is None)
     assert outcomes == {True, False}
-    assert ExactSolver([[1, 2]]).solve([3]) is not None
-    assert ExactSolver([[0, 0]]).solve([1]) is None
+    assert ExactSolver([[1], [2]]).solve([3]) is not None
+    assert ExactSolver([[0], [0]]).solve([1]) is None
 
 
 def test_invariant_factors_match_sympy():
@@ -545,7 +555,8 @@ def test_list_input_becomes_int_at_the_solver_entry_points():
         "snf": lambda A: snf(A),
         "snf mod 12": lambda A: snf(A, 12),
         "hermite_rows": lambda A: hermite_rows(A),
-        "congruence_kernel": lambda A: congruence_kernel(A, [4, 6, 0]),
+        "congruence_kernel": lambda A: congruence_kernel(
+            list(zip(*getattr(A, "entries", A))), [4, 6, 0]),
         "lattice_kernel_localized": lambda A: lattice_kernel_localized(A, 6),
         "solve_mod": lambda A: solve_mod(A, [4, 6, 9]),
     }
@@ -553,10 +564,12 @@ def test_list_input_becomes_int_at_the_solver_entry_points():
         got, want = call(rows), call(M)
         assert got == want, name
         assert all(type(x) is int for x in _entries(got)), name
-    for A in (square, S):
+    for A in (list(zip(*square)), S.transpose()):
         solver = ExactSolver(A)
         x = solver.solve([True, False, _Int(1)])
-        assert x == ExactSolver(S).solve([1, 0, 1]) == (1, 0, 1)
+        assert x == ExactSolver(S.transpose()).solve([1, 0, 1]) == (1, 0, 1)
         assert all(type(v) is int for v in _entries([solver.H, solver.W, x]))
-    with pytest.raises(ValueError, match="ragged"):
-        IntMatrix.from_rows([[1, 2], [3]])
+    for ragged in (IntMatrix.from_rows, lambda A: lattice_kernel_localized(A, 6),
+                   lambda A: solve_mod(A, [4, 6])):
+        with pytest.raises(ValueError, match="ragged"):
+            ragged([[1, 2], [3]])
