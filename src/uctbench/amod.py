@@ -510,28 +510,22 @@ def hom_group(M: AModObject, N: AModObject, degree: int = 0, *,
         return HomResult(FinAbGroup(), ())
     L = math.lcm(*(o for *_, Q in blocks for o in Q.orders))
     chain = _smith_basis(IntMatrix._make(zip(*(c + [0] * (n - len(c)) for c in rel_cols))), n, L)
-    lifts, gens = {}, []
+    BE, gens = {}, []
     for _, col in chain:
         maps = [None, None]
         for d, g, offset, basis, P, Q in blocks:
-            s = Q.rank
-            # the generator images: this column's combination of the basis
-            # rows, summed over its nonzero coefficients only
-            acc = [0] * len(basis)
-            for b, c in zip(basis, col[offset:offset + len(basis)]):
-                if c:
-                    acc = [u + c * v for u, v in zip(acc, b)]
-            y = [(x, v) for x, v in enumerate(acc) if v]
-            if not y:
+            # This column's slice c gives the generator images y = c B, zero
+            # just when c is (the basis rows B are independent).  The map's
+            # columns are f_y at the section's preimages of P's coordinate
+            # vectors: c (B E) for E the evaluations there.
+            c = col[offset:offset + len(basis)]
+            if not any(c):
                 continue
-            # The map's column t is f_y at a preimage of P's coordinate
-            # vector e_t: f sums y's entries times the columns of the lift.
-            if d not in lifts:
-                lifts[d] = _evaluations(pres, g, _section(res[d].cover, P), Q)
-            f = [0] * (P.rank * s)
-            for x, v in y:
-                f = [a + v * b for a, b in zip(f, lifts[d][x])]
-            maps[d] = IntMatrix._make([u % q for u in f[i::s]] for i, q in enumerate(Q.orders))
+            if d not in BE:
+                E = IntMatrix._make(_evaluations(pres, g, _section(res[d].cover, P), Q))
+                BE[d] = IntMatrix._make(basis) @ E
+            f = (IntMatrix._make([c]) @ BE[d]).entries[0]
+            maps[d] = IntMatrix._make([u % q for u in f[i::Q.rank]] for i, q in enumerate(Q.orders))
         gens.append(HomMap(degree, (maps[0], maps[1])))
     return HomResult(FinAbGroup(tuple(d for d, _ in chain)), tuple(gens))
 
@@ -547,11 +541,8 @@ def _ext_block(pres: RingPresentation, res: Optional[_Resolution], Q: ModulePart
     images = _evaluations(pres, len(res.cover.gvecs), res.relators, Q)
     basis, coords = _presented_hom(pres, len(res.syzygy.gvecs), res.syzygy.kernel, Q, images)
     # the trivial images are among the relations, so lcm(Q.orders) kills
-    # the quotient
-    group = cokernel(coords, len(basis), math.lcm(*Q.orders))
-    if group.free_rank:
-        raise RuntimeError("Ext of finite modules must be finite")
-    return group
+    # the quotient, and the cokernel mod it has no free rank
+    return cokernel(coords, len(basis), math.lcm(*Q.orders))
 
 
 def ext_group(M: AModObject, N: AModObject, degree: int = 0,

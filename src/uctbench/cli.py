@@ -29,7 +29,7 @@ from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import __version__
-from .amod import family_from_json, uct_order
+from .amod import _reject_unknown_keys, family_from_json, uct_order
 from .crossring import (
     CrossedElt,
     CrossedRing,
@@ -77,11 +77,13 @@ def load_group(src: str) -> FiniteGroup:
     if not isinstance(data, dict):
         raise InputError(f"{src}: group file must be a JSON object")
     if "preset" in data:
+        _reject_unknown_keys(f"{src}: group file", data, ("preset",))
         if not isinstance(data["preset"], str):
             raise InputError(f"{src}: 'preset' must be a preset name string")
         return preset_group(data["preset"])
     if "table" not in data:
         raise InputError(f"{src}: need either 'preset' or 'table'")
+    _reject_unknown_keys(f"{src}: group file", data, ("table", "labels", "order"))
     G = group_from_table(data["table"], data.get("labels"))
     declared = data.get("order")
     if declared is None:

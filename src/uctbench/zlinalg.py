@@ -14,6 +14,9 @@ moduli, and `inverse_mod` inverts mod L by Gauss-Jordan, with no Hermite form.
 The kernel, solve and cokernel entry points (`congruence_kernel`,
 `lattice_coordinates`, `ExactSolver`, `cokernel`) take A by its columns, so
 only the rows given to `lattice_kernel_localized` need a recorded width.
+The eliminations read a matrix one way (`_as_lists`): list rows through
+int() once, ragged rows refused, an `IntMatrix` with its recorded width.
+`ExactSolver` combines its kept transform rows by one `IntMatrix` product.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ class IntMatrix:
         return cls(ent)
 
     @classmethod
-    def _make(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        return cls(tuple(map(tuple, rows)))
+    def _make(cls, rows: Iterable[Iterable[int]], width: Optional[int] = None) -> "IntMatrix":
+        return cls(tuple(map(tuple, rows)), width)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -112,11 +115,15 @@ class IntMatrix:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
 
-def _as_lists(A) -> list[list[int]]:
-    # list input becomes int here, once, so results are built as they are
+def _as_lists(A) -> tuple[list[list[int]], int]:
+    # list input becomes int here, once, so results are built as they are;
+    # the column count comes with the rows, so a matrix with none keeps it
     if isinstance(A, IntMatrix):
-        return A.tolists()
-    return [list(map(int, r)) for r in A]
+        return A.tolists(), A.cols
+    M = [list(map(int, r)) for r in A]
+    if M and any(len(r) != len(M[0]) for r in M):
+        raise ValueError("ragged rows")
+    return M, len(M[0]) if M else 0
 
 
 def _row_sub(M: list[list[int]], i: int, k: int, q: int) -> None:
@@ -177,18 +184,17 @@ def hnf(A) -> tuple[IntMatrix, IntMatrix]:
     H is in row echelon form with positive pivots; entries above each pivot
     are reduced into [0, pivot).
     """
-    M = _as_lists(A)
-    c = len(M[0]) if M else 0
+    M, c = _as_lists(A)
     M = [row + list(e) for row, e in zip(M, IntMatrix.identity(len(M)).entries)]
     _echelon(M, c)
-    return IntMatrix._make(row[:c] for row in M), IntMatrix._make(row[c:] for row in M)
+    return IntMatrix._make((row[:c] for row in M), c), IntMatrix._make(row[c:] for row in M)
 
 
 def hermite_rows(A) -> list[tuple[int, ...]]:
     """The nonzero rows of the row Hermite normal form of A, with no
     transform."""
-    M = _as_lists(A)
-    _echelon(M, len(M[0]) if M else 0)
+    M, c = _as_lists(A)
+    _echelon(M, c)
     return [tuple(row) for row in M if any(row)]
 
 
@@ -263,13 +269,12 @@ def snf(A, modulus: int = 0) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     and L Z^rows is the sum of the Z/gcd(d_i, L), a zero or missing d_i
     counting as L.
     """
-    M = _as_lists(A)
+    M, c = _as_lists(A)
     r = len(M)
-    c = len(M[0]) if M else 0
     M = [row + list(e) for row, e in zip(M, IntMatrix.identity(r).entries)]
     M += [list(e) + [0] * r for e in IntMatrix.identity(c).entries]
     _smith(M, r, c, modulus)
-    return (IntMatrix._make(row[:c] for row in M[:r]),
+    return (IntMatrix._make((row[:c] for row in M[:r]), c),
             IntMatrix._make(row[c:] for row in M[:r]),
             IntMatrix._make(row[:c] for row in M[r:]))
 
@@ -278,7 +283,7 @@ def inverse_mod(U, L: int) -> list[list[int]]:
     """U^-1 mod L, entries in [0, L), for a square U invertible mod L, by
     Gauss-Jordan on [U | I] mod L; Euclidean row steps give each column a
     unit pivot.  U^-1 is unique mod L, so no pivot order changes it."""
-    M = _as_lists(U)
+    M, _ = _as_lists(U)
     n = len(M)
     M = [[x % L for x in row] + list(e) for row, e in zip(M, IntMatrix.identity(n).entries)]
     for col in range(n):
@@ -307,9 +312,9 @@ def congruence_kernel(columns: Sequence[Row], moduli: Sequence[int]) -> list[tup
     empty basis; columns of length 0 constrain nothing, so the basis is the
     c x c identity.
     """
-    cols = _as_lists(columns)
-    if set(map(len, cols)) - {len(moduli)}:
+    if set(map(len, columns)) - {len(moduli)}:
         raise ValueError("one modulus per row required")
+    cols, _ = _as_lists(columns)
     c = len(cols)
     if c == 0:
         return []
@@ -391,26 +396,21 @@ def lattice_kernel_localized(A, m: int, N: int = 1) -> IntMatrix:
 class ExactSolver:
     """Reusable exact solver for A x = b over Z, A given by its columns: one
     Hermite form W A^T = H of the columns as rows, then per right side the
-    coordinates y of b in the nonzero rows of H and x = sum_l y_l W_l, or
-    None when b lies outside the column lattice of A."""
+    coordinates y of b in the nonzero rows of H and x = y W over the kept
+    rows of W, or None when b lies outside the column lattice of A."""
 
     def __init__(self, columns):
         H, W = hnf(columns)
-        self.rows, self.cols = H.cols, W.rows
+        self.rows = H.cols
         self.H = [row for row in H.entries if any(row)]
-        self.W = W.entries[:len(self.H)]
+        # the kept transform rows, as wide as there are unknowns
+        self.W = IntMatrix(W.entries[:len(self.H)], W.rows)
 
     def solve(self, b: Sequence[int]) -> Optional[tuple[int, ...]]:
         if len(b) != self.rows:
             raise ValueError("right-hand side length mismatch")
         y = hermite_coordinates(self.H, [b])[0]
-        if y is None:
-            return None
-        x = [0] * self.cols
-        for c, w in zip(y, self.W):
-            if c:
-                x = [a + c * v for a, v in zip(x, w)]
-        return tuple(x)
+        return None if y is None else (IntMatrix((y,), len(y)) @ self.W).entries[0]
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,33 @@ def rank_mod_prime(rows, q):
     return rank
 
 
+def fp_hom_order(M: AModObject, N: AModObject, degree: int, p: int) -> int:
+    """|Hom| of degree-shifting module maps M -> N whose modules have every
+    order the prime p, as p^(unknowns - rank): the unknowns are the entries
+    of an s x r matrix X per source part, the equations X A_g - B_g X = 0
+    for each ring generator g, and the rank is taken over F_p by
+    `rank_mod_prime`, so no elimination is shared with zlinalg."""
+    unknowns = rank = 0
+    for d, P in enumerate(M.parts):
+        Q = N.parts[(d + degree) % 2]
+        if {*P.orders, *Q.orders} - {p}:
+            raise ValueError(f"every order must be {p}")
+        r, s = P.rank, Q.rank
+        equations = []
+        for A, B in zip(P.mats, Q.mats):
+            for i, k in itertools.product(range(s), range(r)):
+                # (X A - B X)[i][k], with X[v][j] at v * r + j
+                row = [0] * (s * r)
+                for j in range(r):
+                    row[i * r + j] += A[j, k]
+                for v in range(s):
+                    row[v * r + k] -= B[i, v]
+                equations.append(row)
+        unknowns += r * s
+        rank += rank_mod_prime(equations, p)
+    return p ** (unknowns - rank)
+
+
 def random_invertible(rng, r, q):
     while True:
         mat = [[rng.randrange(q) for _ in range(r)] for _ in range(r)]

@@ -26,7 +26,7 @@ from uctbench.amod import (
 )
 from uctbench.cli import _crossed_preset_names
 from uctbench.crossring import CrossedRing, target_category
-from uctbench.cyclotomic import CycEltN
+from uctbench.cyclotomic import CycEltN, prime_factors
 from uctbench.errors import FamilyMismatch, FreePartError, RingMismatch, UnsupportedSize
 from uctbench.groups import preset_group
 from uctbench.zlinalg import FinAbGroup, IntMatrix
@@ -37,6 +37,7 @@ from helpers import (
     conjugated_part,
     coprime_primes,
     ext_second_step,
+    fp_hom_order,
     random_module,
     rank_mod_prime,
     reference_ext_group,
@@ -820,6 +821,32 @@ def test_dense_hom_ext_answer_quickly():
     for case in DENSE_CASES:
         M, N = dense_pair(0, *case)
         _check_hom_generators(M, N, 0, hom_group(M, N))
+
+
+def test_hom_order_matches_an_fp_rank_oracle_seeded():
+    # Over modules whose orders are all one prime p, |Hom| is p^(unknowns -
+    # rank) of the commuting equations over F_p, an oracle that shares no
+    # elimination with zlinalg: on the dense pairs and on the elementary
+    # pairs of seeded random families, in both degrees.
+    for case in DENSE_CASES:
+        M, N = dense_pair(0, *case)
+        for degree in (0, 1):
+            assert hom_group(M, N, degree).group.order() == \
+                fp_hom_order(M, N, degree, case[1]), (case[0].describe(), case[1:], degree)
+    rng = random.Random(28)
+    nontrivial = collections.Counter()
+    for summand in (Z2_INT, Z3_CYC, S3_CROSSED, S3_UNSPLIT, THETA5):
+        for _ in range(30):
+            M, N = random_module(rng, summand, 49), random_module(rng, summand, 49)
+            orders = {o for X in (M, N) for P in X.parts for o in P.orders}
+            p = min(orders, default=0)
+            if orders != {p} or prime_factors(p) != (p,):
+                continue
+            for degree in (0, 1):
+                got = hom_group(M, N, degree).group.order()
+                assert got == fp_hom_order(M, N, degree, p), (summand.kind, degree)
+                nontrivial[got > 1] += 1
+    assert nontrivial[True] >= 30 and nontrivial[False] >= 30, nontrivial
 
 
 def test_solver_path_takes_no_exact_smith_form(monkeypatch):

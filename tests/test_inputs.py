@@ -19,6 +19,10 @@ from uctbench.cli import main
     ({"table": [[0]], "labels": 5}, "labels must be a list of strings"),
     ({"preset": 5}, "'preset' must be a preset name string"),
     ({"table": [[0, 1], [1, 0]], "labels": ["e", "e"]}, "label 'e' names more than one element"),
+    ({"table": [[0, 1], [1, 0]], "lables": ["e", "a"]},
+     "group file has unknown key 'lables'; allowed keys: table, labels, order"),
+    ({"preset": "cyclic(3)", "table": [[0]]},
+     "group file has unknown key 'table'; allowed keys: preset"),
 ])
 def test_group_file_type_errors(tmp_path, capsys, payload, message):
     path = tmp_path / "g.json"

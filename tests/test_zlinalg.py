@@ -315,6 +315,22 @@ def test_kernel_of_no_rows_is_everything_or_needs_a_width():
             list(identity.entries)
         assert lattice_kernel_localized(IntMatrix.zero(0, c), 5) == identity
         assert IntMatrix.zero(0, c).cols == c
+        # a 0 x c matrix has 0 x c Hermite and Smith forms and the Smith
+        # column transform I_c; a solver with no nonzero Hermite row still
+        # answers with one entry per unknown
+        Z = IntMatrix.zero(0, c)
+        H, U = hnf(Z)
+        assert (H.rows, H.cols, U.rows, U.cols) == (0, c, 0, 0)
+        for modulus in (0, 6):
+            D, U, V = snf(Z, modulus)
+            assert (D.rows, D.cols, U.rows, U.cols) == (0, c, 0, 0)
+            assert V == identity and V.cols == c
+        assert hermite_rows(Z) == []
+        solver = ExactSolver(Z)
+        assert solver.solve((0,) * c) == ()
+        if c:
+            assert solver.solve((1,) + (0,) * (c - 1)) is None
+        assert ExactSolver(IntMatrix.zero(c, 2)).solve((0, 0)) == (0,) * c
         # transposes keep the shape of an empty matrix: 0 x c <-> c x 0
         for r, k in ((0, c), (c, 0)):
             t = IntMatrix.zero(r, k).transpose()
@@ -569,7 +585,8 @@ def test_list_input_becomes_int_at_the_solver_entry_points():
         x = solver.solve([True, False, _Int(1)])
         assert x == ExactSolver(S.transpose()).solve([1, 0, 1]) == (1, 0, 1)
         assert all(type(v) is int for v in _entries([solver.H, solver.W, x]))
-    for ragged in (IntMatrix.from_rows, lambda A: lattice_kernel_localized(A, 6),
+    for ragged in (IntMatrix.from_rows, hnf, snf, lambda A: snf(A, 12), hermite_rows,
+                   lambda A: inverse_mod(A, 5), lambda A: lattice_kernel_localized(A, 6),
                    lambda A: solve_mod(A, [4, 6])):
         with pytest.raises(ValueError, match="ragged"):
             ragged([[1, 2], [3]])
