@@ -68,9 +68,8 @@ from .zlinalg import (
     congruence_kernel,
     hermite_coordinates,
     hermite_rows,
-    inverse_mod,
     lattice_coordinates,
-    snf,
+    smith_basis,
 )
 
 ModuleRing = Union[RingSummand, CrossedRing]
@@ -158,17 +157,12 @@ def _zero_part(pres: RingPresentation) -> ModulePart:
     return ModulePart((), tuple(IntMatrix.zero(0, 0) for _ in pres.gen_names))
 
 
-def _is_int(x) -> bool:
-    # JSON true and false load as bool, a subclass of int
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _action_matrix(name: str, m) -> IntMatrix:
     """Generator `name`'s action: an IntMatrix or a list of integer rows."""
     if isinstance(m, IntMatrix):
         return m
     if not isinstance(m, (list, tuple)) or not all(
-        isinstance(row, (list, tuple)) and all(_is_int(x) for x in row) for row in m
+        isinstance(row, (list, tuple)) and all(type(x) is int for x in row) for row in m
     ):
         raise InputError(f"action matrix for {name} must be a list of integer rows")
     try:
@@ -191,10 +185,10 @@ class AModObject:
 
     @classmethod
     def build(cls, ring: ModuleRing,
-              degree0: Optional[tuple[Sequence[int], Sequence] ] = None,
+              degree0: Optional[tuple[Sequence[int], Sequence]] = None,
               degree1: Optional[tuple[Sequence[int], Sequence]] = None) -> "AModObject":
-        """Construct from (orders, matrices) pairs; matrices are aligned with
-        presentation_of(ring).gen_names and omitted for zero parts."""
+        """Construct from (orders, matrices) pairs; matrices (IntMatrix or
+        int rows) are aligned with presentation_of(ring).gen_names."""
         pres = presentation_of(ring)
         parts = []
         for spec in (degree0, degree1):
@@ -203,7 +197,7 @@ class AModObject:
                 continue
             orders, mats = spec
             orders = tuple(orders)
-            if not all(_is_int(x) for x in orders):
+            if not all(type(x) is int for x in orders):
                 raise InputError(f"cyclic orders must be integers, got {list(orders)!r}")
             if len(mats) != len(pres.gen_names):
                 raise InputError(
@@ -454,18 +448,6 @@ def _presented_hom(pres: RingPresentation, g: int, vectors: Sequence[Sequence[in
                                list(Q.orders) * len(vectors), trivial + list(relations))
 
 
-def _smith_basis(X, n: int, L: int) -> list[tuple[int, list[int]]]:
-    """One Smith form U X V == D (mod L) of relations X on Z^n whose span
-    holds L Z^n: each invariant factor d > 1 of Z^n / X with the column of
-    U^-1 (mod L) that generates it."""
-    D, U, _ = snf(X, L)
-    diag = [math.gcd(d, L) for d in D.diagonal()]
-    diag += [L] * (n - len(diag))
-    keep = [i for i, d in enumerate(diag) if d > 1]
-    W = inverse_mod(U, L) if keep else []
-    return [(diag[i], [row[i] for row in W]) for i in keep]
-
-
 def _section(cover: _CoverKernel, P: ModulePart) -> list[tuple[int, ...]]:
     """A preimage in Z^(g * rho) of each coordinate vector of P: a solution
     of [cover columns | diag(orders)] x = e_t, cut to the cover part."""
@@ -509,7 +491,7 @@ def hom_group(M: AModObject, N: AModObject, degree: int = 0, *,
     if not n:
         return HomResult(FinAbGroup(), ())
     L = math.lcm(*(o for *_, Q in blocks for o in Q.orders))
-    chain = _smith_basis(IntMatrix._make(zip(*(c + [0] * (n - len(c)) for c in rel_cols))), n, L)
+    chain = smith_basis(IntMatrix._make(zip(*(c + [0] * (n - len(c)) for c in rel_cols))), n, L)
     BE, gens = {}, []
     for _, col in chain:
         maps = [None, None]
@@ -685,7 +667,8 @@ def _reject_unknown_keys(what: str, data: dict, allowed: Sequence[str]) -> None:
                              f" allowed keys: {', '.join(allowed)}")
 
 
-def _part_from_json(ring: ModuleRing, data: dict) -> tuple[Sequence[int], Sequence]:
+def _part_from_json(ring: ModuleRing, data: dict) -> tuple[list, list]:
+    """A degree object's orders and matrices in generator order, for build."""
     pres = presentation_of(ring)
     if not isinstance(data, dict):
         raise InputError("each degree must be an object with 'orders' and action matrices")
@@ -697,36 +680,28 @@ def _part_from_json(ring: ModuleRing, data: dict) -> tuple[Sequence[int], Sequen
     orders = data.get("orders", [])
     if not isinstance(orders, list):
         raise InputError("'orders' must be a list of integers")
-    r = len(orders)
     mats = []
     if has_z:
-        raw = data.get("z")
-        if raw is None:
+        if data.get("z") is None:
             raise InputError("missing 'z' action matrix")
-        mats.append(_action_matrix("z", raw))
+        mats.append(data["z"])
     if m:
         wlist = data.get("w")
         if wlist is None:
             raise InputError("missing 'w' action matrices")
         if not isinstance(wlist, list) or len(wlist) != m:
             raise InputError(f"'w' must list exactly {m} matrices, one per Weyl coset")
-        mats += (_action_matrix(f"w{v}", raw) for v, raw in enumerate(wlist))
-    if r == 0:
-        mats = [IntMatrix.zero(0, 0) for _ in pres.gen_names]
+        mats += wlist
     return orders, mats
 
 
 def family_from_json(report: TargetCategoryReport, data) -> AModFamily:
     """Parse {"modules": [{"summand": i, "degree0": {...}, "degree1": {...}}]}
     into a family over the report; unlisted summands carry zero modules."""
-    if isinstance(data, dict) and "modules" in data:
-        entries = data["modules"]
-    elif isinstance(data, list):
-        entries = data
-    elif isinstance(data, dict):
-        entries = [data]
-    else:
-        raise InputError("module file must be an object or list")
+    if not isinstance(data, dict):
+        raise InputError("module file must be an object with a 'modules' list")
+    _reject_unknown_keys("module file", data, ("modules",))
+    entries = data.get("modules")
     if not isinstance(entries, list):
         raise InputError("'modules' must be a list of module entries")
     flat = report.flat_summands()
@@ -736,7 +711,7 @@ def family_from_json(report: TargetCategoryReport, data) -> AModFamily:
             raise InputError("each module entry needs a 'summand' index")
         _reject_unknown_keys("module entry", e, ("summand", "degree0", "degree1"))
         idx = e["summand"]
-        if not _is_int(idx):
+        if type(idx) is not int:
             raise InputError(f"'summand' must be an integer index, got {idx!r}")
         if not 0 <= idx < len(flat):
             raise FamilyMismatch(

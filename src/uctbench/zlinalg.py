@@ -9,19 +9,20 @@ Each normal form is one elimination over one matrix (`_echelon`, `_smith`).
 A transform is an identity block beside or below the matrix that the row or
 column operations carry along, and only `hnf` and `snf` add one:
 `hermite_rows`, `congruence_kernel` and `cokernel` eliminate the bare matrix.
-`congruence_kernel` eliminates only the rows that stay nonzero mod their
-moduli, and `inverse_mod` inverts mod L by Gauss-Jordan, with no Hermite form.
 The kernel, solve and cokernel entry points (`congruence_kernel`,
 `lattice_coordinates`, `ExactSolver`, `cokernel`) take A by its columns, so
 only the rows given to `lattice_kernel_localized` need a recorded width.
 The eliminations read a matrix one way (`_as_lists`): list rows through
-int() once, ragged rows refused, an `IntMatrix` with its recorded width.
-`ExactSolver` combines its kept transform rows by one `IntMatrix` product.
+`operator.index` once, ragged rows refused, an `IntMatrix` with its recorded
+width.  `cokernel` and `smith_basis` read a quotient one way (`_factors_mod`):
+Z^n modulo relations with Smith diagonal d and L Z^n is the sum of the
+Z/gcd(d_i, L), L for a missing d_i, so L = 0 gives Z there.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Iterable, Optional, Sequence
@@ -35,15 +36,16 @@ class IntMatrix:
     """Immutable integer matrix stored as a tuple of row tuples.  A matrix
     with no rows cannot read its column count off its entries, so `zero`
     records it in `width`; equality and hashing read the entries only.
-    `from_rows` validates outside input (int() on each entry, no ragged
-    rows); `_make` builds the rows of the package's own ints as they are."""
+    `from_rows` validates outside input (`operator.index` on each entry, so
+    a float or a string raises TypeError, and no ragged rows); `_make` builds
+    the rows of the package's own ints as they are."""
 
     entries: tuple[tuple[int, ...], ...]
     width: Optional[int] = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Row]) -> "IntMatrix":
-        ent = tuple(tuple(int(x) for x in row) for row in rows)
+        ent = tuple(tuple(map(operator.index, row)) for row in rows)
         if ent and any(len(r) != len(ent[0]) for r in ent):
             raise ValueError("ragged rows")
         return cls(ent)
@@ -120,7 +122,7 @@ def _as_lists(A) -> tuple[list[list[int]], int]:
     # the column count comes with the rows, so a matrix with none keeps it
     if isinstance(A, IntMatrix):
         return A.tolists(), A.cols
-    M = [list(map(int, r)) for r in A]
+    M = [list(map(operator.index, r)) for r in A]
     if M and any(len(r) != len(M[0]) for r in M):
         raise ValueError("ragged rows")
     return M, len(M[0]) if M else 0
@@ -265,9 +267,7 @@ def snf(A, modulus: int = 0) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     nonnegative, and d_i | d_{i+1}.
 
     With modulus L > 0 every entry is kept reduced mod L: then U*A*V == D
-    (mod L) with U, V invertible mod L, and Z^rows modulo the columns of A
-    and L Z^rows is the sum of the Z/gcd(d_i, L), a zero or missing d_i
-    counting as L.
+    (mod L) with U, V invertible mod L.
     """
     M, c = _as_lists(A)
     r = len(M)
@@ -476,27 +476,35 @@ class FinAbGroup:
         return " x ".join(parts) if parts else "0"
 
 
+def _factors_mod(diagonal: Sequence[int], n: int, L: int) -> list[int]:
+    """The cyclic orders of Z^n modulo relations with Smith diagonal
+    `diagonal` and L Z^n: gcd(d, L) per entry, L per missing one; 0 is Z."""
+    return [math.gcd(d, L) for d in diagonal] + [L] * (n - len(diagonal))
+
+
 def cokernel(columns: Sequence[Sequence[int]], ambient_rank: int,
              exponent: int = 0) -> FinAbGroup:
-    """Structure of Z^ambient_rank / <columns> (columns are relation vectors).
-
-    A known exponent L > 0 of the quotient (L Z^ambient_rank lies in the
-    span of the columns) lets the Smith form run mod L.
-    """
-    if ambient_rank == 0:
-        return FinAbGroup.trivial()
-    if not columns:
-        return FinAbGroup(free_rank=ambient_rank)
+    """Structure of Z^ambient_rank / <columns, exponent Z^ambient_rank>
+    (columns are relation vectors), by a Smith form mod the exponent; the
+    default exponent 0 gives the exact quotient."""
     # A matrix and its transpose have the same Smith invariants, so the
     # columns are eliminated as the rows they are held in.
     X = [list(col) for col in columns]
     _smith(X, len(X), ambient_rank, exponent)
-    diag = [X[i][i] for i in range(min(ambient_rank, len(X)))]
-    if exponent:
-        diag = [math.gcd(d, exponent) for d in diag] + [exponent] * (ambient_rank - len(diag))
-    nonzero = [d for d in diag if d]
-    free = ambient_rank - len(nonzero)
-    return FinAbGroup(tuple(d for d in nonzero if d > 1), free)
+    diag = _factors_mod([X[i][i] for i in range(min(ambient_rank, len(X)))],
+                        ambient_rank, exponent)
+    return FinAbGroup(tuple(d for d in diag if d > 1), diag.count(0))
+
+
+def smith_basis(X, n: int, L: int) -> list[tuple[int, list[int]]]:
+    """One Smith form U X V == D (mod L) of relations X on Z^n whose span
+    holds L Z^n: each invariant factor d > 1 of Z^n / X with the column of
+    U^-1 (mod L) that generates it."""
+    D, U, _ = snf(X, L)
+    diag = _factors_mod(D.diagonal(), n, L)
+    keep = [i for i, d in enumerate(diag) if d > 1]
+    W = inverse_mod(U, L) if keep else []
+    return [(diag[i], [row[i] for row in W]) for i in keep]
 
 
 @dataclass(frozen=True)
@@ -516,10 +524,8 @@ def solve_mod(A, moduli: Sequence[int]) -> SolutionGroup:
     if any(m < 1 for m in moduli):
         raise ValueError("moduli must be >= 1")
     M = A if isinstance(A, IntMatrix) else IntMatrix.from_rows(A)
-    c = len(M.entries[0]) if M.entries else 0
+    c = M.cols
     L = math.lcm(*moduli) if moduli else 1
-    if c == 0:
-        return SolutionGroup((), FinAbGroup.trivial(), L)
     # Quotient of the solution lattice by L * Z^c.
     basis, rel_cols = lattice_coordinates(
         M.transpose().entries, moduli, ([L if i == j else 0 for i in range(c)] for j in range(c)))

@@ -514,6 +514,55 @@ def test_hom_ext_additive_over_direct_sum():
                     * ext_group(c, b, degree).order())
 
 
+def test_hom_ext_metamorphic_relations_seeded():
+    # Checks that need no second solver, on seeded random triples over each
+    # kind of summand: Hom and Ext are additive under direct_sum in each
+    # variable, in both degrees; they do not see a change of basis; and
+    # suspending B shifts uct_order by one degree.
+    rng = random.Random(29)
+    c5_report = target_category(preset_group("cyclic(5)"))
+    # Z[1/6][S3] has rank 6, so its smallest module is R/5, of order 5^6
+    summands = ((Z2_REPORT, 0, 49), (Z3_REPORT, 1, 49), (S3_REPORT, 2, 49),
+                (S3_REPORT, 0, 5 ** 6), (c5_report, 1, 49))
+
+    def rebased(M):
+        parts = []
+        for P in M.parts:
+            q = min(P.orders, default=0)
+            if set(P.orders) == {q} and prime_factors(q) == (q,):
+                parts.append(conjugated_part(rng, P, q))
+            else:
+                parts.append(signed_permuted_part(rng, P))
+        return AModObject(M.ring, (parts[0], parts[1]))
+
+    def primes(M):
+        return {p for P in M.parts for o in P.orders for p in prime_factors(o)}
+
+    nontrivial = collections.Counter()
+    for report, idx, max_order in summands:
+        summand = report.flat_summands()[idx]
+        for _ in range(3):
+            # B and C share a prime with A, so that most groups are nonzero
+            A = random_module(rng, summand, max_order)
+            B, C = itertools.islice((X for X in (random_module(rng, summand, max_order)
+                                                 for _ in range(100)) if primes(X) & primes(A)), 2)
+            AB = direct_sum(A, B)
+            for degree in (0, 1):
+                for name, f in (("hom", lambda X, Y: hom_group(X, Y, degree).group),
+                                ("ext", lambda X, Y: ext_group(X, Y, degree))):
+                    what = (summand.kind, idx, name, degree)
+                    assert f(AB, C) == f(A, C).direct_sum(f(B, C)), what
+                    assert f(C, AB) == f(C, A).direct_sum(f(C, B)), what
+                    got = f(A, B)
+                    assert f(rebased(A), rebased(B)) == got, what
+                    nontrivial[name, not got.is_trivial()] += 1
+            FA, FB = (AModFamily.from_modules(report, {idx: X}) for X in (A, B))
+            SB = AModFamily.from_modules(report, {idx: suspend(B)})
+            res, sres = uct_order(FA, FB), uct_order(FA, SB)
+            assert (res.degrees[0], res.degrees[1]) == (sres.degrees[1], sres.degrees[0])
+    assert min(nontrivial.values()) >= 5 and len(nontrivial) == 4, nontrivial
+
+
 def test_uct_order_examples():
     zero = AModFamily.zero(Z2_REPORT)
     res = uct_order(zero, zero)
@@ -889,9 +938,9 @@ def test_smith_basis_matches_the_hermite_route_seeded(monkeypatch):
                     for _ in range(rng.randint(0, n + 2))]
             cols += [[L if i == j else 0 for i in range(n)] for j in range(n)]
             X = IntMatrix._make(zip(*cols)) if n else IntMatrix.zero(0, len(cols))
-            assert amod._smith_basis(X, n, L) == reference_smith_basis_mod(X, n, L), (L, cols)
+            assert zlinalg.smith_basis(X, n, L) == reference_smith_basis_mod(X, n, L), (L, cols)
     seen = []
-    real = amod._smith_basis
+    real = amod.smith_basis
 
     def checked(X, n, L):
         got = real(X, n, L)
@@ -899,7 +948,7 @@ def test_smith_basis_matches_the_hermite_route_seeded(monkeypatch):
         seen.append(n)
         return got
 
-    monkeypatch.setattr(amod, "_smith_basis", checked)
+    monkeypatch.setattr(amod, "smith_basis", checked)
     for case in DENSE_CASES[:3] + DENSE_CASES[5:]:
         hom_group(*dense_pair(0, *case))
     for summand in (Z2_INT, Z3_CYC, S3_CROSSED, S3_UNSPLIT):
@@ -935,7 +984,7 @@ def test_uct_order_keeps_every_solver_layer_and_no_stack_hermite_form(monkeypatc
 
     assert not hasattr(amod, "hnf")
     monkeypatch.setattr(zlinalg, "hnf", hnf_spy)
-    for owner, name in ((amod, "snf"), (amod, "hom_group"), (amod, "ext_group"),
+    for owner, name in ((zlinalg, "snf"), (amod, "hom_group"), (amod, "ext_group"),
                         (zlinalg.ExactSolver, "__init__"), (zlinalg.ExactSolver, "solve")):
         count(owner, name)
     summand = S3_REPORT.flat_summands()[1]

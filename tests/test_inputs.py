@@ -137,6 +137,27 @@ def test_module_file_unknown_key_exits_2(tmp_path, capsys, preset, entry, messag
     _exit_2(capsys, ["uct", f"preset:{preset}", "--a", str(path), "--b", str(path)], message)
 
 
+_ENTRY = {"summand": 0, "degree0": {"orders": [2]}}
+
+
+@pytest.mark.parametrize("payload, message", [
+    # a misspelt top-level key, a bare list of entries and a bare entry used
+    # to be read as module files and exit 0
+    ({"modules": [_ENTRY], "modlues": 7},
+     "module file has unknown key 'modlues'; allowed keys: modules"),
+    ([_ENTRY], "module file must be an object with a 'modules' list"),
+    (_ENTRY, "module file has unknown key 'summand'; allowed keys: modules"),
+    # a degree with no orders used to drop its matrices, whatever their shape
+    ({"modules": [{"summand": 1, "degree0": {"orders": [], "z": [[5, 6], [7, 8]]}}]},
+     "action matrix must be 0x0"),
+])
+def test_module_file_shape_exits_2(tmp_path, capsys, payload, message):
+    bad, good = tmp_path / "a.json", tmp_path / "b.json"
+    bad.write_text(json.dumps(payload))
+    good.write_text(json.dumps({"modules": [_ENTRY]}))
+    _exit_2(capsys, ["uct", "preset:cyclic(5)", "--a", str(bad), "--b", str(good)], message)
+
+
 def test_deep_group_file_exits_2(tmp_path, capsys):
     # json.load raises RecursionError on this file
     path = tmp_path / "g.json"

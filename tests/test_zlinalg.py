@@ -19,6 +19,7 @@ from uctbench.zlinalg import (
     inverse_mod,
     lattice_coordinates,
     lattice_kernel_localized,
+    smith_basis,
     snf,
     solve_mod,
 )
@@ -171,8 +172,7 @@ def test_eliminations_match_two_and_three_matrix_references_seeded():
                 orders = [math.gcd(d, L) for d in diag] + [L] * (r - len(diag))
             else:
                 orders = list(diag) + [0] * (r - len(diag))
-            want = FinAbGroup.from_orders(orders) if cols else FinAbGroup(free_rank=r)
-            assert cokernel(cols, r, L) == want, (A, L)
+            assert cokernel(cols, r, L) == FinAbGroup.from_orders(orders), (A, L)
         if r and c:
             moduli = [rng.choice((0, 1, 2, 6, 12, 49)) for _ in range(r)]
             rows = [col + [int(t == j) for t in range(c)] for j, col in enumerate(cols)]
@@ -511,6 +511,10 @@ def test_cokernel_and_finabgroup():
     assert g == FinAbGroup((6,))
     g = cokernel([], 2)
     assert g.free_rank == 2
+    # with no columns the quotient is Z^n / L Z^n, by the same gcd rule
+    assert cokernel([], 3, 5) == FinAbGroup((5, 5, 5))
+    assert cokernel([[]] * 2, 0, 7).is_trivial()
+    assert smith_basis(IntMatrix.zero(0, 3), 0, 7) == []
     assert FinAbGroup.from_orders([0, 30, 4]).factors == (2, 60)
     assert FinAbGroup.from_orders([10]) == FinAbGroup.from_orders([2, 5])
     a = FinAbGroup((2,))
@@ -558,7 +562,7 @@ def _entries(x):
 
 
 def test_list_input_becomes_int_at_the_solver_entry_points():
-    # List rows go through int() once, where they enter; every matrix
+    # List rows go through operator.index once, where they enter; every matrix
     # computed from them afterwards is built as it is, so no bool or int
     # subclass may survive into a result.
     # row 0 is never touched by the Hermite elimination, so its entries
@@ -590,3 +594,11 @@ def test_list_input_becomes_int_at_the_solver_entry_points():
                    lambda A: solve_mod(A, [4, 6])):
         with pytest.raises(ValueError, match="ragged"):
             ragged([[1, 2], [3]])
+    # entries go through operator.index, not int(): a float is not read as
+    # its floor, nor a string as the number it spells
+    for bad in (2.5, "3"):
+        for call in list(calls.values()) + [IntMatrix.from_rows]:
+            with pytest.raises(TypeError):
+                call([[bad] + row[1:] for row in rows])
+        with pytest.raises(TypeError):
+            solve_mod([[bad, 1]], [4])
