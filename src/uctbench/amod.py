@@ -706,7 +706,7 @@ def family_from_json(report: TargetCategoryReport, data) -> AModFamily:
         raise InputError("'modules' must be a list of module entries")
     flat = report.flat_summands()
     assignments: dict[int, AModObject] = {}
-    for e in entries:
+    for pos, e in enumerate(entries):
         if not isinstance(e, dict) or "summand" not in e:
             raise InputError("each module entry needs a 'summand' index")
         _reject_unknown_keys("module entry", e, ("summand", "degree0", "degree1"))
@@ -718,12 +718,18 @@ def family_from_json(report: TargetCategoryReport, data) -> AModFamily:
                 f"summand index {idx!r} out of range (0..{len(flat) - 1})"
             )
         ring = flat[idx]
-        # an absent, null or empty degree is zero; any other non-object
-        # is rejected by _part_from_json
-        specs = [e.get(f"degree{d}") for d in (0, 1)]
-        M = AModObject.build(ring, *(
-            None if spec is None or spec == {} else _part_from_json(ring, spec)
-            for spec in specs))
+        parts = []
+        for d in (0, 1):
+            # an absent, null or empty degree is zero; any other non-object
+            # is rejected by _part_from_json
+            spec = e.get(f"degree{d}")
+            try:
+                built = AModObject.build(ring, None if spec is None or spec == {}
+                                         else _part_from_json(ring, spec))
+            except InputError as exc:
+                raise InputError(f"module entry {pos} (summand {idx}) degree{d}: {exc}") from exc
+            parts.append(built.parts[0])
+        M = AModObject(ring, (parts[0], parts[1]))
         if idx in assignments:
             raise InputError(f"summand {idx} listed twice")
         assignments[idx] = M

@@ -46,19 +46,20 @@ from .cyclotomic import (
     crt_join,
     crt_split,
     divisors,
-    evaluate_at_root,
     order_mod,
     psi,
     totient,
 )
 from .errors import InputError, UnsupportedSize, WorkbenchError
 from .green import (
+    RepElt,
     _induce_via_characters,
     _restrict_via_characters,
     frobenius_check,
     induce,
     p_idempotent,
     restrict,
+    to_character,
 )
 from .groups import (
     FiniteGroup,
@@ -204,10 +205,9 @@ def _character_checks(n: int):
     one = CycEltN.one(n, n)
     zero = CycEltN.zero(n, n)
     for k in divisors(n):
-        p = psi(n, k)
-        for j in range(n):
+        for j, value in enumerate(to_character(RepElt(psi(n, k))).values):
             want = one if order_mod(j, n) == k else zero
-            yield (evaluate_at_root(p, j) != want
+            yield (value != want
                    and f"char(psi_{{{n},{k}}})({j}) != [ord({j})={k}]")
 
 

@@ -7,7 +7,11 @@ it are closed forms on coefficients (Serre, Linear Representations of Finite
 Groups, section 7): restriction folds z^e to z^(e mod k), induction lifts z^a
 to the sum of z^e over e = a (mod k).  `frobenius_check` verifies
 ind(res(y) * x) = y * ind(x) over monomials by these two maps alone: a
-product by a monomial is a rotation, `CycPoly.shift`.
+product by a monomial is a rotation of the coefficient tuple.
+
+`to_character` reads each value off a CRT component of
+R(H) = prod_{m | n} Z[theta_m, 1/N]: x(theta_n^j) depends only on x mod
+Phi_m, m = n/gcd(n, j), so x is reduced once per divisor m of n.
 
 The character route is kept as the independent oracle.  Characters take
 values in Z[theta_n, 1/N]; the character map is injective, and its inverse is
@@ -96,7 +100,13 @@ class CharFn:
 
 
 def to_character(x: RepElt) -> CharFn:
-    return CharFn(x.n, x.N, tuple(evaluate_at_root(x.value, j) for j in range(x.n)))
+    """Value j is x(theta_n^j), read off x mod Phi_m for the order
+    m = n/gcd(n, j) of theta_n^j; `evaluate_at_root` is its oracle."""
+    n, a = x.n, x.value
+    comp = {m: _reduce_mod_phi(m, a.num) for m in divisors(n)}
+    return CharFn(n, x.N, tuple(
+        CycEltN._make(n, x.N, _reduce_mod_phi(n, comp[n // math.gcd(n, j)], j), a.den)
+        for j in range(n)))
 
 
 def p_idempotent(n: int, k: int, N: Optional[int] = None) -> RepElt:
@@ -250,28 +260,31 @@ def frobenius_check(n: int, k: int, N: Optional[int] = None) -> FrobeniusReport:
     y = z^b of R(H), K the order-k subgroup of the cyclic group H of order n.
 
     Multiplying by a monomial is a rotation, so each pair (a, b), b outer,
-    checks ind(res(z^b).shift(a)) == ind(z^a).shift(b): `restrict` and
-    `induce` do the work, `CycPoly.shift` the two products."""
+    checks ind(z^a * res(z^b)) == z^b * ind(z^a): `restrict` and `induce`
+    (once per distinct tuple) do the work, coefficient-tuple rotations the
+    two products."""
     _check_divisor(n, k)
     if N is None:
         N = n
-    ind_cache: dict[tuple, CycPoly] = {}
+    ind_cache: dict[tuple, tuple] = {}
 
-    def cached_induce(u: CycPoly) -> CycPoly:
-        key = (u.num, u.den)
+    def ind(key: tuple) -> tuple:
+        # key = (num, den) of an element of R(K); ind of it as (num, den)
         got = ind_cache.get(key)
         if got is None:
-            got = induce(RepElt(u), n).value
-            ind_cache[key] = got
+            v = induce(RepElt(CycPoly._make(k, N, *key)), n).value
+            got = ind_cache[key] = v.num, v.den
         return got
 
-    ind_monos = [cached_induce(CycPoly.monomial(k, N, a)) for a in range(k)]
+    ind_monos = [ind((CycPoly.monomial(k, N, a).num, 1)) for a in range(k)]
     checked = 0
     for b in range(n):
         res_y = restrict(RepElt.monomial(n, N, b), k).value
+        num, den, s = res_y.num, res_y.den, -b % n
         for a in range(k):
             checked += 1
-            if cached_induce(res_y.shift(a)) != ind_monos[a].shift(b):
+            r, (u, e) = -a % k, ind_monos[a]
+            if ind((num[r:] + num[:r], den)) != (u[s:] + u[:s], e):
                 return FrobeniusReport(n, k, False, checked, (a, b))
     return FrobeniusReport(n, k, True, checked)
 

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from helpers import reference_frobenius_check
+from helpers import reference_frobenius_check, spread_then_reduce
 from uctbench import green
 from uctbench.cyclotomic import (
     CycEltN,
     CycPoly,
     divisors,
+    evaluate_at_root,
     order_mod,
     prime_factors,
     psi,
@@ -47,6 +48,26 @@ def test_to_character_examples():
     for j in range(n):
         want = CycEltN.from_int(n, n, n) if order_mod(j, n) == n else CycEltN.zero(n, n)
         assert ch.values[j] == want
+
+
+def test_to_character_matches_evaluation_at_each_root():
+    # each value read off a CRT component against the per-point evaluation
+    # and against spreading the whole vector, then long division by Phi_n
+    rng = random.Random(30)
+    for n in range(1, 121):
+        for N in (n, 6 * n):
+            primes = prime_factors(N)
+            den = 1
+            for _ in range(rng.randint(1, 3)):
+                den *= rng.choice(primes) if primes else 1
+            x = RepElt(CycPoly(n, N, tuple(rng.randint(-9, 9) for _ in range(n)), den))
+            assert x.value.den > 1 or N == 1, (n, N)
+            values = to_character(x).values
+            assert len(values) == n
+            for j, v in enumerate(values):
+                assert v == evaluate_at_root(x.value, j), (n, N, j)
+                assert v == CycEltN(n, N, spread_then_reduce(n, x.value.num, j),
+                                    x.value.den), (n, N, j)
 
 
 def test_character_map_is_injective():

@@ -158,6 +158,22 @@ def test_module_file_shape_exits_2(tmp_path, capsys, payload, message):
     _exit_2(capsys, ["uct", "preset:cyclic(5)", "--a", str(bad), "--b", str(good)], message)
 
 
+@pytest.mark.parametrize("second, where, message", [
+    ({"summand": 1, "degree1": {"orders": [11, 11], "z": [[1, 0]]}},
+     "module entry 1 (summand 1) degree1", "action matrix must be 2x2"),
+    ({"summand": 1, "degree0": {"orders": [11], "z": [[1]], "w": []}},
+     "module entry 1 (summand 1) degree0",
+     "degree object has unknown key 'w'; allowed keys: orders, z"),
+])
+def test_module_file_error_names_its_entry_and_degree(tmp_path, capsys, second, where,
+                                                      message):
+    # cyclic(5) summand 1 is Z[theta_5, 1/5]; the first entry is valid
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"modules": [_ENTRY, second]}))
+    _exit_2(capsys, ["uct", "preset:cyclic(5)", "--a", str(path), "--b", str(path)],
+            f"error: {where}: {message}\n")
+
+
 def test_deep_group_file_exits_2(tmp_path, capsys):
     # json.load raises RecursionError on this file
     path = tmp_path / "g.json"

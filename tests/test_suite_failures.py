@@ -13,16 +13,24 @@ import pytest
 import uctbench.cli as cli
 from uctbench.cli import SUITES, main
 from uctbench.crossring import CrossedElt
-from uctbench.green import FrobeniusReport
+from uctbench.green import CharFn, FrobeniusReport
 
 
 _REAL = {name: getattr(cli, name) for name in
-         ("psi", "_induce_via_characters", "frobenius_check", "crt_join")}
+         ("psi", "to_character", "_induce_via_characters", "frobenius_check", "crt_join")}
 
 
 def _wrong_psi(n, k, *rest):
     p = _REAL["psi"](n, k, *rest)
     return p * 2 if (n, k) == (6, 3) else p
+
+
+def _one_wrong_value(x):
+    # value 4 of psi_{6,3}'s character, the second j of order 3
+    ch = _REAL["to_character"](x)
+    if x.value != _REAL["psi"](6, 3):
+        return ch
+    return CharFn(ch.n, ch.N, ch.values[:4] + (ch.values[4] * 2,) + ch.values[5:])
 
 
 def _wrong_induce_oracle(x, n):
@@ -54,6 +62,9 @@ CASES = [
     ("characters", 8, "psi", _wrong_psi,
      {"n=6": (14, "char(psi_{6,3})(2) != [ord(2)=3]")},
      93, "n=6: char(psi_{6,3})(2) != [ord(2)=3]"),
+    ("characters", 8, "to_character", _one_wrong_value,
+     {"n=6": (16, "char(psi_{6,3})(4) != [ord(4)=3]"), "n=5": (10, None)},
+     95, "n=6: char(psi_{6,3})(4) != [ord(4)=3]"),
     ("frobenius", 8, "_induce_via_characters", _wrong_induce_oracle,
      {"n=6,k=2": (0, "ind(p_{2,2}) differs from its character oracle")},
      269, "n=6,k=1: ind(p_{1,1}) differs from its character oracle"),
