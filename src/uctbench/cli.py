@@ -62,6 +62,7 @@ from .green import (
     to_character,
 )
 from .groups import (
+    MAX_TABLE_ORDER,
     FiniteGroup,
     _cyclic_subgroup_map,
     cyclic_classes,
@@ -74,7 +75,9 @@ def load_group(src: str) -> FiniteGroup:
     """Group source: 'preset:<name>' or a path to a JSON group file."""
     if src.startswith("preset:"):
         return preset_group(src[len("preset:"):])
-    data = _load_json(src)
+    # refused by its size before it is parsed, at 16 bytes per table entry
+    # (four digits, a separator and an indent), then by its order
+    data = _load_json(src, 16 * MAX_TABLE_ORDER ** 2)
     if not isinstance(data, dict):
         raise InputError(f"{src}: group file must be a JSON object")
     if "preset" in data:
@@ -85,6 +88,9 @@ def load_group(src: str) -> FiniteGroup:
     if "table" not in data:
         raise InputError(f"{src}: need either 'preset' or 'table'")
     _reject_unknown_keys(f"{src}: group file", data, ("table", "labels", "order"))
+    if isinstance(data["table"], list) and len(data["table"]) > MAX_TABLE_ORDER:
+        raise UnsupportedSize(f"{src}: table of order {len(data['table'])} is above "
+                              f"{MAX_TABLE_ORDER}, the largest supported")
     G = group_from_table(data["table"], data.get("labels"))
     declared = data.get("order")
     if declared is None:
@@ -97,9 +103,12 @@ def load_group(src: str) -> FiniteGroup:
     return G
 
 
-def _load_json(path: str):
+def _load_json(path: str, max_bytes: Optional[int] = None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
+            if max_bytes is not None and (size := os.fstat(fh.fileno()).st_size) > max_bytes:
+                raise UnsupportedSize(f"{path}: {size} bytes, above {max_bytes}, the largest "
+                                      f"group file read")
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path!r}: {exc}") from exc

@@ -453,6 +453,12 @@ def _split_call(spec: str) -> tuple[str, Optional[list[str]]]:
 # measure its own largest cases (symmetric(8), cyclic(40320)) first.
 MAX_PRESET_ORDER = 5040
 
+# Largest table read from a group file, where json.load and group_from_table
+# hold about 46 bytes per entry before any check.  At the bound, on a 2-core,
+# 8 GB machine, cyclic(1024)'s target-category report takes 0.7 s and 57 MB
+# peak RSS, and (Z/2)^10's (ten generators, 1023 classes) 4.7 s and 167 MB.
+MAX_TABLE_ORDER = 1024
+
 # Deepest nesting of presets inside direct_product: a product of 13
 # nontrivial factors already exceeds MAX_PRESET_ORDER, and parsing and
 # building recurse once per level.

@@ -267,8 +267,12 @@ def snf(A, modulus: int = 0) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     nonnegative, and d_i | d_{i+1}.
 
     With modulus L > 0 every entry is kept reduced mod L: then U*A*V == D
-    (mod L) with U, V invertible mod L.
+    (mod L) with U, V invertible mod L.  L is read by `operator.index`, as
+    the entries are, and a negative L raises ValueError.
     """
+    modulus = operator.index(modulus)
+    if modulus < 0:
+        raise ValueError("modulus must be >= 0")
     M, c = _as_lists(A)
     r = len(M)
     M = [row + list(e) for row, e in zip(M, IntMatrix.identity(r).entries)]
@@ -384,6 +388,7 @@ def lattice_kernel_localized(A, m: int, N: int = 1) -> IntMatrix:
     N records the localization applied by callers downstream; it does not
     affect the lattice itself.
     """
+    m = operator.index(m)
     if m < 1:
         raise ValueError("modulus must be >= 1")
     A = A if isinstance(A, IntMatrix) else IntMatrix.from_rows(A)

@@ -1,4 +1,30 @@
-"""Shared test utilities: brute-force oracles and random valid modules."""
+"""Shared test utilities: brute-force oracles and random valid modules.
+
+One oracle per kernel, none of which runs the library code it checks
+(tests/test_api.py holds the reference solvers to that):
+
+- zlinalg `_echelon`, `_smith`, `congruence_kernel`, `hermite_coordinates`,
+  `ExactSolver`, `FinAbGroup.from_orders`, `IntMatrix.__matmul__`:
+  `reference_hnf`, `reference_snf` (the only eliminations of the reference
+  solvers below), `reference_congruence_kernel`,
+  `reference_hermite_coordinates`, `ReferenceSolver`, `reference_from_orders`,
+  `triple_loop_matmul`, in test_zlinalg; `smith_basis`:
+  `reference_smith_basis_mod`, in test_amod.
+- amod `hom_group`, `ext_group`, `uct_order`, `presentation_of`: the
+  `reference_*` of each, in test_amod; |Hom| also by enumeration
+  (`brute_hom_count`, with test_acceptance) and by an F_p rank
+  (`fp_hom_order`).  `ext_second_step` is a probe of Ext^2 through the
+  library's own resolution, not an oracle.
+- cyclotomic products and reductions: the double loops, long division and
+  `product_formula_psi`, in test_cyclotomic; green `frobenius_check`:
+  `reference_frobenius_check`, in test_green.
+- crossring `crossed_relations`, `CrossedElt.__mul__`, `split_ring`, the
+  splitting idempotents: `reference_crossed_relations`, `termwise_crossed_mul`,
+  `reference_split_ring`, `root_sum_idempotent_coefficients`, in test_crossring.
+- groups preset rules, inverses, `cyclic_classes`: the entrywise
+  `reference_*_table` and `reference_direct_product`, `brute_inverses`,
+  `reference_cyclic_classes`, in test_groups.
+"""
 
 import itertools
 import math
@@ -14,7 +40,6 @@ from uctbench.amod import (
     _resolve,
     _resolve_parts,
     ext_group,
-    hom_group,
     presentation_of,
     suspend,
 )
@@ -35,15 +60,8 @@ from uctbench.cyclotomic import (
     prime_factors,
     totient,
 )
-from uctbench.groups import CyclicClass, CyclicSubgroup, FiniteGroup, _split_call
-from uctbench.zlinalg import (
-    FinAbGroup,
-    IntMatrix,
-    cokernel,
-    hermite_rows,
-    hnf,
-    snf,
-)
+from uctbench.groups import CyclicClass, CyclicSubgroup, FiniteGroup
+from uctbench.zlinalg import FinAbGroup, IntMatrix
 
 
 def det_unimodular(U: IntMatrix) -> int:
@@ -262,8 +280,6 @@ def _poly_roots_mod(coeffs, q):
 
 def candidate_parts(summand: RingSummand, max_order=81):
     """Valid q-uniform module parts over the summand, with their group order."""
-    from uctbench.cyclotomic import cyclotomic
-
     pres = presentation_of(summand)
     rank = pres.rank
     pool = []
@@ -471,16 +487,6 @@ def reference_frobenius_check(n: int, k: int, N=None) -> green.FrobeniusReport:
 # work that the library's fast path avoids
 
 
-def dense_matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    """A @ B by one dense inner product per entry."""
-    if A.cols != B.rows:
-        raise ValueError("shape mismatch")
-    bt = B.transpose().entries
-    return IntMatrix(
-        tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in A.entries)
-    )
-
-
 def triple_loop_matmul(A: IntMatrix, B: IntMatrix) -> tuple[tuple[int, int], list[list[int]]]:
     """The shape (A.rows, B.cols) and entries of A @ B, one term at a time."""
     rows, inner, cols = A.rows, A.cols, B.cols
@@ -591,95 +597,6 @@ def reference_direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
         mul.append(tuple(row))
     return FiniteGroup(order, tuple(mul), a.identity * k + b.identity, inv=tuple(
         a.inv[x // k] * k + b.inv[x % k] for x in range(order)))
-
-
-# The table path: the Cayley tables presets were built from before they
-# carried product rules.  Each preset gives the rows of its generators, and a
-# breadth-first walk from the identity derives every other row.
-
-
-def cayley(order: int, identity: int,
-           gen_rows: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """The Cayley table of the group generated by the elements whose rows
-    (left multiplications) are gen_rows: row(s * p) = L_s o row(p)."""
-    rows: list[Optional[tuple[int, ...]]] = [None] * order
-    rows[identity] = tuple(range(order))
-    walk = [identity]
-    for p in walk:
-        row_p = rows[p]
-        for gen in gen_rows:
-            sp = gen[p]
-            if rows[sp] is None:
-                rows[sp] = tuple(map(gen.__getitem__, row_p))
-                walk.append(sp)
-    if len(walk) != order:
-        raise RuntimeError(f"generator rows reach {len(walk)} of {order} elements")
-    return tuple(rows)
-
-
-def _table_generators(mul, identity: int) -> list[int]:
-    gens, reached = [], {identity}
-    for g in range(len(mul)):
-        if g in reached:
-            continue
-        gens.append(g)
-        frontier = [mul[x][g] for x in reached]
-        while frontier:
-            y = frontier.pop()
-            if y not in reached:
-                reached.add(y)
-                frontier.extend(mul[y][h] for h in gens)
-    return gens
-
-
-def cayley_cyclic(n: int) -> tuple[tuple[int, ...], ...]:
-    # generated by 1: i + j mod n
-    return cayley(n, 0, [tuple(range(1, n)) + (0,)])
-
-
-def cayley_dihedral(n: int) -> tuple[tuple[int, ...], ...]:
-    # r * r^i s^j = r^(i+1) s^j and s * r^i s^j = r^-i s^(j+1)
-    turn = [(i + 1) % n for i in range(n)]
-    flip = [-i % n for i in range(n)]
-    r = tuple(turn + [n + i for i in turn])
-    s = tuple([n + i for i in flip] + flip)
-    return cayley(2 * n, 0, [r, s])
-
-
-def cayley_symmetric(n: int) -> tuple[tuple[int, ...], ...]:
-    # S_n is generated by the n-cycle and the transposition (0 1)
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    cycle = tuple(range(1, n)) + (0,)
-    swap = (1, 0, *range(2, n)) if n > 1 else cycle
-    return cayley(len(perms), 0, [
-        tuple([index[tuple(map(s.__getitem__, q))] for q in perms]) for s in (cycle, swap)])
-
-
-def cayley_direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    # generated by the (g, e_b) and (e_a, h) over generating sets of the factors
-    k = b.order
-    gen_rows = [tuple(x * k + y for x in a.mul[g] for y in range(k))
-                for g in _table_generators(a.mul, a.identity)]
-    gen_rows += [tuple(x * k + y for x in range(a.order) for y in b.mul[h])
-                 for h in _table_generators(b.mul, b.identity)]
-    identity = a.identity * k + b.identity
-    return FiniteGroup(a.order * k, cayley(a.order * k, identity, gen_rows), identity)
-
-
-def cayley_preset(name: str) -> FiniteGroup:
-    """A preset on the table path: its Cayley table, every product a lookup."""
-    head, args = _split_call(name)
-    if head == "trivial":
-        return FiniteGroup(1, ((0,),), 0)
-    if head == "klein_four":
-        return FiniteGroup(4, cayley_preset("direct_product(cyclic(2),cyclic(2))").mul, 0,
-                           ("1", "a", "b", "ab"))
-    if head == "direct_product":
-        return cayley_direct_product(*map(cayley_preset, args))
-    table = {"cyclic": cayley_cyclic, "dihedral": cayley_dihedral,
-             "symmetric": cayley_symmetric}[head](int(args[0]))
-    return FiniteGroup(len(table), table, 0)
 
 
 def _generated_subgroup(G: FiniteGroup, g: int) -> frozenset:
@@ -849,7 +766,8 @@ def reference_from_orders(orders) -> FinAbGroup:
 # ---------------------------------------------------------------------------
 # Hermite and Smith forms that repeat each operation on separate transform
 # matrices: oracles for the library's one elimination per normal form, whose
-# transforms are identity blocks carried along.
+# transforms are identity blocks carried along, and the only eliminations
+# the reference solvers below run.
 
 
 def _ref_row_sub(M, i, k, q):
@@ -914,7 +832,9 @@ def reference_snf(A, modulus: int = 0):
     """Smith form (D, U, V), U A V = D (mod L when modulus L > 0), with every
     row operation repeated on U and every column operation on V: the
     three-matrix elimination that the library's one elimination over
-    [[A, I], [I, 0]] must match entry for entry."""
+    [[A, I], [I, 0]] must match entry for entry.  Exact (L = 0), it is also
+    the Smith form of `ReferenceSolver` and `reference_smith_basis`; mod L,
+    that of `reference_smith_basis_mod` and of the Ext quotient."""
     M = [list(row) for row in (A.entries if isinstance(A, IntMatrix) else A)]
     r = len(M)
     c = len(M[0]) if M else 0
@@ -986,58 +906,14 @@ def reference_snf(A, modulus: int = 0):
     return IntMatrix.from_rows(M), IntMatrix.from_rows(U), IntMatrix.from_rows(V)
 
 
-# ---------------------------------------------------------------------------
-# exact Smith forms over Z: the solver and Hom basis the library replaced by
-# Hermite forms and Smith forms mod L.  Their entries can grow without bound
-# on larger dense inputs, so they serve small oracles only.
-
-
-def reference_smith(A):
-    """Exact Smith form (diagonal, U, V) with U A V = diag(diagonal), U and
-    V unimodular, as lists: Euclid on the smallest entry of the trailing
-    block, then one row added to enforce the divisibility chain."""
-    M = [list(row) for row in A]
-    r, c = len(M), len(M[0]) if M else 0
-    U = [[int(i == j) for j in range(r)] for i in range(r)]
-    V = [[int(i == j) for j in range(c)] for i in range(c)]
-    t = 0
-    while t < min(r, c):
-        nonzero = [(abs(M[i][j]), i, j) for i in range(t, r) for j in range(t, c) if M[i][j]]
-        if not nonzero:
-            break
-        _, i, j = min(nonzero)
-        M[t], M[i], U[t], U[i] = M[i], M[t], U[i], U[t]
-        for row in M + V:
-            row[t], row[j] = row[j], row[t]
-        p = M[t][t]
-        for i in range(t + 1, r):
-            q = M[i][t] // p
-            M[i] = [x - q * y for x, y in zip(M[i], M[t])]
-            U[i] = [x - q * y for x, y in zip(U[i], U[t])]
-        for j in range(t + 1, c):
-            q = M[t][j] // p
-            for row in M + V:
-                row[j] -= q * row[t]
-        if any(M[i][t] for i in range(t + 1, r)) or any(M[t][t + 1:]):
-            continue  # a smaller remainder: pivot again
-        bad = next((i for i in range(t + 1, r) if any(x % p for x in M[i][t + 1:])), None)
-        if bad is not None:
-            M[t] = [x + y for x, y in zip(M[t], M[bad])]
-            U[t] = [x + y for x, y in zip(U[t], U[bad])]
-            continue
-        if p < 0:
-            M[t], U[t] = [-x for x in M[t]], [-x for x in U[t]]
-        t += 1
-    return [M[i][i] for i in range(min(r, c))], U, V
-
-
 class ReferenceSolver:
     """A x = b over Z through one exact Smith form U A V = D: y = D^-1 U b
     where it is integral, then x = V y."""
 
     def __init__(self, A):
         self.rows = len(A)
-        self.diag, self.U, self.V = reference_smith(A)
+        D, U, V = reference_snf(A)
+        self.diag, self.U, self.V = D.diagonal(), U.entries, V.entries
 
     def solve(self, b):
         if len(b) != self.rows:
@@ -1056,10 +932,11 @@ class ReferenceSolver:
 def reference_smith_basis(X, n: int) -> list[tuple[int, list[int]]]:
     """Each invariant factor d > 1 of Z^n / X, by one exact Smith form, with
     the column of U^-1 that generates it."""
-    diag, U, _ = reference_smith(X)
+    D, U, _ = reference_snf(X)
+    diag = D.diagonal()
     if len(diag) < n or 0 in diag:
         raise RuntimeError("Hom of finite modules must be finite")
-    _, Uinv = hnf(U)  # U is unimodular: its Hermite form is I = Uinv U
+    _, Uinv = reference_hnf(U)  # U is unimodular: its Hermite form is I = Uinv U
     return [(d, [Uinv[l, i] for l in range(n)]) for i, d in enumerate(diag) if d > 1]
 
 
@@ -1082,7 +959,8 @@ def reference_congruence_kernel(A, moduli):
     rows = [[M[i][j] for i in range(r)] + [int(t == j) for t in range(c)] for j in range(c)]
     rows += [[m if t == i else 0 for t in range(r)] + [0] * c
              for i, m in enumerate(moduli) if m]
-    return [row[r:] for row in hermite_rows(rows) if not any(row[:r])]
+    return [row[r:] for row in reference_hnf(rows)[0].entries
+            if any(row[r:]) and not any(row[:r])]
 
 
 def reference_hermite_coordinates(basis, vectors):
@@ -1106,11 +984,11 @@ def reference_smith_basis_mod(X, n: int, L: int) -> list[tuple[int, list[int]]]:
     Smith form mod L, with the column of U^-1 mod L that generates it, read
     off an exact Hermite form of the rows of U and of L I: their Hermite form
     is I, and the top-left block of its transform is U^-1."""
-    D, U, _ = snf(X, L)
+    D, U, _ = reference_snf(X, L)
     diag = [math.gcd(d, L) for d in D.diagonal()]
     diag += [L] * (n - len(diag))
-    _, W = hnf(IntMatrix(U.entries + tuple(tuple(L if i == j else 0 for j in range(n))
-                                           for i in range(n))))
+    _, W = reference_hnf(IntMatrix(U.entries + tuple(
+        tuple(L if i == j else 0 for j in range(n)) for i in range(n))))
     return [(d, [W[l, i] % L for l in range(n)]) for i, d in enumerate(diag) if d > 1]
 
 
@@ -1255,7 +1133,7 @@ def _free_cover_kernel(pres: ReferencePresentation, orders: Sequence[int],
             gvecs.append(e)
             new = [wm.matvec(e) for wm in word_mats]
             cols += new
-            span = [row for row in hnf(span + new)[0].entries if any(row)]
+            span = [row for row in reference_hnf(span + new)[0].entries if any(row)]
     for v in extra_generators:
         gvecs.append(tuple(map(int, v)))
         cols += [wm.matvec(gvecs[-1]) for wm in word_mats]
@@ -1285,12 +1163,12 @@ def _lattice_hom_quotient(lam: int, K_actions: Sequence[IntMatrix],
     given generator actions.  extra_relations yields integer matrices (s x lam)
     to quotient out in addition to the trivial maps."""
     _, rel_cols = _hom_lattice(lam, K_actions, Q, relations=extra_relations)
-    # the trivial maps are among the relations, so lcm(Q.orders) kills the
-    # quotient
-    group = cokernel(rel_cols, Q.rank * lam, math.lcm(*Q.orders))
-    if group.free_rank:
-        raise RuntimeError("Ext of finite modules must be finite")
-    return group
+    # the trivial maps are among the relations, so L = lcm(Q.orders) kills
+    # the quotient: Z^n modulo the relations and L Z^n is the sum of the
+    # Z/gcd(d, L) over their Smith diagonal mod L, and Z/L per missing d
+    n, L = Q.rank * lam, math.lcm(*Q.orders)
+    diag = reference_snf(rel_cols, L)[0].diagonal()
+    return FinAbGroup.from_orders([math.gcd(d, L) for d in diag] + [L] * (n - len(diag)))
 
 
 def _restriction_images(pres: ReferencePresentation, cover: _CoverKernel,
@@ -1337,14 +1215,15 @@ def reference_ext_group(M: AModObject, N: AModObject, degree: int = 0) -> FinAbG
 
 
 def reference_uct_order(A, B) -> UCTOrderResult:
-    """uct_order's sums taken over every flat summand, zero modules included,
-    one direct sum at a time."""
+    """uct_order's sums of `reference_hom_group` and `reference_ext_group`
+    taken over every flat summand, zero modules included, one direct sum at
+    a time."""
     out = []
     for d in (0, 1):
         hom, ext = FinAbGroup.trivial(), FinAbGroup.trivial()
         for MA, MB in zip(A.modules, B.modules):
-            hom = hom.direct_sum(hom_group(MA, MB, d).group)
-            ext = ext.direct_sum(ext_group(MA, suspend(MB), d))
+            hom = hom.direct_sum(reference_hom_group(MA, MB, d))
+            ext = ext.direct_sum(reference_ext_group(MA, suspend(MB), d))
         out.append(DegreeOrders(hom, ext))
     return UCTOrderResult((out[0], out[1]))
 

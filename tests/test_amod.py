@@ -450,6 +450,11 @@ def test_ext_rank_four_summand_cube():
     P = M3.parts[0]
     assert len(_free_cover_kernel(presentation_of(summand), P.orders, P.mats).gvecs) == 3
     assert ext_group(M3, M3, 0) == FinAbGroup((11,) * 36)
+    # R/7 over Z[theta_3] in the basis e_0, 4 e_1 (z e_0 = 2 e_1): e_1 lies
+    # in the span of e_0's images only with its own order row 7 e_1, and the
+    # cover still takes one generator
+    z = IntMatrix.from_rows([[0, -4], [2, -1]])
+    assert len(_free_cover_kernel(presentation_of(Z3_CYC), (7, 7), [z]).gvecs) == 1
 
 
 def test_ext_dedekind_prime_oracle():

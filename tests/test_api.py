@@ -92,3 +92,23 @@ def test_no_unused_imports_or_unreferenced_private_names():
                     other is not stmt and private in names for _, other, names in statements):
                 problems.append(f"{name}:{stmt.lineno}: {private} is never referenced")
     assert not problems, "\n".join(problems)
+
+
+def test_helpers_keep_one_independent_oracle_per_kernel():
+    # tests/helpers.py holds the oracles: each top-level helper is read by a
+    # test module or by another helper, and none runs the library kernel it
+    # checks.  The reference solvers eliminate through reference_hnf and
+    # reference_snf only; ext_group is read only by ext_second_step, the
+    # Ext^2 probe of the library's own resolution.
+    tests = Path(__file__).parent
+    helpers = ast.parse((tests / "helpers.py").read_text(encoding="utf-8"))
+    assert not {"hnf", "hermite_rows", "snf", "cokernel", "hom_group"} & _names_in(helpers)
+    assert {name for stmt in helpers.body if "ext_group" in _names_in(stmt, imports=False)
+            for name in _defined_names(stmt)} == {"ext_second_step"}
+    readers = [_names_in(ast.parse(path.read_text(encoding="utf-8")))
+               for path in sorted(tests.glob("test_*.py"))]
+    statements = [(stmt, _names_in(stmt)) for stmt in helpers.body]
+    unread = [name for stmt, _ in statements for name in _defined_names(stmt)
+              if not any(name in names for names in readers)
+              and not any(other is not stmt and name in names for other, names in statements)]
+    assert not unread, unread

@@ -1,10 +1,11 @@
 """Malformed input files end in exit 2 with a named error, never a traceback."""
 
 import json
+import os
 
 import pytest
 
-from uctbench import amod, group_from_table, preset_group
+from uctbench import amod, cli, group_from_table, preset_group
 from uctbench.amod import MAX_LATTICE_WIDTH
 from uctbench.errors import InvalidGroupTable, UnsupportedSize
 from uctbench.groups import MAX_PRESET_DEPTH
@@ -240,3 +241,18 @@ def test_uct_size_bound_is_inclusive(tmp_path, capsys, monkeypatch):
     assert main(["uct", "preset:cyclic(2)", "--a", path, "--b", path]) == 0
     path = _z3_family(tmp_path, 3)
     _exit_2(capsys, ["uct", "preset:cyclic(2)", "--a", path, "--b", path], "9, above 4")
+
+
+def test_group_file_refused_by_size_then_by_order(tmp_path, capsys, monkeypatch):
+    # a table file is refused by its byte size before json.load reads it,
+    # and its table by order before group_from_table validates it; the
+    # byte bound follows the order bound, 16 bytes per entry
+    monkeypatch.setattr(cli, "MAX_TABLE_ORDER", 4)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"table": [[(i + j) % 4 for j in range(4)] for i in range(4)]}))
+    assert main(["group-info", str(path)]) == 0
+    path.write_text(json.dumps({"table": [[(i + j) % 5 for j in range(5)] for i in range(5)]}))
+    _exit_2(capsys, ["group-info", str(path)], "table of order 5 is above 4")
+    # a sparse gigabyte, of which no byte is read
+    os.truncate(path, 2 ** 30)
+    _exit_2(capsys, ["group-info", str(path)], f"{2 ** 30} bytes, above 256")

@@ -26,7 +26,6 @@ from uctbench.zlinalg import (
 
 from helpers import (
     ReferenceSolver,
-    dense_matmul,
     det_unimodular,
     reference_congruence_kernel,
     reference_from_orders,
@@ -66,7 +65,8 @@ def test_matmul_matches_dense_reference():
         if k == 0:
             # a k x 0 matrix has no rows to read its width from
             B = IntMatrix(())
-        assert A @ B == dense_matmul(A, B), (r, k, c)
+        P = A @ B
+        assert ((P.rows, P.cols), P.tolists()) == triple_loop_matmul(A, B), (r, k, c)
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2]]) @ IntMatrix.from_rows([[1, 2]])
 
@@ -470,6 +470,10 @@ def test_exact_solver_matches_smith_oracle_seeded():
     assert outcomes == {True, False}
     assert ExactSolver([[1], [2]]).solve([3]) is not None
     assert ExactSolver([[0], [0]]).solve([1]) is None
+    # a right side of the wrong length is refused, not read as outside the
+    # lattice
+    with pytest.raises(ValueError, match="length mismatch"):
+        ExactSolver([[1], [2]]).solve([1, 2])
 
 
 def test_invariant_factors_match_sympy():
@@ -602,3 +606,11 @@ def test_list_input_becomes_int_at_the_solver_entry_points():
                 call([[bad] + row[1:] for row in rows])
         with pytest.raises(TypeError):
             solve_mod([[bad, 1]], [4])
+    # so are the moduli of snf and lattice_kernel_localized, and snf's
+    # modulus is L > 0 or 0
+    with pytest.raises(TypeError):
+        lattice_kernel_localized([[2, 4]], 2.5)
+    with pytest.raises(TypeError):
+        snf([[2, 4]], 2.0)
+    with pytest.raises(ValueError, match=">= 0"):
+        snf([[2, 4]], -5)
