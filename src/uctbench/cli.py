@@ -1,7 +1,8 @@
 """Command-line front end: group reports, target-category reports,
 verification suites, and UCT order queries.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.  Identical
+Exit codes: 0 success, 1 verification failure, 2 input error or a standard
+output closed before the output was written.  Identical
 inputs produce byte-identical output (fixed orderings, recorded seed).
 Verification items run in order in one thread.  WORKBENCH_THREADS is still
 accepted: it must be an integer, and `verify --json` echoes it as "threads".
@@ -121,10 +122,9 @@ def _load_json(path: str, max_bytes: Optional[int] = None):
 
 
 def _emit(obj, as_json: bool, text: str) -> None:
-    if as_json:
-        print(json.dumps(obj, indent=2, sort_keys=True))
-    else:
-        print(text)
+    # one write, flushed here, so that a closed stdout raises inside main
+    sys.stdout.write((json.dumps(obj, indent=2, sort_keys=True) if as_json else text) + "\n")
+    sys.stdout.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +480,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.fn(args)
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader left early (`| head -1`); stdout goes to /dev/null so
+        # that the flush at exit does not fail again (the `signal` docs' recipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed before the output was written",
+              file=sys.stderr)
         return 2
 
 

@@ -33,6 +33,7 @@ Z[theta_n, 1/N] and in the crossed rings.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -311,7 +312,7 @@ class _CoeffVector:
         size = self._length(self.n)
         if len(self.num) != size:
             raise ValueError(f"expected {size} coefficients, got {len(self.num)}")
-        num, den = _normalize([int(x) for x in self.num], self.den)
+        num, den = _normalize([operator.index(x) for x in self.num], self.den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         _check_supported(self.den, self.N)
@@ -409,9 +410,13 @@ class CycPoly(_CoeffVector):
 
     @classmethod
     def monomial(cls, n: int, N: int, e: int, coeff: int = 1) -> "CycPoly":
+        """coeff * z^e, checked as the constructor would, without its pass."""
+        n, N, e, coeff = map(operator.index, (n, N, e, coeff))
+        if n < 1 or N < 1:
+            raise ValueError("n, N, den must be positive")
         num = [0] * n
         num[e % n] = coeff
-        return cls(n, N, tuple(num))
+        return cls._make(n, N, num, 1)
 
     def shift(self, e: int) -> "CycPoly":
         """z^e * self, for any integer e: slot j moves to slot j + e mod n."""

@@ -11,13 +11,16 @@ product by a monomial is a rotation of the coefficient tuple.
 
 `to_character` reads each value off a CRT component of
 R(H) = prod_{m | n} Z[theta_m, 1/N]: x(theta_n^j) depends only on x mod
-Phi_m, m = n/gcd(n, j), so x is reduced once per divisor m of n.
+Phi_m, m = n/gcd(n, j), so x is reduced once per divisor m of n.  A
+component with no slot above slot 0 is a constant c, the value at every root
+of order m, built once and shared (each psi_{n,k} has components 0 and 1).
 
 The character route is kept as the independent oracle.  Characters take
 values in Z[theta_n, 1/N]; the character map is injective, and its inverse is
 computed exactly via the discrete Fourier formula
 y_e = (1/n) sum_j chi(j) theta^{-e j}, followed by rationality and
-denominator checks.  `_restrict_via_characters` and
+denominator checks.  `char_solve` lists the nonzero (slot, coefficient)
+terms of the values once, and walks only those for each e.  `_restrict_via_characters` and
 `_induce_via_characters` compute both maps this way.
 """
 
@@ -101,12 +104,19 @@ class CharFn:
 
 def to_character(x: RepElt) -> CharFn:
     """Value j is x(theta_n^j), read off x mod Phi_m for the order
-    m = n/gcd(n, j) of theta_n^j; `evaluate_at_root` is its oracle."""
-    n, a = x.n, x.value
+    m = n/gcd(n, j) of theta_n^j; `evaluate_at_root` is its oracle.  A
+    constant component c is the value c at every root of order m, built once."""
+    n, N, a = x.n, x.N, x.value
     comp = {m: _reduce_mod_phi(m, a.num) for m in divisors(n)}
-    return CharFn(n, x.N, tuple(
-        CycEltN._make(n, x.N, _reduce_mod_phi(n, comp[n // math.gcd(n, j)], j), a.den)
-        for j in range(n)))
+    zeros = (0,) * (totient(n) - 1)
+    const = {m: CycEltN._make(n, N, c[:1] + zeros, a.den)
+             for m, c in comp.items() if not any(c[1:])}
+    values = []
+    for j in range(n):
+        m = n // math.gcd(n, j)
+        values.append(const[m] if m in const
+                      else CycEltN._make(n, N, _reduce_mod_phi(n, comp[m], j), a.den))
+    return CharFn(n, N, tuple(values))
 
 
 def p_idempotent(n: int, k: int, N: Optional[int] = None) -> RepElt:
@@ -165,20 +175,16 @@ def char_solve(n: int, N: int, values: Sequence[CycEltN]) -> RepElt:
         if v.n != n or v.N != N:
             raise CharacterSolveError("character values live in the wrong ring")
         den = math.lcm(den, v.den)
-    scaled = [
-        (tuple(x * (den // v.den) for x in v.num) if not v.is_zero() else None)
-        for v in values
-    ]
+    # the nonzero (slot, coefficient) terms of each nonzero value, over den
+    terms = [(j, t) for j, v in enumerate(values)
+             if (t := [(s, c * (den // v.den)) for s, c in enumerate(v.num) if c])]
     raw = []
     for e in range(n):
         acc = [0] * n
-        for j, vj in enumerate(scaled):
-            if vj is None:
-                continue
-            ej = (e * j) % n
-            for s, c in enumerate(vj):
-                if c:
-                    acc[(s - ej) % n] += c
+        for j, t in terms:
+            ej = e * j
+            for s, c in t:
+                acc[(s - ej) % n] += c
         reduced = _reduce_mod_phi(n, acc)
         if any(reduced[1:]):
             raise CharacterSolveError(

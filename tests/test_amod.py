@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import json
 import math
@@ -51,15 +52,49 @@ from helpers import (
     word_matrix,
 )
 
-Z2_REPORT = target_category(preset_group("cyclic(2)"))
-Z2_INT = Z2_REPORT.flat_summands()[0]          # a Z[1/2] summand
-Z3_REPORT = target_category(preset_group("cyclic(3)"))
-Z3_CYC = Z3_REPORT.flat_summands()[1]          # Z[theta_3, 1/3]
-S3_REPORT = target_category(preset_group("symmetric(3)"))
-S3_CROSSED = S3_REPORT.flat_summands()[2]      # Z[theta_3, 1/6] x| Z/2
-S3_UNSPLIT = S3_REPORT.flat_summands()[0]      # Z[1/6][S3], left unsplit
-THETA5 = target_category(preset_group("cyclic(5)")).flat_summands()[1]  # Z[theta_5, 1/5]
-THETA7 = target_category(preset_group("cyclic(7)")).flat_summands()[1]  # Z[theta_7, 1/7]
+@functools.lru_cache(maxsize=None)
+def preset_report(preset):
+    """A preset's target category, built at first use: a defect in `groups`
+    fails the tests that need the report, not the collection of this file."""
+    return target_category(preset_group(preset))
+
+
+def z2_report():
+    return preset_report("cyclic(2)")
+
+
+def z2_int():  # a Z[1/2] summand
+    return z2_report().flat_summands()[0]
+
+
+def z3_report():
+    return preset_report("cyclic(3)")
+
+
+def z3_cyc():  # Z[theta_3, 1/3]
+    return z3_report().flat_summands()[1]
+
+
+def s3_report():
+    return preset_report("symmetric(3)")
+
+
+def s3_crossed():  # Z[theta_3, 1/6] x| Z/2
+    return s3_report().flat_summands()[2]
+
+
+def s3_unsplit():  # Z[1/6][S3], left unsplit
+    return s3_report().flat_summands()[0]
+
+
+def theta5():  # Z[theta_5, 1/5]
+    return preset_report("cyclic(5)").flat_summands()[1]
+
+
+def theta7():  # Z[theta_7, 1/7]
+    return preset_report("cyclic(7)").flat_summands()[1]
+
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -81,13 +116,13 @@ def crossed_module_q7(degree=0, roots=(2, 4)):
     w0 = [[1, 0], [0, 1]]
     w1 = [[0, 1], [1, 0]]
     spec = ((7, 7), (z, w0, w1))
-    return AModObject.build(S3_CROSSED, degree0=spec if degree == 0 else None,
+    return AModObject.build(s3_crossed(), degree0=spec if degree == 0 else None,
                             degree1=spec if degree == 1 else None)
 
 
 def test_validate_examples():
-    assert validate(AModObject.zero(Z2_INT)).ok
-    assert validate(int_module(Z2_INT, 3)).ok
+    assert validate(AModObject.zero(z2_int())).ok
+    assert validate(int_module(z2_int(), 3)).ok
     # Z/5 over Z[theta_2,1/2] x| Z/2 with z acting as 1: Phi_2(1) = 2 != 0 mod 5
     ring = CrossedRing(2, 2, ((0, 1), (1, 0)), (1, 1))
     bad = AModObject.build(ring, degree0=((5,), ([[1]], [[1]], [[1]])))
@@ -99,15 +134,15 @@ def test_validate_examples():
 
 
 def test_validate_catches_violations():
-    rep = validate(int_module(Z2_INT, 2))
+    rep = validate(int_module(z2_int(), 2))
     assert not rep.ok and "coprime" in rep.message
     z = [[0, 0], [1, 0]]
-    bad = AModObject.build(Z3_CYC, degree0=((2, 4), (z,)))
+    bad = AModObject.build(z3_cyc(), degree0=((2, 4), (z,)))
     rep = validate(bad)
     assert not rep.ok and "endomorphism" in rep.message
     m = crossed_module_q7()
     broken = AModObject.build(
-        S3_CROSSED,
+        s3_crossed(),
         degree0=((7, 7), ([[2, 0], [0, 4]], [[1, 0], [0, 1]], [[1, 0], [0, 1]])),
     )
     rep = validate(broken)
@@ -116,36 +151,36 @@ def test_validate_catches_violations():
 
 
 def test_suspend():
-    z = AModObject.zero(Z2_INT)
+    z = AModObject.zero(z2_int())
     assert suspend(z) == z
-    m = int_module(Z2_INT, 3, degree=0)
+    m = int_module(z2_int(), 3, degree=0)
     s = suspend(m)
     assert s.parts[1] == m.parts[0] and s.parts[0].rank == 0
     assert suspend(s) == m
 
 
 def test_direct_sum_and_validate():
-    m = int_module(Z2_INT, 3)
-    z = AModObject.zero(Z2_INT)
+    m = int_module(z2_int(), 3)
+    z = AModObject.zero(z2_int())
     assert direct_sum(m, z) == m
     big = direct_sum(crossed_module_q7(), crossed_module_q7(roots=(4, 2)))
     assert validate(big).ok
     with pytest.raises(RingMismatch):
-        direct_sum(m, AModObject.zero(Z3_CYC))
+        direct_sum(m, AModObject.zero(z3_cyc()))
 
 
 def test_hom_examples():
-    m9 = int_module(Z2_INT, 9)
-    m3 = int_module(Z2_INT, 3)
+    m9 = int_module(z2_int(), 9)
+    m3 = int_module(z2_int(), 3)
     res = hom_group(m9, m3, 0)
     assert res.group == FinAbGroup((3,))
-    assert hom_group(m9, AModObject.zero(Z2_INT), 0).group.is_trivial()
+    assert hom_group(m9, AModObject.zero(z2_int()), 0).group.is_trivial()
     # degree-1 maps out of a degree-0 module into a degree-0 module vanish
     assert hom_group(m9, m3, 1).group.is_trivial()
 
 
 def test_hom_free_parts_rejected():
-    free = AModObject.build(Z2_INT, degree0=((0,), ()))
+    free = AModObject.build(z2_int(), degree0=((0,), ()))
     assert validate(free).ok
     with pytest.raises(FreePartError):
         hom_group(free, free, 0)
@@ -219,7 +254,7 @@ def test_hom_generators_align_with_invariant_factors_seeded():
     multi_factor = set()
     recombined = False
     for trial in range(24):
-        summand = (Z2_INT, Z3_CYC, S3_CROSSED)[trial % 3]
+        summand = (z2_int(), z3_cyc(), s3_crossed())[trial % 3]
         M, N = (direct_sum(random_module(rng, summand, max_order=49),
                            random_module(rng, summand, max_order=49))
                 for _ in range(2))
@@ -229,14 +264,14 @@ def test_hom_generators_align_with_invariant_factors_seeded():
             if len(res.group.factors) > 1:
                 multi_factor.add(summand.kind)
             recombined |= any(None not in gen.blocks for gen in res.generators)
-    assert multi_factor == {Z2_INT.kind, Z3_CYC.kind, S3_CROSSED.kind}
+    assert multi_factor == {z2_int().kind, z3_cyc().kind, s3_crossed().kind}
     assert recombined
 
 
 def test_hom_generators_merge_factors_across_degrees():
     # Z/3 in degree 0 plus Z/5 in degree 1: End is C3 + C5 = C15, one
     # generator of order 15 that is nonzero on both degrees.
-    M = AModObject.build(Z2_INT, degree0=((3,), ()), degree1=((5,), ()))
+    M = AModObject.build(z2_int(), degree0=((3,), ()), degree1=((5,), ()))
     res = hom_group(M, M, 0)
     assert res.group == FinAbGroup((15,))
     assert len(res.generators) == 1
@@ -250,13 +285,13 @@ def test_resolution_matches_reference_solver():
     # of basis.  (R/7)^2 -> (R/7)^2 over the unsplit Z[1/6][S3] is left out:
     # the reference takes seconds there.
     rng = random.Random(404)
-    for summand, q in ((Z3_CYC, 7), (S3_CROSSED, 7), (S3_UNSPLIT, 7), (THETA5, 11)):
+    for summand, q in ((z3_cyc(), 7), (s3_crossed(), 7), (s3_unsplit(), 7), (theta5(), 11)):
         rho = presentation_of(summand).rank
         zero = AModObject.zero(summand).parts[1]
         pairs = [(signed_permuted_part(rng, regular_power_part(summand, q, k)),
                   signed_permuted_part(rng, regular_power_part(summand, q, k2)), k * k2)
                  for k, k2 in ((1, 1), (1, 2), (2, 1), (2, 2))
-                 if k * k2 < 4 or summand is not S3_UNSPLIT]
+                 if k * k2 < 4 or summand is not s3_unsplit()]
         pairs.append((conjugated_part(rng, regular_module_part(summand, q), q),
                       regular_module_part(summand, q), 1))
         for P, Q, kk in pairs:
@@ -271,8 +306,7 @@ def test_resolution_matches_reference_solver():
 
 def test_hom_matches_bruteforce_seeded():
     rng = random.Random(101)
-    summands = [Z2_INT, Z3_CYC, S3_CROSSED,
-                target_category(preset_group("cyclic(5)")).flat_summands()[1]]
+    summands = [z2_int(), z3_cyc(), s3_crossed(), theta5()]
     for trial in range(40):
         summand = summands[trial % len(summands)]
         M = random_module(rng, summand, max_order=49)
@@ -285,10 +319,10 @@ def test_hom_matches_bruteforce_seeded():
 
 
 def test_ext_examples():
-    z = AModObject.zero(Z2_INT)
-    assert ext_group(z, int_module(Z2_INT, 9), 0).is_trivial()
-    m3 = int_module(Z2_INT, 3)
-    m9 = int_module(Z2_INT, 9)
+    z = AModObject.zero(z2_int())
+    assert ext_group(z, int_module(z2_int(), 9), 0).is_trivial()
+    m3 = int_module(z2_int(), 3)
+    m9 = int_module(z2_int(), 9)
     assert ext_group(m3, m3, 0) == FinAbGroup((3,))
     assert ext_group(m9, m3, 0) == FinAbGroup((3,))
     assert ext_group(m9, m3, 1).is_trivial()  # parts meet in mixed degrees only
@@ -299,7 +333,7 @@ def test_ext_gcd_closed_form():
     for _ in range(20):
         a = rng.choice([3, 5, 7, 9, 15, 21, 25, 27, 45, 63, 81])
         b = rng.choice([3, 5, 7, 9, 15, 21, 25, 27, 45, 63, 81])
-        M, N = int_module(Z2_INT, a), int_module(Z2_INT, b)
+        M, N = int_module(z2_int(), a), int_module(z2_int(), b)
         g = math.gcd(a, b)
         assert ext_group(M, N, 0).order() == g, (a, b)
         assert hom_group(M, N, 0).group.order() == g, (a, b)
@@ -307,8 +341,8 @@ def test_ext_gcd_closed_form():
 
 def test_ext_generator_choice_independence():
     rng = random.Random(56)
-    m = int_module(Z2_INT, 9, 3)
-    n = int_module(Z2_INT, 27)
+    m = int_module(z2_int(), 9, 3)
+    n = int_module(z2_int(), 27)
     base = ext_group(m, n, 0)
     for _ in range(5):
         extra = [(rng.randrange(9), rng.randrange(3))]
@@ -319,7 +353,7 @@ def test_ext_generator_choice_independence():
     assert ext_group(mc, mc, 0, extra_generators={0: [(1, 1)]}) == base
     # a vector of the wrong length or with a non-int entry is refused, not
     # zipped down to the part's rank (which answered C3^4 unprobed)
-    m33 = int_module(Z2_INT, 3, 3)
+    m33 = int_module(z2_int(), 3, 3)
     assert ext_group(m33, m33, 0) == FinAbGroup((3,) * 4)
     for bad in ([[1]], [[1, 0, 5]], [[1.5, 0]], [[True, 0]], [(1, 0), [0, "1"]]):
         with pytest.raises(ValueError, match="degree 0"):
@@ -340,7 +374,7 @@ def _full_cover(M):
 def _unsplit_s3_modules(q):
     """The trivial and sign modules Z/q (in degrees 0 and 1) and the regular
     module R/q over Z[1/6][S3]."""
-    ring = S3_UNSPLIT.ring
+    ring = s3_unsplit().ring
     m = ring.weyl_order
 
     def order(v):
@@ -349,11 +383,11 @@ def _unsplit_s3_modules(q):
             x, k = ring.weyl_table[x][v], k + 1
         return k
 
-    trivial = AModObject.build(S3_UNSPLIT, degree0=((q,), [[[1]]] * m))
+    trivial = AModObject.build(s3_unsplit(), degree0=((q,), [[[1]]] * m))
     sign = AModObject.build(
-        S3_UNSPLIT, degree1=((q,), [[[-1 if order(v) == 2 else 1]] for v in range(m)]))
-    regular = AModObject(S3_UNSPLIT, (regular_module_part(S3_UNSPLIT, q),
-                                      AModObject.zero(S3_UNSPLIT).parts[1]))
+        s3_unsplit(), degree1=((q,), [[[-1 if order(v) == 2 else 1]] for v in range(m)]))
+    regular = AModObject(s3_unsplit(), (regular_module_part(s3_unsplit(), q),
+                                      AModObject.zero(s3_unsplit()).parts[1]))
     return trivial, sign, regular
 
 
@@ -364,7 +398,7 @@ def test_ext_irredundant_cover_oracles_seeded():
     rng = random.Random(303)
     pairs = []
     for trial in range(18):
-        summand = (Z2_INT, Z3_CYC, S3_CROSSED)[trial % 3]
+        summand = (z2_int(), z3_cyc(), s3_crossed())[trial % 3]
         pairs.append((random_module(rng, summand, max_order=49),
                       random_module(rng, summand, max_order=49)))
     trivial, sign, regular = _unsplit_s3_modules(7)
@@ -380,7 +414,7 @@ def test_ext_irredundant_cover_oracles_seeded():
             assert ext == hom_group(M, N, degree).group
             if not ext.is_trivial():
                 nontrivial.add(M.ring.kind)
-    assert nontrivial == {Z2_INT.kind, Z3_CYC.kind, S3_CROSSED.kind, S3_UNSPLIT.kind}
+    assert nontrivial == {z2_int().kind, z3_cyc().kind, s3_crossed().kind, s3_unsplit().kind}
 
 
 def test_ext_dense_conjugation_over_unsplit_s3():
@@ -391,7 +425,7 @@ def test_ext_dense_conjugation_over_unsplit_s3():
     trivial, _, regular = _unsplit_s3_modules(7)
     for seed in (1, 3):
         part = conjugated_part(random.Random(seed), regular.parts[0], 7)
-        N = AModObject(S3_UNSPLIT, (part, regular.parts[1]))
+        N = AModObject(s3_unsplit(), (part, regular.parts[1]))
         assert validate(N).ok
         assert ext_group(trivial, N) == hom_group(trivial, N).group == FinAbGroup((7,))
 
@@ -403,7 +437,7 @@ def test_evaluations_match_their_definition_seeded():
     from uctbench import amod
 
     rng = random.Random(41)
-    for summand in (S3_UNSPLIT, S3_CROSSED, THETA5):
+    for summand in (s3_unsplit(), s3_crossed(), theta5()):
         pres = presentation_of(summand)
         rho = pres.rank
         for q, k in ((7, 1), (11, 2)):
@@ -433,7 +467,7 @@ def test_evaluations_match_their_definition_seeded():
 
 def test_cover_of_rank_zero_has_no_kernel():
     # r = 0 and no columns: the congruence kernel is Z^0, with no rows
-    for summand in target_category(preset_group("symmetric(3)")).flat_summands():
+    for summand in preset_report("symmetric(3)").flat_summands():
         pres = presentation_of(summand)
         cover = _free_cover_kernel(pres, (), [IntMatrix.zero(0, 0) for _ in pres.gen_names])
         assert (cover.gvecs, cover.cols, cover.kernel) == ((), (), ())
@@ -443,7 +477,7 @@ def test_ext_rank_four_summand_cube():
     # Ext^1((R/11)^3, (R/11)^3) over Z[theta_5, 1/5] is C11^(4*3*3).  The
     # cover needs 3 generators, not all 12 Z-coordinates; with all 12 this
     # query took 58 s on a 2.1 GHz Xeon.
-    summand = target_category(preset_group("cyclic(5)")).flat_summands()[1]
+    summand = theta5()
     part = regular_module_part(summand, 11)
     M = AModObject(summand, (part, AModObject.zero(summand).parts[1]))
     M3 = direct_sum(direct_sum(M, M), M)
@@ -454,15 +488,15 @@ def test_ext_rank_four_summand_cube():
     # in the span of e_0's images only with its own order row 7 e_1, and the
     # cover still takes one generator
     z = IntMatrix.from_rows([[0, -4], [2, -1]])
-    assert len(_free_cover_kernel(presentation_of(Z3_CYC), (7, 7), [z]).gvecs) == 1
+    assert len(_free_cover_kernel(presentation_of(z3_cyc()), (7, 7), [z]).gvecs) == 1
 
 
 def test_ext_dedekind_prime_oracle():
     # Z[theta_3] at the split prime 7 = (theta-2)(theta-4): for the residue
     # module M at one prime, End(M) = Ext^1(M, M) = Z/7 and both vanish
     # against the other prime's residue module.
-    m_p = cyc_module(Z3_CYC, 7, 2)
-    m_q = cyc_module(Z3_CYC, 7, 4)
+    m_p = cyc_module(z3_cyc(), 7, 2)
+    m_q = cyc_module(z3_cyc(), 7, 4)
     assert hom_group(m_p, m_p, 0).group == FinAbGroup((7,))
     assert ext_group(m_p, m_p, 0) == FinAbGroup((7,))
     assert hom_group(m_p, m_q, 0).group.is_trivial()
@@ -472,13 +506,13 @@ def test_ext_dedekind_prime_oracle():
 def test_hom_ext_inert_prime_oracle():
     # 5 stays prime in Z[theta_3]; the residue module R/5R has endomorphism
     # ring the field with 25 elements, and Ext^1(R/5, R/5) = R/5 as well.
-    pres = presentation_of(Z3_CYC)
-    M = AModObject.build(Z3_CYC, degree0=((5, 5), (pres.gen_mats[0],)))
+    pres = presentation_of(z3_cyc())
+    M = AModObject.build(z3_cyc(), degree0=((5, 5), (pres.gen_mats[0],)))
     assert validate(M).ok
     assert hom_group(M, M, 0).group.order() == 25
     assert ext_group(M, M, 0).order() == 25
     # and an inert residue module meets a split one trivially
-    m_p = cyc_module(Z3_CYC, 7, 2)
+    m_p = cyc_module(z3_cyc(), 7, 2)
     assert hom_group(M, m_p, 0).group.is_trivial()
     assert ext_group(M, m_p, 0).is_trivial()
 
@@ -493,8 +527,8 @@ def test_ext_crossed_ring_oracle():
 
 def test_ext_second_step_vanishes():
     rng = random.Random(77)
-    mods = [int_module(Z2_INT, 9, 3), cyc_module(Z3_CYC, 7, 2),
-            random_module(rng, Z3_CYC, 49), random_module(rng, Z2_INT, 81)]
+    mods = [int_module(z2_int(), 9, 3), cyc_module(z3_cyc(), 7, 2),
+            random_module(rng, z3_cyc(), 49), random_module(rng, z2_int(), 81)]
     for M in mods:
         for N in mods:
             if M.ring != N.ring:
@@ -505,7 +539,7 @@ def test_ext_second_step_vanishes():
 
 def test_hom_ext_additive_over_direct_sum():
     rng = random.Random(78)
-    for summand in (Z2_INT, Z3_CYC):
+    for summand in (z2_int(), z3_cyc()):
         a = random_module(rng, summand, 27)
         b = random_module(rng, summand, 27)
         c = random_module(rng, summand, 27)
@@ -525,10 +559,9 @@ def test_hom_ext_metamorphic_relations_seeded():
     # variable, in both degrees; they do not see a change of basis; and
     # suspending B shifts uct_order by one degree.
     rng = random.Random(29)
-    c5_report = target_category(preset_group("cyclic(5)"))
     # Z[1/6][S3] has rank 6, so its smallest module is R/5, of order 5^6
-    summands = ((Z2_REPORT, 0, 49), (Z3_REPORT, 1, 49), (S3_REPORT, 2, 49),
-                (S3_REPORT, 0, 5 ** 6), (c5_report, 1, 49))
+    summands = ((z2_report(), 0, 49), (z3_report(), 1, 49), (s3_report(), 2, 49),
+                (s3_report(), 0, 5 ** 6), (preset_report("cyclic(5)"), 1, 49))
 
     def rebased(M):
         parts = []
@@ -569,12 +602,12 @@ def test_hom_ext_metamorphic_relations_seeded():
 
 
 def test_uct_order_examples():
-    zero = AModFamily.zero(Z2_REPORT)
+    zero = AModFamily.zero(z2_report())
     res = uct_order(zero, zero)
     assert res.kk_order(0) == 1 and res.kk_order(1) == 1
 
-    m3 = int_module(Z2_INT, 3)
-    fam = AModFamily.from_modules(Z2_REPORT, {0: m3})
+    m3 = int_module(z2_int(), 3)
+    fam = AModFamily.from_modules(z2_report(), {0: m3})
     res = uct_order(fam, fam)
     assert res.degrees[0].hom_group == FinAbGroup((3,))
     assert res.degrees[0].ext_group.is_trivial()
@@ -582,18 +615,18 @@ def test_uct_order_examples():
     assert res.degrees[1].ext_group == FinAbGroup((3,))
     assert res.kk_order(0) == 3 and res.kk_order(1) == 3
 
-    m5 = int_module(Z2_INT, 5)
-    fam5 = AModFamily.from_modules(Z2_REPORT, {0: m5})
+    m5 = int_module(z2_int(), 5)
+    fam5 = AModFamily.from_modules(z2_report(), {0: m5})
     res = uct_order(fam, fam5)
     assert res.kk_order(0) == 1 and res.kk_order(1) == 1
 
 
 def test_uct_order_suspension_swaps_degrees():
-    m = int_module(Z2_INT, 9, degree=0)
-    n = direct_sum(int_module(Z2_INT, 3, degree=0), int_module(Z2_INT, 27, degree=1))
-    A = AModFamily.from_modules(Z2_REPORT, {0: m})
-    B = AModFamily.from_modules(Z2_REPORT, {0: n})
-    SB = AModFamily(Z2_REPORT, tuple(suspend(x) for x in B.modules))
+    m = int_module(z2_int(), 9, degree=0)
+    n = direct_sum(int_module(z2_int(), 3, degree=0), int_module(z2_int(), 27, degree=1))
+    A = AModFamily.from_modules(z2_report(), {0: m})
+    B = AModFamily.from_modules(z2_report(), {0: n})
+    SB = AModFamily(z2_report(), tuple(suspend(x) for x in B.modules))
     res = uct_order(A, B)
     sres = uct_order(A, SB)
     assert res.degrees[0] == sres.degrees[1]
@@ -636,8 +669,8 @@ def test_uct_order_resolves_each_source_part_once(monkeypatch):
     real = amod._free_cover_kernel
     monkeypatch.setattr(amod, "_free_cover_kernel",
                         lambda *args: covered.append(args[1]) or real(*args))
-    M = direct_sum(cyc_module(Z3_CYC, 7, 2, 0), cyc_module(Z3_CYC, 7, 4, 1))
-    fam = AModFamily.from_modules(Z3_REPORT, {1: M})
+    M = direct_sum(cyc_module(z3_cyc(), 7, 2, 0), cyc_module(z3_cyc(), 7, 4, 1))
+    fam = AModFamily.from_modules(z3_report(), {1: M})
     res = uct_order(fam, fam)
     assert len(covered) == 4
     for d in (0, 1):
@@ -654,10 +687,10 @@ def test_uct_order_acts_only_on_the_kernels_of_source_parts(monkeypatch):
     # those kernels, and Ext^2 stays trivial.
     from uctbench import amod
 
-    pres = presentation_of(Z3_CYC)
+    pres = presentation_of(z3_cyc())
     (z,) = pres.gen_mats
     rho = pres.rank
-    M = direct_sum(cyc_module(Z3_CYC, 7, 2, 0), cyc_module(Z3_CYC, 7, 4, 1))
+    M = direct_sum(cyc_module(z3_cyc(), 7, 2, 0), cyc_module(z3_cyc(), 7, 4, 1))
     kernels = [_free_cover_kernel(pres, P.orders, P.mats).kernel for P in M.parts]
 
     def z_image(x):
@@ -675,7 +708,7 @@ def test_uct_order_acts_only_on_the_kernels_of_source_parts(monkeypatch):
         return real(basis, vectors)
 
     monkeypatch.setattr(amod, "hermite_coordinates", spy)
-    fam = AModFamily.from_modules(Z3_REPORT, {1: M})
+    fam = AModFamily.from_modules(z3_report(), {1: M})
     assert uct_order(fam, fam).kk_order(0) == 49
     assert acted_on == kernels
     acted_on.clear()
@@ -724,7 +757,7 @@ def test_uct_order_checks_summands_whose_partner_is_zero(monkeypatch):
         with pytest.raises(FreePartError):
             uct_order(A, B)
     # summand 0 of cyclic(5) is Z[1/5]; a module over Z[theta_5, 1/5] there
-    c5 = target_category(preset_group("cyclic(5)"))
+    c5 = preset_report("cyclic(5)")
     zeros = AModFamily.zero(c5)
     wrong = _unchecked_family(c5, (cyc_module(c5.flat_summands()[1], 11, 3),)
                               + zeros.modules[1:])
@@ -744,9 +777,9 @@ def test_uct_order_checks_summands_whose_partner_is_zero(monkeypatch):
 
 def test_family_mismatch():
     with pytest.raises(FamilyMismatch):
-        uct_order(AModFamily.zero(Z2_REPORT), AModFamily.zero(Z3_REPORT))
+        uct_order(AModFamily.zero(z2_report()), AModFamily.zero(z3_report()))
     with pytest.raises(FamilyMismatch):
-        AModFamily.from_modules(Z2_REPORT, {7: int_module(Z2_INT, 3)})
+        AModFamily.from_modules(z2_report(), {7: int_module(z2_int(), 3)})
 
 
 def test_family_checks_the_ring_of_every_module():
@@ -757,9 +790,9 @@ def test_family_checks_the_ring_of_every_module():
                              degree0=((11,), ([[3]], [[1]])))
     assert validate(alien).ok
     with pytest.raises(FamilyMismatch, match="module 1"):
-        AModFamily.from_modules(Z3_REPORT, {1: alien})
+        AModFamily.from_modules(z3_report(), {1: alien})
     with pytest.raises(FamilyMismatch, match="module 0"):
-        AModFamily.from_modules(Z3_REPORT, {0: cyc_module(Z3_CYC, 7, 2)})
+        AModFamily.from_modules(z3_report(), {0: cyc_module(z3_cyc(), 7, 2)})
 
 
 def _presentation_rings():
@@ -769,7 +802,7 @@ def _presentation_rings():
         yield from target_category(preset_group(name)).flat_summands()
     yield CrossedRing(1, 5, ((0,),), (1,))
     yield CrossedRing(5, 5, ((0,),), (1,))
-    yield S3_UNSPLIT.ring
+    yield s3_unsplit().ring
 
 
 def test_presentation_matches_reference():
@@ -791,28 +824,28 @@ def test_presentation_matches_reference():
 
 def test_ring_identity_is_presentation_equality():
     # Z[1/2] of cyclic(2) at d = 1 and d = 2 is one ring
-    d1, d2 = Z2_REPORT.flat_summands()[:2]
+    d1, d2 = z2_report().flat_summands()[:2]
     assert (d1.d, d2.d) == (1, 2)
     M = direct_sum(int_module(d1, 3), int_module(d2, 5))
     assert M.parts[0].orders == (3, 5)
-    assert AModFamily.from_modules(Z2_REPORT, {1: int_module(d1, 3)}).validate().ok
+    assert AModFamily.from_modules(z2_report(), {1: int_module(d1, 3)}).validate().ok
     # and so are a bare crossed ring and the unsplit summand over it
-    bare = S3_UNSPLIT.ring
+    bare = s3_unsplit().ring
     trivial = AModObject.build(bare, degree0=((7,), ([[1]],) * 6))
-    assert validate(direct_sum(trivial, AModObject.zero(S3_UNSPLIT))).ok
-    fam = AModFamily.from_modules(S3_REPORT, {0: trivial})
+    assert validate(direct_sum(trivial, AModObject.zero(s3_unsplit()))).ok
+    fam = AModFamily.from_modules(s3_report(), {0: trivial})
     assert uct_order(fam, fam).kk_order(0) == 7
     # a bare ring with trivial W keeps its w0 generator, so it is not the
     # split summand Z[1/2]
     with pytest.raises(RingMismatch):
         direct_sum(int_module(d1, 3), AModObject.zero(CrossedRing(1, 2, ((0,),), (1,))))
     with pytest.raises(FamilyMismatch, match="module 0"):
-        AModFamily.from_modules(Z2_REPORT, {0: int_module(Z3_REPORT.flat_summands()[0], 5)})
+        AModFamily.from_modules(z2_report(), {0: int_module(z3_report().flat_summands()[0], 5)})
 
 
 def test_family_from_json():
     data = {"modules": [{"summand": 0, "degree0": {"orders": [3]}}]}
-    fam = family_from_json(Z2_REPORT, data)
+    fam = family_from_json(z2_report(), data)
     assert fam.validate().ok
     assert fam.modules[0].parts[0].orders == (3,)
     res = uct_order(fam, fam)
@@ -824,15 +857,15 @@ def test_family_from_json():
                     "z": [[2, 0], [0, 4]],
                     "w": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]},
     }]}
-    fam = family_from_json(S3_REPORT, s3data)
+    fam = family_from_json(s3_report(), s3data)
     assert fam.validate().ok
     with pytest.raises(FamilyMismatch):
-        family_from_json(Z2_REPORT, {"modules": [{"summand": 9}]})
+        family_from_json(z2_report(), {"modules": [{"summand": 9}]})
 
 
 def test_candidate_parts_are_valid():
     rng = random.Random(5)
-    for summand in (Z2_INT, Z3_CYC, S3_CROSSED):
+    for summand in (z2_int(), z3_cyc(), s3_crossed()):
         for _ in range(10):
             M = random_module(rng, summand)
             assert validate(M).ok, summand.kind
@@ -842,8 +875,9 @@ def test_candidate_parts_are_valid():
 # (R/q)^k' are both C_q^(rho k k').  Exact Smith forms grow without bound
 # on these: with them none finishes in 30 s, R/29 over Z[theta_7, 1/7] not
 # in 120 s.
-DENSE_CASES = ((THETA7, 29, 1, 1), (THETA5, 11, 2, 2), (THETA5, 31, 2, 2),
-               (THETA5, 11, 3, 3), (THETA5, 11, 2, 3), (S3_UNSPLIT, 7, 2, 2))
+def dense_cases():
+    return ((theta7(), 29, 1, 1), (theta5(), 11, 2, 2), (theta5(), 31, 2, 2),
+            (theta5(), 11, 3, 3), (theta5(), 11, 2, 3), (s3_unsplit(), 7, 2, 2))
 
 
 def dense_pair(seed, summand, q, k, k2):
@@ -858,9 +892,9 @@ def test_dense_hom_ext_answer_quickly():
     # suite; the generators are checked in this process once it answered.
     script = (
         "import json\n"
-        "from test_amod import DENSE_CASES, dense_pair, hom_group, ext_group\n"
+        "from test_amod import dense_cases, dense_pair, hom_group, ext_group\n"
         "print(json.dumps([[list(hom_group(M, N).group.factors), list(ext_group(M, N).factors)]\n"
-        "                  for seed in range(3) for case in DENSE_CASES\n"
+        "                  for seed in range(3) for case in dense_cases()\n"
         "                  for M, N in [dense_pair(seed, *case)]]))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]))
@@ -869,10 +903,10 @@ def test_dense_hom_ext_answer_quickly():
     assert proc.returncode == 0, proc.stderr
     got = iter(json.loads(proc.stdout))
     for seed in range(3):
-        for summand, q, k, k2 in DENSE_CASES:
+        for summand, q, k, k2 in dense_cases():
             want = [q] * (presentation_of(summand).rank * k * k2)
             assert next(got) == [want, want], (seed, summand.describe(), q, k, k2)
-    for case in DENSE_CASES:
+    for case in dense_cases():
         M, N = dense_pair(0, *case)
         _check_hom_generators(M, N, 0, hom_group(M, N))
 
@@ -882,14 +916,14 @@ def test_hom_order_matches_an_fp_rank_oracle_seeded():
     # rank) of the commuting equations over F_p, an oracle that shares no
     # elimination with zlinalg: on the dense pairs and on the elementary
     # pairs of seeded random families, in both degrees.
-    for case in DENSE_CASES:
+    for case in dense_cases():
         M, N = dense_pair(0, *case)
         for degree in (0, 1):
             assert hom_group(M, N, degree).group.order() == \
                 fp_hom_order(M, N, degree, case[1]), (case[0].describe(), case[1:], degree)
     rng = random.Random(28)
     nontrivial = collections.Counter()
-    for summand in (Z2_INT, Z3_CYC, S3_CROSSED, S3_UNSPLIT, THETA5):
+    for summand in (z2_int(), z3_cyc(), s3_crossed(), s3_unsplit(), theta5()):
         for _ in range(30):
             M, N = random_module(rng, summand, 49), random_module(rng, summand, 49)
             orders = {o for X in (M, N) for P in X.parts for o in P.orders}
@@ -916,13 +950,13 @@ def test_solver_path_takes_no_exact_smith_form(monkeypatch):
 
     monkeypatch.setattr(zlinalg, "_smith", spy)
     green._descent_solver.cache_clear()
-    M, N = dense_pair(0, S3_UNSPLIT, 7, 1, 1)
-    C15 = AModObject.build(Z2_INT, degree0=((3,), ()), degree1=((5,), ()))
+    M, N = dense_pair(0, s3_unsplit(), 7, 1, 1)
+    C15 = AModObject.build(z2_int(), degree0=((3,), ()), degree1=((5,), ()))
     for X, Y in ((M, N), (C15, C15), (crossed_module_q7(), crossed_module_q7(1))):
         for degree in (0, 1):
             hom_group(X, Y, degree)
             ext_group(X, Y, degree)
-    family = AModFamily.from_modules(S3_REPORT, {0: M, 2: crossed_module_q7()})
+    family = AModFamily.from_modules(s3_report(), {0: M, 2: crossed_module_q7()})
     uct_order(family, family)
     zlinalg.solve_mod([[2, 4, 6], [3, 0, 9]], [8, 27])
     green.descend(CycEltN(6, 1, (1, 1)), 3)
@@ -954,9 +988,9 @@ def test_smith_basis_matches_the_hermite_route_seeded(monkeypatch):
         return got
 
     monkeypatch.setattr(amod, "smith_basis", checked)
-    for case in DENSE_CASES[:3] + DENSE_CASES[5:]:
+    for case in dense_cases()[:3] + dense_cases()[5:]:
         hom_group(*dense_pair(0, *case))
-    for summand in (Z2_INT, Z3_CYC, S3_CROSSED, S3_UNSPLIT):
+    for summand in (z2_int(), z3_cyc(), s3_crossed(), s3_unsplit()):
         for _ in range(4):
             M, N = random_module(rng, summand), random_module(rng, summand)
             for degree in (0, 1):
@@ -992,12 +1026,12 @@ def test_uct_order_keeps_every_solver_layer_and_no_stack_hermite_form(monkeypatc
     for owner, name in ((zlinalg, "snf"), (amod, "hom_group"), (amod, "ext_group"),
                         (zlinalg.ExactSolver, "__init__"), (zlinalg.ExactSolver, "solve")):
         count(owner, name)
-    summand = S3_REPORT.flat_summands()[1]
+    summand = s3_report().flat_summands()[1]
     rng = random.Random(8)
     M, N = (AModObject(summand, (signed_permuted_part(rng, regular_power_part(summand, 11, 8)),
                                  AModObject.zero(summand).parts[1])) for _ in range(2))
-    res = uct_order(AModFamily.from_modules(S3_REPORT, {1: M}),
-                    AModFamily.from_modules(S3_REPORT, {1: N}))
+    res = uct_order(AModFamily.from_modules(s3_report(), {1: M}),
+                    AModFamily.from_modules(s3_report(), {1: N}))
     assert res.degrees[0].hom_group == res.degrees[1].ext_group == FinAbGroup((11,) * 64)
     for name in ("hnf", "snf", "__init__", "solve", "hom_group", "ext_group"):
         assert calls[name], name

@@ -311,6 +311,28 @@ def test_uct_huge_orders_answer_quickly(tmp_path):
     assert payload["degree1"]["ext"]["factors"] == [p]
 
 
+@pytest.mark.parametrize("argv", [
+    ["target-category", "preset:cyclic(720)", "--json"],  # 38 KB
+    ["group-info", "preset:cyclic(2)"],
+], ids=["long-report", "short-report"])
+def test_closed_stdout_exits_2_with_one_error_line(argv):
+    # the reader has gone before the first write, as `| head -1` can leave
+    # a report longer than the pipe holds: a BrokenPipeError traceback, exit 1
+    # stdout block-buffered, as it is by default: a short report then waits
+    # in the buffer unless it is flushed inside main
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "uctbench.cli", *argv], stdout=w,
+                              stderr=subprocess.PIPE, text=True, timeout=60, env=env)
+    finally:
+        os.close(w)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: standard output was closed before the output was written\n"
+
+
 def test_readme_module_family_example(tmp_path, capsys):
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         blocks = re.findall(r"```json\n(.*?)```", fh.read(), re.S)

@@ -468,3 +468,37 @@ def test_root_power_is_repeated_multiplication_by_theta():
             assert CycEltN.root_power(n, 1, t) == want, (n, t)
             assert CycEltN.root_power(n, 1, t - 2 * n) == want, (n, t)
             cur = double_loop_mod_phi(n, cur, theta)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CycPoly(3, 3, (1.5, 0, 0)),
+    lambda: CycPoly(3, 3, ("7", 0, 0)),
+    lambda: CycEltN(3, 3, (0, 2.0)),
+    lambda: CycPoly.monomial(3, 3, 1, 2.5),
+    lambda: CycPoly.monomial(3, 3, 1, "2"),
+    lambda: CycPoly.monomial(3, 3, 1.0),
+    lambda: CycPoly.monomial(3.0, 3, 1),
+    lambda: CycPoly.monomial(3, 3.0, 1),
+], ids=["float-coeff", "str-coeff", "cyceltn-float", "monomial-float-coeff",
+        "monomial-str-coeff", "monomial-float-e", "monomial-float-n", "monomial-float-N"])
+def test_non_integer_coefficients_raise_type_error(build):
+    # int() turned 1.5 into 1 and "7" into 7
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_monomial_is_the_validated_constructor():
+    for n in range(1, 13):
+        for N in (1, 2, n):
+            for e in range(-n - 1, 2 * n + 1):
+                for coeff in (1, -1, 0, 5, 10 ** 30):
+                    num = [0] * n
+                    num[e % n] = coeff
+                    got = CycPoly.monomial(n, N, e, coeff)
+                    assert got == CycPoly(n, N, tuple(num)), (n, N, e, coeff)
+                    assert type(got.num) is tuple and got.den == 1
+    for n, N in ((0, 1), (-2, 1), (3, 0), (3, -3)):
+        with pytest.raises(ValueError):
+            CycPoly(n, N, (0,) * max(n, 0))
+        with pytest.raises(ValueError):
+            CycPoly.monomial(n, N, 0)

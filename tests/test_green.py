@@ -86,6 +86,36 @@ def test_character_map_is_injective():
             assert char_solve(n, 1, to_character(x).values) == x, (n, e)
 
 
+def _constant_component_elements(n):
+    """psi_{n,k} for each k | n, integer scalars and 0, whose components are
+    all constants, and sums that add to a constant one a non-constant one."""
+    rng = random.Random(n)
+    ps = [RepElt(psi(n, k)) for k in divisors(n)]
+    yield from ps
+    for c in (0, 1, -3, 7):
+        yield RepElt.one(n, n) * c
+    for p in ps:
+        y = RepElt(CycPoly(n, n, tuple(rng.randint(-4, 4) for _ in range(n))))
+        yield ps[rng.randrange(len(ps))] * 3 + y * p
+
+
+def test_to_character_of_constant_components_matches_evaluation():
+    # a constant component c is the value c at every root of its order,
+    # built once; evaluate_at_root reduces the whole vector at each root
+    mixed = 0
+    for n in range(1, 41):
+        for x in _constant_component_elements(n):
+            values = to_character(x).values
+            assert values == tuple(evaluate_at_root(x.value, j) for j in range(n)), (n, x)
+            assert char_solve(n, n, values) == x, (n, x)
+            # a non-constant component has irrational values
+            rational = [v.is_rational() for v in values]
+            mixed += any(rational) and not all(rational)
+            if all(rational):  # one value object per order m | n
+                assert len(set(map(id, values))) == len(divisors(n)), (n, x)
+    assert mixed == 98
+
+
 def test_restrict_examples():
     assert restrict(RepElt.one(6, 6), 3) == RepElt.one(3, 6)
     assert restrict(RepElt(psi(4, 4)), 2) == RepElt.zero(2, 4)
@@ -229,6 +259,16 @@ def test_char_solve_rejects_non_characters():
         # solvable over Q but needs 1/2, unavailable in Z[1/1]
         vals = (CycEltN.one(2, 1), CycEltN.zero(2, 1))
         char_solve(2, 1, vals)
+    # theta_n is not rational, so no slot alone can hold it: a unit u moves
+    # slot j to slot u j and theta_n to theta_n^u, and at j = 0 the value
+    # would have to be rational
+    for n in range(3, 25):
+        theta = CycEltN.root_power(n, n, 1)
+        for j in range(n):
+            values = [CycEltN.zero(n, n)] * n
+            values[j] = theta
+            with pytest.raises(CharacterSolveError):
+                char_solve(n, n, values)
 
 
 @pytest.mark.parametrize("call", [
