@@ -49,7 +49,6 @@ from .cyclotomic import (
     divisors,
     order_mod,
     psi,
-    totient,
 )
 from .errors import InputError, UnsupportedSize, WorkbenchError
 from .green import (
@@ -309,11 +308,8 @@ def _crossed_checks(seed: int, name: str, class_index: int, ring: CrossedRing):
     rng = random.Random(f"{seed}:{name}:{class_index}")
 
     def rand_elt():
-        deg = totient(ring.n)
-        return CrossedElt(ring, tuple(
-            CycEltN(ring.n, ring.N, tuple(rng.randint(-3, 3) for _ in range(deg)))
-            for _ in range(ring.weyl_order)
-        ))
+        # coset by coset, slot by slot: the order of the flat vector
+        return CrossedElt._make(ring, [rng.randint(-3, 3) for _ in range(ring.rank)], 1)
 
     one = CrossedElt.one(ring)
     for _ in range(4):

@@ -54,7 +54,7 @@ class IntPoly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        c = tuple(int(x) for x in self.coeffs)
+        c = tuple(map(operator.index, self.coeffs))
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
@@ -307,15 +307,15 @@ class _CoeffVector:
     den: int = 1
 
     def __post_init__(self):
-        if self.n < 1 or self.N < 1 or self.den < 1:
+        n, N, den = map(operator.index, (self.n, self.N, self.den))
+        if n < 1 or N < 1 or den < 1:
             raise ValueError("n, N, den must be positive")
-        size = self._length(self.n)
+        size = self._length(n)
         if len(self.num) != size:
             raise ValueError(f"expected {size} coefficients, got {len(self.num)}")
-        num, den = _normalize([operator.index(x) for x in self.num], self.den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        _check_supported(self.den, self.N)
+        num, den = _normalize([operator.index(x) for x in self.num], den)
+        self.__dict__.update(n=n, N=N, num=num, den=den)
+        _check_supported(den, N)
 
     @classmethod
     def _make(cls, n: int, N: int, num: Sequence[int], den: int):

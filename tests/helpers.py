@@ -784,14 +784,17 @@ def _ref_col_swap(M, j, k):
         row[j], row[k] = row[k], row[j]
 
 
-def reference_hnf(A):
+def reference_hnf(A, transform: bool = True):
     """Row Hermite form (H, U), U A = H, with every row operation repeated
     on a separate transform matrix U: the two-matrix elimination that the
-    library's one elimination over [A | I] must match entry for entry."""
+    library's one elimination over [A | I] must match entry for entry.  With
+    transform=False no U is kept and (H, None) comes back, for the callers
+    that read H alone."""
     M = [list(row) for row in (A.entries if isinstance(A, IntMatrix) else A)]
     r = len(M)
     c = len(M[0]) if M else 0
-    U = [[int(i == j) for j in range(r)] for i in range(r)]
+    U = [[int(i == j) for j in range(r)] for i in range(r)] if transform else None
+    both = (M, U) if transform else (M,)
     row = 0
     for col in range(c):
         if row == r:
@@ -802,8 +805,8 @@ def reference_hnf(A):
                 break
             p = min(nz, key=lambda i: (abs(M[i][col]), i))
             if p != row:
-                M[row], M[p] = M[p], M[row]
-                U[row], U[p] = U[p], U[row]
+                for X in both:
+                    X[row], X[p] = X[p], X[row]
             rest = [i for i in range(row + 1, r) if M[i][col]]
             if not rest:
                 break
@@ -811,21 +814,21 @@ def reference_hnf(A):
             for i in rest:
                 q = M[i][col] // piv
                 if q:
-                    _ref_row_sub(M, i, row, q)
-                    _ref_row_sub(U, i, row, q)
+                    for X in both:
+                        _ref_row_sub(X, i, row, q)
         if not M[row][col] and not any(M[i][col] for i in range(row, r)):
             continue
         if M[row][col] < 0:
-            M[row] = [-x for x in M[row]]
-            U[row] = [-x for x in U[row]]
+            for X in both:
+                X[row] = [-x for x in X[row]]
         piv = M[row][col]
         for i in range(row):
             q = M[i][col] // piv
             if q:
-                _ref_row_sub(M, i, row, q)
-                _ref_row_sub(U, i, row, q)
+                for X in both:
+                    _ref_row_sub(X, i, row, q)
         row += 1
-    return IntMatrix.from_rows(M), IntMatrix.from_rows(U)
+    return IntMatrix.from_rows(M), (IntMatrix.from_rows(U) if transform else None)
 
 
 def reference_snf(A, modulus: int = 0):
@@ -959,7 +962,7 @@ def reference_congruence_kernel(A, moduli):
     rows = [[M[i][j] for i in range(r)] + [int(t == j) for t in range(c)] for j in range(c)]
     rows += [[m if t == i else 0 for t in range(r)] + [0] * c
              for i, m in enumerate(moduli) if m]
-    return [row[r:] for row in reference_hnf(rows)[0].entries
+    return [row[r:] for row in reference_hnf(rows, transform=False)[0].entries
             if any(row[r:]) and not any(row[:r])]
 
 
@@ -1133,7 +1136,8 @@ def _free_cover_kernel(pres: ReferencePresentation, orders: Sequence[int],
             gvecs.append(e)
             new = [wm.matvec(e) for wm in word_mats]
             cols += new
-            span = [row for row in reference_hnf(span + new)[0].entries if any(row)]
+            span = [row for row in reference_hnf(span + new, transform=False)[0].entries
+                    if any(row)]
     for v in extra_generators:
         gvecs.append(tuple(map(int, v)))
         cols += [wm.matvec(gvecs[-1]) for wm in word_mats]

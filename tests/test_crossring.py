@@ -10,7 +10,7 @@ import pytest
 from uctbench import crossring
 from uctbench.amod import presentation_of
 from uctbench.cli import _crossed_preset_names, main
-from uctbench.cyclotomic import CycEltN, cyclotomic, prime_factors, totient
+from uctbench.cyclotomic import CycEltN, CycPoly, cyclotomic, prime_factors, totient
 from uctbench.errors import InsufficientInversion, RingMismatch
 from uctbench.crossring import (
     CrossedElt,
@@ -103,6 +103,7 @@ def test_crossed_product_matches_termwise():
             for _ in range(3):
                 x, y = _random_crossed_elt(rng, ring), _random_crossed_elt(rng, ring)
                 assert x * y == termwise_crossed_mul(x, y), (name, C.n)
+                assert CrossedElt(ring, x.coeffs) == x, (name, C.n)
             assert x * zero == zero and zero * x == zero
     assert twisted >= 10
 
@@ -115,6 +116,34 @@ def test_crossed_identity_and_mismatch():
     other = ring_for("klein_four", 2)
     with pytest.raises(RingMismatch):
         crossed_mul(x, CrossedElt.one(other))
+    with pytest.raises(RingMismatch):
+        x + CrossedElt.zero(other)
+    with pytest.raises(RingMismatch):
+        CrossedElt(r, (CycEltN.one(3, 6), CycEltN.one(3, 3)))
+    with pytest.raises(RingMismatch):  # three slots of Z[1/6][z]/(z^3 - 1)
+        CrossedElt(r, (CycEltN.one(3, 6), CycPoly.one(3, 6)))
+    with pytest.raises(ValueError):
+        CrossedElt(r, (CycEltN.one(3, 6),))
+    assert x * 3 == 3 * x == x + x + x and x * 0 == CrossedElt.zero(r)
+
+
+def test_equal_elements_over_different_denominators_compare_and_hash_equal():
+    # a_0 = (1 + theta)/2 and a_1 = theta/3 over the one denominator 6
+    r = ring_for("symmetric(3)", 3, N=6)
+    a, b = CycEltN(3, 6, (1, 1), 2), CycEltN(3, 6, (0, 1), 3)
+    x = CrossedElt(r, (a, b))
+    assert (x.num, x.den) == ((3, 3, 0, 2), 6)
+    assert x.coeffs == (a, b)
+    same = [CrossedElt.from_parts(r, {0: a}) + CrossedElt.from_parts(r, {1: b}),
+            CrossedElt._make(r, [12, 12, 0, 8], 24),
+            (x + x) - x,
+            x * CrossedElt.one(r)]
+    for y in same:
+        assert y == x and hash(y) == hash(x)
+    # the sum cancels the denominators entirely
+    y = CrossedElt(r, (CycEltN(3, 6, (1, 1), 2), CycEltN(3, 6, (1, 0), 2)))
+    assert y + y == CrossedElt(r, (CycEltN(3, 6, (1, 1)), CycEltN.one(3, 6)))
+    assert (y - y).is_zero() and (y - y).den == 1
 
 
 def test_idempotents_in_group_ring_z2():
@@ -635,6 +664,21 @@ def test_crossed_relations_name_each_failing_block_of_one_row():
     row = [rel for rel in rels if rel.kind == "table" and rel.a == 1]
     assert row[0].bad is None
     assert all(rel.bad is not None and rel.bad[0] == 2 for rel in row[1:])
+
+
+def test_crossed_relations_find_one_wrong_column_of_one_block():
+    # C2 acting on Z^2 by w_1 = diag(1, 2): w_1 w_1 = diag(1, 4) differs from
+    # w_0 = I only in the last column of block b = 1 of coset a = 1, and
+    # that column holds mod 3 but not mod 5 or exactly
+    ring = ring_for("cyclic(2)", 1)
+    z, w0, w1 = (IntMatrix.from_rows(m) for m in
+                 ([[1, 0], [0, 1]], [[1, 0], [0, 1]], [[1, 0], [0, 2]]))
+    for q, bad in ((0, (1, 1)), (5, (1, 1)), (3, None)):
+        rels = _relations(ring, z, (w0, w1), (q, q))
+        assert rels == reference_crossed_relations(ring, z, (w0, w1), (q, q))
+        assert [(r.kind, r.a, r.b) for r in rels if r.bad is not None] == (
+            [("table", 1, 1)] if bad else [])
+        assert rels[-2].bad == bad
 
 
 class _CountingLaw(_Law):

@@ -479,10 +479,17 @@ def test_root_power_is_repeated_multiplication_by_theta():
     lambda: CycPoly.monomial(3, 3, 1.0),
     lambda: CycPoly.monomial(3.0, 3, 1),
     lambda: CycPoly.monomial(3, 3.0, 1),
+    lambda: CycPoly(3.0, 3, (1, 0, 0)),
+    lambda: CycPoly(3, 3.0, (1, 0, 0)),
+    lambda: CycEltN(3, 3, (1, 0), 1.0),
+    lambda: IntPoly((1.5, 7, 2)),
+    lambda: IntPoly((1, "7", 2)),
 ], ids=["float-coeff", "str-coeff", "cyceltn-float", "monomial-float-coeff",
-        "monomial-str-coeff", "monomial-float-e", "monomial-float-n", "monomial-float-N"])
+        "monomial-str-coeff", "monomial-float-e", "monomial-float-n", "monomial-float-N",
+        "float-n", "float-N", "float-den", "intpoly-float", "intpoly-str"])
 def test_non_integer_coefficients_raise_type_error(build):
-    # int() turned 1.5 into 1 and "7" into 7
+    # int() turned 1.5 into 1 and "7" into 7; a float n built an element
+    # whose first product failed, and den=1.0 was read as 1
     with pytest.raises(TypeError):
         build()
 

@@ -178,7 +178,7 @@ def test_eliminations_match_two_and_three_matrix_references_seeded():
             rows = [col + [int(t == j) for t in range(c)] for j, col in enumerate(cols)]
             rows += [[m if t == i else 0 for t in range(r)] + [0] * c
                      for i, m in enumerate(moduli) if m]
-            want = [row[r:] for row in reference_hnf(rows)[0].entries
+            want = [row[r:] for row in reference_hnf(rows, transform=False)[0].entries
                     if not any(row[:r]) and any(row[r:])]
             assert congruence_kernel(cols, moduli) == want, (A, moduli)
 
